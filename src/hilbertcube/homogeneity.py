@@ -38,8 +38,8 @@ from .limits import (
     build_schedule,
     canonical_forward_bound,
     canonical_reverse_bound,
-    final_coordinate,
-    forward_tail_bound,
+    final_coordinates,
+    finalization_stages,
     h_eval,
     reverse_partial_eval,
     reverse_tail_bound,
@@ -50,6 +50,7 @@ ZERO = Fraction(0)
 EIGHT = Fraction(8)
 
 DEFAULT_HORIZON = 256
+STAGE_PAD = 12  # stages a plan materializes past the ones it is sized for
 
 
 class PlanCase(str, Enum):
@@ -106,16 +107,13 @@ def _stages_until(m1: int, budget: Fraction, bound_fn) -> int:
     return i
 
 
-def _finalized_or_none(s: Schedule, p: PointRep, j: int, horizon: int):
-    try:
-        stage, value = final_coordinate(s, p, j)
-    except HorizonExceeded:
-        return None
-    if stage > horizon:
-        raise HorizonExceeded(
-            f"coordinate {j} finalizes at stage {stage}, beyond horizon {horizon}"
-        )
-    return value
+def stage_count_limit(p: PointRep, horizon: int = DEFAULT_HORIZON) -> int:
+    """Most stages solve materializes for p's schedule under `horizon`:
+    index m_1 + 4t finalizes at stage t + 2 or later, so the anchor cutoff
+    stays below m_1 + 4(horizon - 1), plus the cutoff stage and the pad
+    (m_1 = 0 for an interior p)."""
+    m1 = _first_sacrifice(p) if classify_point(p).is_boundary else 0
+    return 4 * (horizon - 1) + m1 + STAGE_PAD
 
 
 def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZON) -> HomeoPlan:
@@ -152,24 +150,29 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
     sched_p = build_schedule(p, n_cut + 1) if p_prof.is_boundary else None
     sched_q = build_schedule(q, n_cut + 1) if q_prof.is_boundary else None
 
-    source_vals: list[Fraction] = []
-    target_vals: list[Fraction] = []
+    # a touched j <= n_cut finalizes by stage j, within the n_cut + 1 stages;
+    # refuse from the stage lists alone, before any twist is evaluated
+    stages = [finalization_stages(s, n_cut) for s in (sched_p, sched_q) if s is not None]
     for j in range(1, n_cut + 1):
-        s_j = p.coord(j) if sched_p is None else _finalized_or_none(sched_p, p, j, horizon)
-        t_j = q.coord(j) if sched_q is None else _finalized_or_none(sched_q, q, j, horizon)
-        if s_j is None or t_j is None:
-            s_j = t_j = ZERO  # identity coordinate: value unknowable in time
-        source_vals.append(s_j)
-        target_vals.append(t_j)
-    move = InteriorMapParams(
-        PointRep(tuple(source_vals), ZERO), PointRep(tuple(target_vals), ZERO)
-    )
+        for fin in stages:
+            if fin[j] > horizon:
+                raise HorizonExceeded(
+                    f"coordinate {j} finalizes at stage {fin[j]}, beyond horizon {horizon}"
+                )
+
+    # one forward walk per schedule yields pt's first n_cut escaped coordinates
+    def anchors(s: Schedule | None, pt: PointRep) -> PointRep:
+        fin = None if s is None else final_coordinates(s, pt, n_cut)
+        vals = (pt.coord(j) if fin is None else fin[j][1] for j in range(1, n_cut + 1))
+        return PointRep(tuple(vals), ZERO)
+
+    move = InteriorMapParams(anchors(sched_p, p), anchors(sched_q, q))
 
     # size the materialized schedules for every evaluation verify or a
     # roundtrip at this tolerance will ask of them, plus slack
     lip_f = lipschitz_bound(move)
     lip_inv = lipschitz_bound(interior_map_inverse(move))
-    pad = 12
+    pad = STAGE_PAD
     if sched_p is not None:
         m1_p = _first_sacrifice(p)
         fwd_budget = (tau / 8) / (EIGHT**i_star * lip_f)

@@ -48,22 +48,17 @@ class BoundaryIndexStream:
     def contains(self, j: int) -> bool:
         return j in self.head or (self.tail_start is not None and j >= self.tail_start)
 
-    def values_upto(self, bound: int) -> list[int]:
-        vals = [j for j in self.head if j <= bound]
-        if self.tail_start is not None and bound >= self.tail_start:
-            vals.extend(range(self.tail_start, bound + 1))
+    def values_upto(self, bound: int, after: int = 0) -> list[int]:
+        """Indices j of the stream with after < j <= bound, ascending."""
+        vals = [j for j in self.head if after < j <= bound]
+        if self.tail_start is not None:
+            vals.extend(range(max(self.tail_start, after + 1), bound + 1))
         return vals
 
 
-def boundary_index_sequence(p: PointRep) -> BoundaryIndexStream:
-    profile = classify_point(p)
-    return BoundaryIndexStream(
-        head=profile.explicit_indices,
-        tail_start=profile.tail_start if profile.tail_is_boundary else None,
-    )
-
-
-def _stream_of(profile: BoundaryProfile) -> BoundaryIndexStream:
+def boundary_index_sequence(p: PointRep | BoundaryProfile) -> BoundaryIndexStream:
+    """Boundary indices of a point, or of its already classified profile."""
+    profile = p if isinstance(p, BoundaryProfile) else classify_point(p)
     return BoundaryIndexStream(
         head=profile.explicit_indices,
         tail_start=profile.tail_start if profile.tail_is_boundary else None,
@@ -97,9 +92,6 @@ class Schedule:
     def is_identity(self) -> bool:
         return self.source_profile.is_pseudo_interior
 
-    def n_seq(self) -> tuple[int, ...]:
-        return tuple(n for n, _ in self.stages)
-
     def m_seq(self) -> tuple[int, ...]:
         return tuple(m for _, m in self.stages)
 
@@ -121,7 +113,7 @@ def build_schedule(p: PointRep, count: int) -> Schedule:
     if count < 0:
         raise BadIndices(f"stage count must be >= 0, got {count}")
     profile = classify_point(p)
-    stream = _stream_of(profile)
+    stream = boundary_index_sequence(profile)
     if stream.is_empty:
         return Schedule((), profile, ())
     pool: list[int] = []
@@ -131,8 +123,8 @@ def build_schedule(p: PointRep, count: int) -> Schedule:
     def pull(bound: int) -> None:
         nonlocal pulled_upto
         if bound > pulled_upto:
-            for j in stream.values_upto(bound):
-                if j > pulled_upto and j not in in_pool:
+            for j in stream.values_upto(bound, pulled_upto):
+                if j not in in_pool:
                     heapq.heappush(pool, j)
                     in_pool.add(j)
             pulled_upto = bound
@@ -197,9 +189,7 @@ def forward_tail_bound(s: Schedule, i: int) -> Fraction:
     if s.is_identity:
         return ZERO
     _require_stage_range(s, i)
-    total = sum((Fraction(3, 2 ** m) for _, m in s.stages[i:]), ZERO)
-    m_last = s.stages[-1][1] if s.stages else 0
-    return total + Fraction(1, 5) / 2 ** m_last
+    return _tail_bounds(s, False, i)[0]
 
 
 def reverse_tail_bound(s: Schedule, i: int) -> Fraction:
@@ -208,17 +198,27 @@ def reverse_tail_bound(s: Schedule, i: int) -> Fraction:
     if s.is_identity:
         return ZERO
     _require_stage_range(s, i)
-    total = ZERO
-    for k in range(i + 1, s.count + 1):
-        total += 8 ** (k - 1) * Fraction(3, 2 ** s.stages[k - 1][1])
+    return _tail_bounds(s, True, i)[0]
+
+
+def _tail_bounds(s: Schedule, reverse: bool, first: int = 0) -> list[Fraction]:
+    """Forward (or reverse) tail bounds for i = first..count, in one backward
+    pass of exact suffix sums that starts from the beyond-count term."""
+    if s.is_identity:
+        return [ZERO] * (s.count + 1 - first)
     m_last = s.stages[-1][1] if s.stages else 0
-    return total + _beyond_reverse(s.count, m_last)
-
-
-def _beyond_reverse(count: int, m_last: int) -> Fraction:
-    # sum_{k>count} 8^(k-1) * 3 * 2^-(m_last + 4(k-count)) = 3 * 2^(3c-3-m_last)
-    exp = 3 * count - 3 - m_last
-    return 3 * (Fraction(2) ** exp)
+    if reverse:
+        # sum_{k>c} 8^(k-1) * 3 * 2^-(m_last + 4(k-c)) = 3 * 2^(3c-3-m_last)
+        total = 3 * Fraction(2) ** (3 * s.count - 3 - m_last)
+    else:
+        total = Fraction(1, 5) / 2**m_last
+    bounds = [total]
+    for k in range(s.count, first, -1):
+        term = Fraction(3, 2 ** s.stages[k - 1][1])
+        total += 8 ** (k - 1) * term if reverse else term
+        bounds.append(total)
+    bounds.reverse()
+    return bounds
 
 
 def canonical_forward_bound(m1: int, i: int) -> Fraction:
@@ -279,78 +279,82 @@ def reverse_partial_eval(s: Schedule, y: PointRep, i: int) -> PointRep:
     return _rebuild(y, _walk(s, y, i, reverse=True))
 
 
-def _least_stage(s: Schedule, tau: Fraction, bound_fn) -> int:
+def _least_stage(s: Schedule, tau: Fraction, reverse: bool) -> tuple[int, Fraction]:
+    """Least i whose forward (or reverse) tail bound is < tau, with that bound."""
     if tau <= 0:
         raise OutOfRange(f"tolerance must be positive, got {tau}")
-    for i in range(s.count + 1):
-        if bound_fn(s, i) < tau:
-            return i
+    for i, bound in enumerate(_tail_bounds(s, reverse)):
+        if bound < tau:
+            return i, bound
     raise HorizonExceeded(
         f"tolerance {tau} needs more than the {s.count} materialized stages"
     )
 
 
-def stages_for_forward(s: Schedule, budget: Rational) -> int:
-    """Least materialized stage count whose forward tail bound beats budget."""
-    return _least_stage(s, Fraction(budget), forward_tail_bound)
-
-
 def stages_for_reverse(s: Schedule, budget: Rational) -> int:
     """Least materialized stage count whose reverse tail bound beats budget."""
-    return _least_stage(s, Fraction(budget), reverse_tail_bound)
+    return _least_stage(s, Fraction(budget), True)[0]
 
 
 def h_eval(s: Schedule, x: PointRep, tau: Rational) -> CertifiedPoint:
     """Certified value of the limit map: the least-stage partial whose
     forward tail bound beats tau."""
-    tau = Fraction(tau)
-    i = _least_stage(s, tau, forward_tail_bound)
-    return CertifiedPoint(forward_partial_eval(s, x, i), forward_tail_bound(s, i), i)
+    i, bound = _least_stage(s, Fraction(tau), False)
+    return CertifiedPoint(forward_partial_eval(s, x, i), bound, i)
 
 
 def h_inverse_eval(s: Schedule, y: PointRep, tau: Rational) -> CertifiedPoint:
     """Certified value of the inverse limit map."""
-    tau = Fraction(tau)
-    i = _least_stage(s, tau, reverse_tail_bound)
-    return CertifiedPoint(reverse_partial_eval(s, y, i), reverse_tail_bound(s, i), i)
+    i, bound = _least_stage(s, Fraction(tau), True)
+    return CertifiedPoint(reverse_partial_eval(s, y, i), bound, i)
 
 
-def _is_canonical(s: Schedule) -> bool:
-    ms = s.m_seq()
-    return all(ms[k] == ms[0] + 4 * k for k in range(len(ms)))
-
-
-def final_coordinate(s: Schedule, p: PointRep, j: int) -> tuple[int, Fraction]:
-    """(stage, value) once coordinate j stops moving.
+def finalization_stages(s: Schedule, upto: int) -> dict[int, int]:
+    """Stage after which each coordinate j <= upto stops moving.
 
     Coordinate j is finalized at stage k if n_k = j: stages beyond k only
     touch strictly larger indices.  A j the schedule never touches is final
-    from the start: (0, p_j).  Touched but not finalized within the
-    materialized stages raises HorizonExceeded.
+    from the start (stage 0).  A j touched but not finalized within the
+    materialized stages is left out.  Read off s.stages alone: no twist is
+    evaluated.
     """
+    stages: dict[int, int] = {}
+    for k, (n, _) in enumerate(s.stages, 1):
+        if n <= upto:
+            stages.setdefault(n, k)
+    stream = boundary_index_sequence(s.source_profile)
+    sacrificed = set(s.m_seq())
+    # past the last materialized m, every multiple of 4 is yet to be sacrificed
+    m_last = s.stages[-1][1] if s.stages else 0
+    for j in range(1, upto + 1):
+        touched = stream.contains(j) or j in sacrificed
+        if not touched and not s.is_identity:
+            touched = j % 4 == 0 and j > m_last
+        if not touched:
+            stages.setdefault(j, 0)
+    return stages
+
+
+def final_coordinates(s: Schedule, p: PointRep, upto: int) -> dict[int, tuple[int, Fraction]]:
+    """(stage, value) of every coordinate j <= upto that finalization_stages
+    finds, from one forward walk up to the last of those stages."""
+    stages = finalization_stages(s, upto)
+    cur = _walk(s, p, max(stages.values(), default=0))
+    return {j: (k, cur[j] if k else p.coord(j)) for j, k in stages.items()}
+
+
+def final_coordinate(s: Schedule, p: PointRep, j: int) -> tuple[int, Fraction]:
+    """(stage, value) once coordinate j stops moving; see finalization_stages.
+    Touched but not finalized within the materialized stages raises
+    HorizonExceeded."""
     if j < 1:
         raise BadIndices(f"coordinate index must be >= 1, got {j}")
-    stream = _stream_of(s.source_profile)
-    ns = s.n_seq()
-    if j in ns:
-        k = ns.index(j) + 1
-        cur = _walk(s, p, k)
-        return k, cur[j]
-    ms = s.m_seq()
-    touched = stream.contains(j) or j in ms
-    if not touched and not s.is_identity:
-        if s.stages and _is_canonical(s):
-            m1 = ms[0]
-            touched = j >= m1 and (j - m1) % 4 == 0
-        else:
-            # continuation unknown: any multiple of 4 beyond the last
-            # materialized m may yet be sacrificed
-            touched = j % 4 == 0 and j > (ms[-1] if ms else 0)
-    if touched:
+    found = final_coordinates(s, p, j).get(j)
+    if found is None:
         raise HorizonExceeded(
             f"coordinate {j} is not finalized within {s.count} stages"
         )
-    return 0, p.coord(j)
+    return found
 
 
 def first_attempt_partial(p: PointRep, n: int) -> PointRep:

@@ -4,7 +4,8 @@ Point specs look like {"prefix": ["1", "-1/2"], "tail": "0"}.  Rational
 strings are integer or num/den form; decimal literals are rejected so no
 reader can quietly lose exactness.  Schedule records carry the source point
 and stage count and are rebuilt deterministically on load, with the stored
-stage list cross-checked against the rebuild.
+stage list cross-checked against the rebuild.  A count above the most stages
+solve materializes under the default horizon is refused before the rebuild.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from .cube import PointRep, make_point
 from .errors import ParseError
-from .homogeneity import HomeoPlan, PlanCase
+from .homogeneity import HomeoPlan, PlanCase, stage_count_limit
 from .interior import InteriorMapParams
 from .limits import CertifiedPoint, Schedule, build_schedule
 
@@ -91,8 +92,11 @@ def schedule_from_obj(obj, where: str = "schedule") -> tuple[Schedule, PointRep]
         raise ParseError(f"{where}: expected an object")
     source = point_from_obj(obj.get("source"), f"{where}.source")
     count = obj.get("count")
-    if not isinstance(count, int) or count < 0:
+    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
         raise ParseError(f"{where}.count: expected a non-negative integer")
+    limit = stage_count_limit(source)
+    if count > limit:
+        raise ParseError(f"{where}.count: {count} exceeds the limit of {limit} stages")
     s = build_schedule(source, count)
     stored = obj.get("stages")
     if stored is not None:

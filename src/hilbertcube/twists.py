@@ -93,17 +93,6 @@ class CellMap:
             return CellMap(_SINGLE_OF[self.kind], self.variant, self.n, self.m)
         return self
 
-    def inverse_kind(self) -> "CellMap":
-        pairs = {
-            MapKind.TWIST_CCW: MapKind.TWIST_CW,
-            MapKind.TWIST_CW: MapKind.TWIST_CCW,
-            MapKind.TWIST_CCW_CUBED: MapKind.TWIST_CW_CUBED,
-            MapKind.TWIST_CW_CUBED: MapKind.TWIST_CCW_CUBED,
-        }
-        if self.kind not in pairs:
-            raise BadIndices(f"{self.kind.value} has no paired inverse kind")
-        return CellMap(pairs[self.kind], self.variant, self.n, self.m)
-
     def label(self) -> str:
         return f"{self.kind.value} n={self.n} m={self.m} {self.variant.value}"
 

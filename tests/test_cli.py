@@ -12,6 +12,7 @@ import pytest
 
 from hilbertcube import first_attempt_partial, make_point, metric_d
 from hilbertcube.cli import main
+from hilbertcube.homogeneity import stage_count_limit
 
 F = Fraction
 ROOT = Path(__file__).resolve().parent.parent
@@ -241,3 +242,18 @@ def test_console_script_entry_point(points):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["stages"] == [[1, 4], [2, 8]]
+
+
+def test_exit_2_on_schedule_count_over_limit(capsys, points):
+    code, out, _ = run(capsys, "solve", "--p", points["ones"], "--q", points["int_b"],
+                       "--tau", "1/1024")
+    assert code == 0
+    plan = json.loads(out)
+    plan["source_schedule"]["count"] = stage_count_limit(make_point([], 1)) + 1
+    del plan["source_schedule"]["stages"]
+    path = points["dir"] / "huge.json"
+    path.write_text(json.dumps(plan))
+    code, _, err = run(capsys, "verify", "--plan", str(path), "--p", points["ones"],
+                       "--q", points["int_b"], "--tau", "1/1024")
+    assert code == 2
+    assert "exceeds the limit" in err

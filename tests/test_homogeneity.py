@@ -1,5 +1,6 @@
 """Plan construction and certified evaluation for all four endpoint cases."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,12 @@ from hilbertcube import (
     solve,
     verify_plan,
 )
+from hilbertcube import limits
+from hilbertcube.homogeneity import stage_count_limit
+from hilbertcube.limits import build_schedule, final_coordinates
 
 from conftest import rand_point
+from walk_oracle import final_coordinates_rewalk, plan_from_anchors
 
 F = Fraction
 
@@ -138,3 +143,89 @@ def test_tiny_tolerance_still_verifies():
     tau = F(1, 2**40)
     plan = solve(make_point([], 1), ORIGIN, tau)
     assert verify_plan(plan, make_point([], 1), ORIGIN, tau)
+
+
+ONES = make_point([], 1)
+WALK_PAIRS = ((INT_A, INT_B), (BND_A, INT_B), (INT_A, BND_B), (BND_A, BND_B), (ONES, ORIGIN))
+
+
+@pytest.mark.parametrize("k", [10, 20, 40])
+def test_one_walk_anchors_match_per_coordinate_rewalk(k):
+    tau = F(1, 2**k)
+    for p, q in WALK_PAIRS:
+        plan = solve(p, q, tau)
+        if plan.case == PlanCase.INTERIOR_INTERIOR:
+            assert plan.move.source == p and plan.move.target == q
+            continue
+        n_cut = plan.move.anchor_count
+        finals = []
+        for sched, pt in ((plan.source_schedule, p), (plan.target_schedule, q)):
+            if sched is None:
+                finals.append(None)
+                continue
+            walked = build_schedule(pt, n_cut + 1)  # the schedule solve walks
+            want = final_coordinates_rewalk(walked, pt, n_cut)
+            assert final_coordinates(walked, pt, n_cut) == want
+            finals.append(want)
+        assert plan == plan_from_anchors(plan, p, q, *finals)
+
+
+def _counting_twist_eval(monkeypatch):
+    calls = []
+    original = limits.twist_eval
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(limits, "twist_eval", counted)
+    return calls
+
+
+def test_solve_walks_each_schedule_once(monkeypatch):
+    calls = _counting_twist_eval(monkeypatch)
+    plan = solve(BND_A, BND_B, F(1, 2**40))
+    src, tgt = plan.source_schedule.stages, plan.target_schedule.stages
+    assert 0 < len(calls) <= len(src) + len(tgt)
+    # each cell at most once per schedule whose stage list holds it
+    for cell, times in Counter((cm.n, cm.m) for cm in calls).items():
+        assert times <= (cell in src) + (cell in tgt)
+
+
+def test_refusal_evaluates_no_twist(monkeypatch):
+    calls = _counting_twist_eval(monkeypatch)
+    with pytest.raises(HorizonExceeded):
+        solve(BND_A, BND_B, F(1, 2**64))
+    assert calls == []
+
+
+@pytest.mark.parametrize("horizon, pair, message", [
+    (256, (INT_A, BND_B), "coordinate 258 finalizes at stage 257, beyond horizon 256"),
+    (256, (BND_A, BND_B), "coordinate 258 finalizes at stage 257, beyond horizon 256"),
+    (64, (BND_A, BND_B), "coordinate 66 finalizes at stage 65, beyond horizon 64"),
+    (64, (ONES, ORIGIN), "coordinate 65 finalizes at stage 65, beyond horizon 64"),
+    (20, (INT_A, BND_B), "coordinate 22 finalizes at stage 21, beyond horizon 20"),
+    (20, (ONES, ORIGIN), "coordinate 21 finalizes at stage 21, beyond horizon 20"),
+])
+def test_horizon_messages(horizon, pair, message):
+    with pytest.raises(HorizonExceeded) as exc:
+        solve(*pair, F(1, 2**64), horizon=horizon)
+    assert str(exc.value) == message
+
+
+def test_stage_count_limit_bounds_solve():
+    # a small horizon reaches its refusal quickly; the bound is met exactly
+    horizon, reached = 5, False
+    for p, q in WALK_PAIRS[1:] + ((INT_B, BND_A), (make_point([0, 0, 0, 0, 0, 1], 0), ORIGIN)):
+        for k in range(1, 200):
+            try:
+                plan = solve(p, q, F(1, 2**k), horizon=horizon)
+            except HorizonExceeded:
+                break
+            for sched, pt in ((plan.source_schedule, p), (plan.target_schedule, q)):
+                if sched is not None:
+                    assert sched.count <= stage_count_limit(pt, horizon)
+                    reached |= sched.count == stage_count_limit(pt, horizon)
+        else:
+            pytest.fail("no refusal")
+    assert reached

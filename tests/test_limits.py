@@ -1,5 +1,7 @@
 """Stage scheduling, truncation bounds, certified limit evaluation."""
 
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,9 +25,23 @@ from hilbertcube import (
     schedule_budget_ok,
     stage_budget,
 )
-from hilbertcube.limits import Schedule, canonical_forward_bound, canonical_reverse_bound
+from hilbertcube.cube import classify_point
+from hilbertcube.limits import (
+    Schedule,
+    _least_stage,
+    canonical_forward_bound,
+    canonical_reverse_bound,
+    final_coordinates,
+    finalization_stages,
+)
 
 from conftest import rand_point
+from walk_oracle import (
+    final_coordinate_rewalk,
+    forward_tail_sum,
+    least_stage_scan,
+    reverse_tail_sum,
+)
 
 F = Fraction
 ONES = make_point([], 1)
@@ -41,6 +57,13 @@ def test_boundary_index_sequence_single():
     stream = boundary_index_sequence(make_point([F(1, 2), F(1, 2), 1], 0))
     assert stream.values_upto(100) == [3]
     assert not stream.contains(4)
+
+
+def test_values_upto_after():
+    assert boundary_index_sequence(ONES).values_upto(7, 3) == [4, 5, 6, 7]
+    stream = boundary_index_sequence(make_point([1, 0, -1, 0], 1))
+    assert stream.values_upto(6, 1) == [3, 5, 6]
+    assert stream.values_upto(2, 3) == []
 
 
 def test_boundary_index_sequence_interior():
@@ -274,3 +297,69 @@ def test_first_attempt_collapse_distance():
     a = first_attempt_partial(ONES, 5)
     b = first_attempt_partial(make_point([], t), 5)
     assert metric_d(a, b) == (1 - t) * F(1, 2**5)
+
+
+def _seeded_schedules():
+    rng = random.Random(20261018)
+    scheds = [build_schedule(ORIGIN, 5), build_schedule(ONES, 0), build_schedule(ONES, 12)]
+    while len(scheds) < 12:
+        p = rand_point(rng)
+        if classify_point(p).is_boundary:
+            scheds.append(build_schedule(p, rng.randint(1, 20)))
+    return scheds
+
+
+def test_tail_bounds_match_summed_formulas():
+    for s in _seeded_schedules():
+        for i in range(s.count + 1):
+            assert forward_tail_bound(s, i) == forward_tail_sum(s, i)
+            assert reverse_tail_bound(s, i) == reverse_tail_sum(s, i)
+
+
+def test_suffix_sum_least_stage_matches_scan():
+    rng = random.Random(7)
+    for s in _seeded_schedules():
+        for reverse, bound_fn in ((False, forward_tail_bound), (True, reverse_tail_bound)):
+            bounds = [bound_fn(s, i) for i in range(s.count + 1)]
+            # each bound exactly (strict <), just above it, and random taus
+            taus = bounds + [b * F(17, 16) for b in bounds if b]
+            taus += [F(1, 2 ** rng.randint(1, 90)) for _ in range(10)]
+            for tau in taus:
+                if tau <= 0:
+                    continue
+                try:
+                    want = least_stage_scan(s, tau, bound_fn)
+                except HorizonExceeded as exc:
+                    with pytest.raises(HorizonExceeded, match=re.escape(str(exc))):
+                        _least_stage(s, tau, reverse)
+                    continue
+                assert _least_stage(s, tau, reverse) == (want, bounds[want])
+
+
+def test_least_stage_identity_and_horizon_end():
+    ident = build_schedule(ORIGIN, 4)
+    assert _least_stage(ident, F(1, 2**200), False) == (0, 0)
+    assert _least_stage(ident, F(1, 2**200), True) == (0, 0)
+    s = build_schedule(ONES, 3)
+    last = forward_tail_bound(s, 3)
+    with pytest.raises(HorizonExceeded, match="needs more than the 3 materialized stages"):
+        _least_stage(s, last, False)  # equal is not below
+    with pytest.raises(OutOfRange):
+        _least_stage(s, F(0), True)
+
+
+def test_final_coordinates_one_walk_matches_rewalk():
+    for p in (ONES, make_point([1, F(1, 2), -1], F(1, 4)), make_point([F(-1, 3)], -1),
+              make_point([0, 0, 0, 0, 0, 1], F(1, 3))):
+        s = build_schedule(p, 14)
+        found = final_coordinates(s, p, 30)
+        for j in range(1, 31):
+            try:
+                want = final_coordinate_rewalk(s, p, j)
+            except HorizonExceeded:
+                assert j not in found
+                with pytest.raises(HorizonExceeded):
+                    final_coordinate(s, p, j)
+                continue
+            assert found[j] == want == final_coordinate(s, p, j)
+            assert finalization_stages(s, 30)[j] == want[0]

@@ -130,3 +130,32 @@ def test_dump_json_has_no_floats():
     # every numeric payload is a rational string or a plain integer
     assert "." not in text
     assert "e-" not in text
+
+
+@pytest.mark.parametrize("count", [True, False, "3", 2.0, -1])
+def test_schedule_rejects_non_integer_count(count):
+    obj = {"source": {"prefix": ["1"], "tail": "0"}, "count": count}
+    with pytest.raises(ParseError, match="non-negative integer"):
+        schedule_from_obj(obj)
+
+
+def test_schedule_count_limit_boundary():
+    from hilbertcube.homogeneity import DEFAULT_HORIZON, STAGE_PAD, stage_count_limit
+
+    p = make_point([1, F(1, 2), -1], F(1, 4))  # m_1 = 4
+    limit = stage_count_limit(p)
+    assert limit == 4 * (DEFAULT_HORIZON - 1) + 4 + STAGE_PAD
+    s, _ = schedule_from_obj({"source": point_to_obj(p), "count": limit})
+    assert s.count == limit
+    with pytest.raises(ParseError, match=f"exceeds the limit of {limit} stages"):
+        schedule_from_obj({"source": point_to_obj(p), "count": limit + 1})
+
+
+def test_plan_beyond_horizon_plus_pad_stages_still_parses():
+    # a sparse boundary target at 2^-64 materializes 275 stages, more than
+    # DEFAULT_HORIZON + STAGE_PAD, and must still read back
+    p = make_point([F(1, 3), F(-1, 2)], F(1, 5))
+    q = make_point([1, F(1, 2), -1], F(1, 4))
+    plan = solve(p, q, F(1, 2**64))
+    assert plan.target_schedule.count == 275
+    assert parse_plan(dump_json(plan_to_obj(plan, (None, q)))) == plan

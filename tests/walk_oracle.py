@@ -1,0 +1,89 @@
+"""Slow reference formulas for the schedule walk and the tail-bound search.
+
+Kept only to check the library's one-walk and suffix-sum paths against: each
+coordinate's final value comes from its own walk from stage 1, each tail
+bound is summed from scratch, and the least stage is a linear scan.
+"""
+
+from fractions import Fraction
+
+from hilbertcube import HorizonExceeded, OutOfRange, forward_partial_eval
+from hilbertcube.cube import PointRep
+from hilbertcube.homogeneity import HomeoPlan
+from hilbertcube.interior import InteriorMapParams
+from hilbertcube.limits import boundary_index_sequence
+
+ZERO = Fraction(0)
+
+
+def final_coordinate_rewalk(s, p, j):
+    """(stage, value) of coordinate j, re-walking stages 1..k for n_k = j;
+    raises HorizonExceeded for a j touched but not yet finalized."""
+    ns, ms = tuple(n for n, _ in s.stages), s.m_seq()
+    if j in ns:
+        k = ns.index(j) + 1
+        return k, forward_partial_eval(s, p, k).coord(j)
+    touched = boundary_index_sequence(p).contains(j) or j in ms
+    if not touched and not s.is_identity:
+        if ms and all(ms[k] == ms[0] + 4 * k for k in range(len(ms))):
+            touched = j >= ms[0] and (j - ms[0]) % 4 == 0
+        else:
+            touched = j % 4 == 0 and j > (ms[-1] if ms else 0)
+    if touched:
+        raise HorizonExceeded(f"coordinate {j} is not finalized within {s.count} stages")
+    return 0, p.coord(j)
+
+
+def final_coordinates_rewalk(s, p, upto):
+    """{j: (stage, value)} for j <= upto, one re-walk per coordinate; a j
+    touched but not yet finalized is left out."""
+    out = {}
+    for j in range(1, upto + 1):
+        try:
+            out[j] = final_coordinate_rewalk(s, p, j)
+        except HorizonExceeded:
+            pass
+    return out
+
+
+def plan_from_anchors(plan, p, q, source_final, target_final):
+    """plan with its interior move rebuilt from per-coordinate final values,
+    as solve built it before it walked each schedule once."""
+    src, tgt = [], []
+    for j in range(1, plan.move.anchor_count + 1):
+        s_j = p.coord(j) if source_final is None else source_final.get(j, (0, None))[1]
+        t_j = q.coord(j) if target_final is None else target_final.get(j, (0, None))[1]
+        if s_j is None or t_j is None:
+            s_j = t_j = ZERO
+        src.append(s_j)
+        tgt.append(t_j)
+    move = InteriorMapParams(PointRep(tuple(src), ZERO), PointRep(tuple(tgt), ZERO))
+    return HomeoPlan(plan.case, move, plan.source_schedule, plan.target_schedule)
+
+
+def forward_tail_sum(s, i):
+    if s.is_identity:
+        return ZERO
+    total = sum((Fraction(3, 2**m) for _, m in s.stages[i:]), ZERO)
+    m_last = s.stages[-1][1] if s.stages else 0
+    return total + Fraction(1, 5) / 2**m_last
+
+
+def reverse_tail_sum(s, i):
+    if s.is_identity:
+        return ZERO
+    total = ZERO
+    for k in range(i + 1, s.count + 1):
+        total += 8 ** (k - 1) * Fraction(3, 2 ** s.stages[k - 1][1])
+    m_last = s.stages[-1][1] if s.stages else 0
+    return total + 3 * Fraction(2) ** (3 * s.count - 3 - m_last)
+
+
+def least_stage_scan(s, tau, bound_fn):
+    """First i in 0..count with bound_fn(s, i) < tau."""
+    if tau <= 0:
+        raise OutOfRange(f"tolerance must be positive, got {tau}")
+    for i in range(s.count + 1):
+        if bound_fn(s, i) < tau:
+            return i
+    raise HorizonExceeded(f"tolerance {tau} needs more than the {s.count} materialized stages")
