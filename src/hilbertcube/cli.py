@@ -13,13 +13,14 @@ import sys
 from fractions import Fraction
 
 from .cube import classify_point, make_point, metric_d
-from .errors import CubeError, ParseError
+from .errors import BadIndices, CubeError, ParseError
 from .homogeneity import (
     DEFAULT_HORIZON,
     plan_eval,
     plan_inverse_eval,
     plan_report,
     solve,
+    stage_count_limit,
 )
 from .limits import (
     build_schedule,
@@ -182,6 +183,9 @@ def _cmd_render(args) -> int:
 
 def _cmd_schedule(args) -> int:
     p = _load_point(args.p)
+    limit = stage_count_limit(p)
+    if args.count > limit:
+        raise BadIndices(f"--count: {args.count} exceeds the limit of {limit} stages")
     s = build_schedule(p, args.count)
     obj = schedule_to_obj(s, p)
     obj["budget_ok"] = schedule_budget_ok(s)

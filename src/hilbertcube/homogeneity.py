@@ -94,6 +94,12 @@ def _case_of(p_boundary: bool, q_boundary: bool) -> PlanCase:
     return PlanCase.INTERIOR_INTERIOR
 
 
+def _escape_budget(tau: Fraction, both_escapes: bool) -> Fraction:
+    """Tolerance share of each escape leg of an evaluation at tau: half of
+    tau when it is the only escape, a quarter when both are present."""
+    return tau / 4 if both_escapes else tau / 2
+
+
 def _first_sacrifice(p: PointRep) -> int:
     """m_1 of the canonical schedule for p: least multiple of 4 > n_1."""
     n1 = boundary_index_sequence(p).first()
@@ -130,12 +136,10 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
     if case == PlanCase.INTERIOR_INTERIOR:
         return HomeoPlan(case, InteriorMapParams(p, q), None, None)
 
-    # stages the verifying evaluation will unwind on the target side
-    # (verify_plan evaluates at tau/2; its reverse budget is a further
-    # half for case 3, a quarter for case 4)
+    # stages the verifying evaluation (at tau/2) will unwind on the target side
     if q_prof.is_boundary:
         m1_q = _first_sacrifice(q)
-        rev_budget = tau / 4 if case == PlanCase.INTERIOR_BOUNDARY else tau / 8
+        rev_budget = _escape_budget(tau / 2, p_prof.is_boundary)
         i_star = _stages_until(m1_q, rev_budget, canonical_reverse_bound)
     else:
         i_star = 0
@@ -172,98 +176,58 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
     # roundtrip at this tolerance will ask of them, plus slack
     lip_f = lipschitz_bound(move)
     lip_inv = lipschitz_bound(interior_map_inverse(move))
-    pad = STAGE_PAD
+    i_inv = 0  # stages the inverse unwinds on the source side
     if sched_p is not None:
         m1_p = _first_sacrifice(p)
+        i_inv = _stages_until(m1_p, tau / 8, canonical_reverse_bound)
         fwd_budget = (tau / 8) / (EIGHT**i_star * lip_f)
         need_fwd = _stages_until(m1_p, fwd_budget, canonical_forward_bound)
-        need_rev = _stages_until(m1_p, tau / 8, canonical_reverse_bound)
-        sched_p = build_schedule(p, max(n_cut + 1, need_fwd, need_rev) + pad)
+        sched_p = build_schedule(p, max(n_cut + 1, need_fwd, i_inv) + STAGE_PAD)
     if sched_q is not None:
-        i_inv = 0
-        if sched_p is not None:
-            i_inv = _stages_until(_first_sacrifice(p), tau / 8, canonical_reverse_bound)
         fwd_budget = (tau / 8) / (EIGHT**i_inv * lip_inv)
         need_fwd = _stages_until(m1_q, fwd_budget, canonical_forward_bound)
-        need_rev = i_star
-        sched_q = build_schedule(q, max(n_cut + 1, need_fwd, need_rev) + pad)
+        sched_q = build_schedule(q, max(n_cut + 1, need_fwd, i_star) + STAGE_PAD)
 
     return HomeoPlan(case, move, sched_p, sched_q)
+
+
+def _inverse_plan(plan: HomeoPlan) -> HomeoPlan:
+    """H^-1 as a plan: the inverse move between the swapped escapes."""
+    src, tgt = plan.target_schedule, plan.source_schedule
+    case = _case_of(src is not None, tgt is not None)
+    return HomeoPlan(case, interior_map_inverse(plan.move), src, tgt)
 
 
 def plan_eval_info(plan: HomeoPlan, x: PointRep, tau: Rational) -> EvalInfo:
     """Certified H(x) within tau, with the approximation's Lipschitz bound.
 
-    The internal budget split targets a radius of at most tau/2, leaving
-    headroom for verification at doubled tolerance.
+    H composes three legs: source escape, interior move, target unescape.
+    An absent escape is the identity leg (0 stages, radius 0, Lipschitz
+    factor 1).  The target leg's stage count i is chosen before the source
+    leg runs, since its factor 8^i inflates the source leg's radius; the
+    escape budgets keep the radius at most tau/2, leaving headroom for
+    verification at doubled tolerance.
     """
     tau = Fraction(tau)
     if tau <= 0:
         raise OutOfRange(f"tolerance must be positive, got {tau}")
-    lip = lipschitz_bound(plan.move)
-    if plan.case == PlanCase.INTERIOR_INTERIOR:
-        value = interior_map_eval(plan.move, x)
-        return EvalInfo(CertifiedPoint(value, ZERO, 0), lip)
-    if plan.case == PlanCase.BOUNDARY_INTERIOR:
-        z = h_eval(plan.source_schedule, x, tau / (2 * lip))
-        value = interior_map_eval(plan.move, z.value)
-        return EvalInfo(
-            CertifiedPoint(value, lip * z.radius, z.stages_used),
-            lip * EIGHT**z.stages_used,
-        )
-    if plan.case == PlanCase.INTERIOR_BOUNDARY:
-        w = interior_map_eval(plan.move, x)
-        i = stages_for_reverse(plan.target_schedule, tau / 2)
-        value = reverse_partial_eval(plan.target_schedule, w, i)
-        r = reverse_tail_bound(plan.target_schedule, i)
-        return EvalInfo(CertifiedPoint(value, r, i), EIGHT**i * lip)
-    i = stages_for_reverse(plan.target_schedule, tau / 4)
-    r_rev = reverse_tail_bound(plan.target_schedule, i)
-    inner = (tau / 4) / (EIGHT**i * lip)
-    z = h_eval(plan.source_schedule, x, inner)
+    src, tgt = plan.source_schedule, plan.target_schedule
+    budget = _escape_budget(tau, src is not None and tgt is not None)
+    i = 0 if tgt is None else stages_for_reverse(tgt, budget)
+    r_rev = ZERO if tgt is None else reverse_tail_bound(tgt, i)
+    outer = EIGHT**i * lipschitz_bound(plan.move)  # Lipschitz factor of move + target leg
+    z = CertifiedPoint(x, ZERO, 0) if src is None else h_eval(src, x, budget / outer)
     w = interior_map_eval(plan.move, z.value)
-    value = reverse_partial_eval(plan.target_schedule, w, i)
-    radius = EIGHT**i * lip * z.radius + r_rev
+    value = w if tgt is None else reverse_partial_eval(tgt, w, i)
     return EvalInfo(
-        CertifiedPoint(value, radius, i + z.stages_used),
-        EIGHT**i * lip * EIGHT**z.stages_used,
+        CertifiedPoint(value, outer * z.radius + r_rev, i + z.stages_used),
+        outer * EIGHT**z.stages_used,
     )
 
 
 def plan_inverse_eval_info(plan: HomeoPlan, y: PointRep, tau: Rational) -> EvalInfo:
-    """Certified H^-1(y) within tau; mirror of plan_eval_info."""
-    tau = Fraction(tau)
-    if tau <= 0:
-        raise OutOfRange(f"tolerance must be positive, got {tau}")
-    inv_move = interior_map_inverse(plan.move)
-    lip = lipschitz_bound(inv_move)
-    if plan.case == PlanCase.INTERIOR_INTERIOR:
-        value = interior_map_eval(inv_move, y)
-        return EvalInfo(CertifiedPoint(value, ZERO, 0), lip)
-    if plan.case == PlanCase.BOUNDARY_INTERIOR:
-        w = interior_map_eval(inv_move, y)
-        i = stages_for_reverse(plan.source_schedule, tau / 2)
-        value = reverse_partial_eval(plan.source_schedule, w, i)
-        r = reverse_tail_bound(plan.source_schedule, i)
-        return EvalInfo(CertifiedPoint(value, r, i), EIGHT**i * lip)
-    if plan.case == PlanCase.INTERIOR_BOUNDARY:
-        z = h_eval(plan.target_schedule, y, tau / (2 * lip))
-        value = interior_map_eval(inv_move, z.value)
-        return EvalInfo(
-            CertifiedPoint(value, lip * z.radius, z.stages_used),
-            lip * EIGHT**z.stages_used,
-        )
-    i = stages_for_reverse(plan.source_schedule, tau / 4)
-    r_rev = reverse_tail_bound(plan.source_schedule, i)
-    inner = (tau / 4) / (EIGHT**i * lip)
-    z = h_eval(plan.target_schedule, y, inner)
-    w = interior_map_eval(inv_move, z.value)
-    value = reverse_partial_eval(plan.source_schedule, w, i)
-    radius = EIGHT**i * lip * z.radius + r_rev
-    return EvalInfo(
-        CertifiedPoint(value, radius, i + z.stages_used),
-        EIGHT**i * lip * EIGHT**z.stages_used,
-    )
+    """Certified H^-1(y) within tau: the forward path on the inverse plan."""
+    return plan_eval_info(_inverse_plan(plan), y, tau)
 
 
 def plan_eval(plan: HomeoPlan, x: PointRep, tau: Rational) -> CertifiedPoint:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .cube import PointRep, make_point
 from .errors import ParseError
-from .homogeneity import HomeoPlan, PlanCase, stage_count_limit
+from .homogeneity import HomeoPlan, PlanCase, _case_of, stage_count_limit
 from .interior import InteriorMapParams
 from .limits import CertifiedPoint, Schedule, build_schedule
 
@@ -33,7 +33,10 @@ def parse_rational(text: str, where: str = "value") -> Fraction:
         )
     if "/" in s and s.split("/")[1].lstrip("0") == "":
         raise ParseError(f"{where}: zero denominator in {text!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ValueError:  # more digits than Python converts to an int
+        raise ParseError(f"{where}: rational of {len(s)} characters has too many digits") from None
 
 
 def format_rational(x) -> str:
@@ -56,12 +59,17 @@ def point_from_obj(obj, where: str = "point") -> PointRep:
     return make_point(prefix, tail)
 
 
-def parse_point_spec(text: str) -> PointRep:
+def _load_json(text: str, what: str):
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
-        raise ParseError(f"point spec: invalid JSON at position {e.pos}: {e.msg}") from e
-    return point_from_obj(obj)
+        raise ParseError(f"{what}: invalid JSON at position {e.pos}: {e.msg}") from e
+    except ValueError:  # an integer literal with more digits than Python converts
+        raise ParseError(f"{what}: integer literal has too many digits") from None
+
+
+def parse_point_spec(text: str) -> PointRep:
+    return point_from_obj(_load_json(text, "point spec"))
 
 
 def point_to_obj(p: PointRep) -> dict:
@@ -144,23 +152,13 @@ def plan_from_obj(obj) -> HomeoPlan:
     tgt_obj = obj.get("target_schedule")
     sched_src = None if src_obj is None else schedule_from_obj(src_obj, "plan.source_schedule")[0]
     sched_tgt = None if tgt_obj is None else schedule_from_obj(tgt_obj, "plan.target_schedule")[0]
-    wants = {
-        PlanCase.INTERIOR_INTERIOR: (False, False),
-        PlanCase.BOUNDARY_INTERIOR: (True, False),
-        PlanCase.INTERIOR_BOUNDARY: (False, True),
-        PlanCase.BOUNDARY_BOUNDARY: (True, True),
-    }[case]
-    if (sched_src is not None, sched_tgt is not None) != wants:
+    if _case_of(sched_src is not None, sched_tgt is not None) != case:
         raise ParseError(f"plan: schedules present do not match case {case.value!r}")
     return HomeoPlan(case, move, sched_src, sched_tgt)
 
 
 def parse_plan(text: str) -> HomeoPlan:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"plan: invalid JSON at position {e.pos}: {e.msg}") from e
-    return plan_from_obj(obj)
+    return plan_from_obj(_load_json(text, "plan"))
 
 
 def dump_json(obj) -> str:

@@ -443,11 +443,14 @@ def twist_diagnostics(variant: Variant, n: int, m: int, grid_step: Rational) -> 
       center-fixity       the segment y = 0, |x| <= 1 - eps(m)/eps(n) is fixed
       displacement        cell displacement <= displacement_bound (cubed maps
                           checked on a stride-4 subgrid)
+
+    The step is 1/2^k with 4 <= k <= 8: the finest grid, 1/256, already has
+    513^2 points, and every step finer asks for four times as many.
     """
     grid_step = Fraction(grid_step)
-    if grid_step <= 0 or grid_step > Fraction(1, 16) or grid_step.numerator != 1 \
+    if not Fraction(1, 256) <= grid_step <= Fraction(1, 16) or grid_step.numerator != 1 \
             or grid_step.denominator & (grid_step.denominator - 1):
-        raise BadIndices(f"grid step must be 1/2^k, k >= 4, got {grid_step}")
+        raise BadIndices(f"grid step must be 1/2^k, 4 <= k <= 8, got {grid_step}")
     ccw = CellMap(MapKind.TWIST_CCW, variant, n, m)
     cw = CellMap(MapKind.TWIST_CW, variant, n, m)
     ccw3 = CellMap(MapKind.TWIST_CCW_CUBED, variant, n, m)

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from hilbertcube import first_attempt_partial, make_point, metric_d
+from hilbertcube import first_attempt_partial, make_point, metric_d, twists
+from hilbertcube import cli
 from hilbertcube.cli import main
 from hilbertcube.homogeneity import stage_count_limit
 
@@ -163,6 +164,17 @@ def test_diagnose_rejects_coarse_grid(capsys):
     assert "grid step" in err
 
 
+def test_diagnose_rejects_grid_finer_than_limit(capsys, monkeypatch):
+    def no_grid(step):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(twists, "_grid_values", no_grid)
+    code, out, err = run(capsys, "diagnose", "--variant", "corrected",
+                         "--n", "1", "--m", "2", "--grid", "1/512")
+    assert (code, out) == (2, "")
+    assert "grid step must be 1/2^k, 4 <= k <= 8" in err
+
+
 def test_metrics(capsys, points):
     code, out, _ = run(capsys, "metrics", "--p", points["ones"], "--q", points["origin"])
     assert code == 0
@@ -257,3 +269,27 @@ def test_exit_2_on_schedule_count_over_limit(capsys, points):
                        "--q", points["int_b"], "--tau", "1/1024")
     assert code == 2
     assert "exceeds the limit" in err
+
+
+def test_exit_2_on_oversized_rational(capsys, points):
+    numerator = "7" * 4301
+    path = points["dir"] / "long.json"
+    path.write_text(json.dumps({"prefix": [numerator + "/9"], "tail": "0"}))
+    code, out, err = run(capsys, "metrics", "--p", str(path), "--q", points["origin"])
+    assert (code, out) == (2, "")
+    assert "too many digits" in err
+    code, out, err = run(capsys, "solve", "--p", points["ones"], "--q", points["origin"],
+                         "--tau", numerator + "/9")
+    assert (code, out) == (2, "")
+    assert "--tau" in err and "too many digits" in err
+
+
+def test_schedule_command_count_limit(capsys, points, monkeypatch):
+    limit = stage_count_limit(make_point([], 1))
+    code, out, _ = run(capsys, "schedule", "--p", points["ones"], "--count", str(limit))
+    assert code == 0
+    assert json.loads(out)["count"] == limit
+    monkeypatch.setattr(cli, "build_schedule", None)  # refused before any build
+    code, out, err = run(capsys, "schedule", "--p", points["ones"], "--count", str(limit + 1))
+    assert (code, out) == (2, "")
+    assert f"--count: {limit + 1} exceeds the limit of {limit} stages" in err

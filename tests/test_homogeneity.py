@@ -1,5 +1,6 @@
 """Plan construction and certified evaluation for all four endpoint cases."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -21,10 +22,11 @@ from hilbertcube import (
     verify_plan,
 )
 from hilbertcube import limits
-from hilbertcube.homogeneity import stage_count_limit
+from hilbertcube.homogeneity import _inverse_plan, stage_count_limit
 from hilbertcube.limits import build_schedule, final_coordinates
 
 from conftest import rand_point
+from plan_oracle import plan_eval_info_cases, plan_inverse_eval_info_cases
 from walk_oracle import final_coordinates_rewalk, plan_from_anchors
 
 F = Fraction
@@ -229,3 +231,46 @@ def test_stage_count_limit_bounds_solve():
         else:
             pytest.fail("no refusal")
     assert reached
+
+
+ORACLE_PAIRS = WALK_PAIRS[:4] + tuple((q, p) for p, q in WALK_PAIRS[:4]) + ((ONES, ORIGIN),)
+
+
+def _outcome(fn, *args):
+    """The EvalInfo fn returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("k", [10, 20])
+def test_single_path_matches_case_oracle(k):
+    rng = random.Random(k)
+    tau = F(1, 2**k)
+    too_small = F(1, 2**2000)  # beyond every materialized stage
+    for p, q in ORACLE_PAIRS:
+        plan = solve(p, q, tau)
+        points = [p, q] + [rand_point(rng) for _ in range(4)]
+        for t in (tau, tau / 2, too_small, F(0)):
+            for x in points:
+                for fn, oracle in ((plan_eval_info, plan_eval_info_cases),
+                                   (plan_inverse_eval_info, plan_inverse_eval_info_cases)):
+                    got = _outcome(fn, plan, x, t)
+                    assert got == _outcome(oracle, plan, x, t), (plan.case, x, t)
+                    if t == too_small and plan.case != PlanCase.INTERIOR_INTERIOR:
+                        assert got[0] is HorizonExceeded
+                    if t == 0:
+                        assert got[0] is OutOfRange
+
+
+def test_inverse_plan_swaps_escapes():
+    for p, q in ORACLE_PAIRS:
+        plan = solve(p, q, F(1, 2**10))
+        inv = _inverse_plan(plan)
+        assert (inv.source_schedule, inv.target_schedule) == (plan.target_schedule, plan.source_schedule)
+        assert (inv.move.source, inv.move.target) == (plan.move.target, plan.move.source)
+        assert _inverse_plan(inv) == plan
+    plan = solve(BND_A, INT_B, F(1, 2**10))
+    assert plan.case == PlanCase.BOUNDARY_INTERIOR
+    assert _inverse_plan(plan).case == PlanCase.INTERIOR_BOUNDARY

@@ -41,6 +41,22 @@ def test_parse_rational_zero_denominator():
         parse_rational("3/000")
 
 
+def test_parse_rational_too_many_digits():
+    # Python refuses to convert an integer string of more than 4,300 digits
+    assert parse_rational("1/" + "3" * 4300) == F(1, int("3" * 4300))
+    with pytest.raises(ParseError, match="too many digits"):
+        parse_rational("7" * 4301 + "/9")
+    with pytest.raises(ParseError, match="too many digits"):
+        parse_point_spec('{"prefix": ["1/%s"], "tail": "0"}' % ("3" * 5000))
+
+
+def test_json_integer_literal_too_many_digits():
+    with pytest.raises(ParseError, match="too many digits"):
+        parse_plan('{"case": "interior-interior", "n": %s}' % ("1" * 4301))
+    with pytest.raises(ParseError, match="too many digits"):
+        parse_point_spec('{"prefix": [], "tail": %s}' % ("1" * 4301))
+
+
 def test_format_roundtrip():
     for v in (F(0), F(-1), F(22, 7), F(1, 3)):
         assert parse_rational(format_rational(v)) == v
