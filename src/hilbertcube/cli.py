@@ -115,7 +115,14 @@ def _inline(p) -> str:
     return f"({cells}; tail {format_rational(p.tail)})" if cells else f"(tail {format_rational(p.tail)})"
 
 
+# the table recomputes every row from stage 0, so its cost grows faster
+# than n^2
+_DEMO_STAGES = 64
+
+
 def _cmd_demo(args) -> int:
+    if args.n > _DEMO_STAGES:
+        raise BadIndices(f"--n: {args.n} exceeds the limit of {_DEMO_STAGES} stages")
     t = parse_rational(args.t, "--t")
     ones = make_point([], Fraction(1))
     other = make_point([], t)

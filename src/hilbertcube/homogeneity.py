@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .cube import PointRep, Rational, classify_point, metric_d
-from .errors import HorizonExceeded, OutOfRange
+from .errors import BadIndices, HorizonExceeded, OutOfRange
 from .interior import (
     InteriorMapParams,
     interior_map_eval,
@@ -34,6 +34,7 @@ from .interior import (
 from .limits import (
     CertifiedPoint,
     Schedule,
+    _least_stage,
     boundary_index_sequence,
     build_schedule,
     canonical_forward_bound,
@@ -42,8 +43,6 @@ from .limits import (
     finalization_stages,
     h_eval,
     reverse_partial_eval,
-    reverse_tail_bound,
-    stages_for_reverse,
 )
 
 ZERO = Fraction(0)
@@ -126,8 +125,12 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
     """Construct a plan with certified d(H(p), q) < tau.
 
     The returned plan satisfies verify_plan(plan, p, q, tau).  Interior to
-    interior needs no escapes and moves p to q exactly.
+    interior needs no escapes and moves p to q exactly.  The horizon is in
+    1..DEFAULT_HORIZON: a plan file's stage count is bounded by
+    stage_count_limit at the default, so a larger one could not be read back.
     """
+    if not 1 <= horizon <= DEFAULT_HORIZON:
+        raise BadIndices(f"horizon must be in 1..{DEFAULT_HORIZON}, got {horizon}")
     tau = Fraction(tau)
     if tau <= 0:
         raise OutOfRange(f"tolerance must be positive, got {tau}")
@@ -213,8 +216,7 @@ def plan_eval_info(plan: HomeoPlan, x: PointRep, tau: Rational) -> EvalInfo:
         raise OutOfRange(f"tolerance must be positive, got {tau}")
     src, tgt = plan.source_schedule, plan.target_schedule
     budget = _escape_budget(tau, src is not None and tgt is not None)
-    i = 0 if tgt is None else stages_for_reverse(tgt, budget)
-    r_rev = ZERO if tgt is None else reverse_tail_bound(tgt, i)
+    i, r_rev = (0, ZERO) if tgt is None else _least_stage(tgt, budget, True)
     outer = EIGHT**i * lipschitz_bound(plan.move)  # Lipschitz factor of move + target leg
     z = CertifiedPoint(x, ZERO, 0) if src is None else h_eval(src, x, budget / outer)
     w = interior_map_eval(plan.move, z.value)

@@ -146,10 +146,11 @@ def build_schedule(p: PointRep, count: int) -> Schedule:
 def schedule_budget_ok(s: Schedule) -> bool:
     """Check the stage list against the geometric budget.
 
-    Stage k must satisfy m_k >= log2(3 / eps_{k-1}) + (3(k-1) + 1) with
-    eps_{k-1} = stage_budget(k-1); the log is taken by exact power-of-two
-    arithmetic.  Also checks: n and m strictly increasing, m_k > n_k, every
-    m_k a multiple of 4, and the stored budget being the canonical one.
+    Stage k must satisfy the paper's m_k >= log2(3 / eps_{k-1}) + 3(k-1) + 1
+    with eps_{k-1} = stage_budget(k-1) = 3 * 2^-(k+2): the log is k + 2, so
+    the inequality is m_k >= 4k.  Also checks: n and m strictly increasing,
+    m_k > n_k, every m_k a multiple of 4, and the stored budget being the
+    canonical one.
     """
     if len(s.budget) != s.count:
         return False
@@ -158,15 +159,7 @@ def schedule_budget_ok(s: Schedule) -> bool:
         n, m = s.stages[k - 1]
         if s.budget[k - 1] != stage_budget(k):
             return False
-        if n <= prev_n or m <= prev_m or m <= n or m % 4:
-            return False
-        ratio = 3 / stage_budget(k - 1)  # = 2^(k+2), exactly
-        if ratio.denominator != 1:
-            return False
-        num = ratio.numerator
-        if num & (num - 1):
-            return False
-        if m < num.bit_length() - 1 + 3 * (k - 1) + 1:
+        if n <= prev_n or m <= prev_m or m <= n or m % 4 or m < 4 * k:
             return False
         prev_n, prev_m = n, m
     return True
@@ -289,11 +282,6 @@ def _least_stage(s: Schedule, tau: Fraction, reverse: bool) -> tuple[int, Fracti
     raise HorizonExceeded(
         f"tolerance {tau} needs more than the {s.count} materialized stages"
     )
-
-
-def stages_for_reverse(s: Schedule, budget: Rational) -> int:
-    """Least materialized stage count whose reverse tail bound beats budget."""
-    return _least_stage(s, Fraction(budget), True)[0]
 
 
 def h_eval(s: Schedule, x: PointRep, tau: Rational) -> CertifiedPoint:

@@ -15,12 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cube import PointRep
-from .errors import OutOfRange
-from .twists import CellMap, classify_region, twist_eval_unchecked
+from .errors import BadIndices, OutOfRange
+from .twists import _MAX_M, CellMap, classify_region, twist_eval_unchecked
 
 # canvas: domain [-1,1]^2 -> 560x560 viewport with a margin
 _SCALE = 240
 _CENTER = 280
+# a picture evaluates (G+1)^2 grid nodes and one twist per trace stage; these
+# bounds keep the largest to seconds
+_MAX_GRID = 128
+_MAX_STAGES = 256
 
 _REGION_FILL = {
     "I": "#cfe3f7", "II": "#fbe3c9", "III": "#d6efd0", "IV": "#f2dcee",
@@ -38,10 +42,12 @@ class RenderSpec:
 
     def __post_init__(self):
         g = self.grid
-        if g < 8 or g & (g - 1):
-            raise OutOfRange(f"grid density must be a power of two >= 8, got {g}")
-        if self.trace_stages < 0:
-            raise OutOfRange(f"stage count must be >= 0, got {self.trace_stages}")
+        if g < 8 or g > _MAX_GRID or g & (g - 1):
+            raise OutOfRange(f"grid density must be a power of two, 8 <= G <= {_MAX_GRID}, got {g}")
+        if not 0 <= self.trace_stages <= _MAX_STAGES:
+            raise OutOfRange(f"stage count must be in 0..{_MAX_STAGES}, got {self.trace_stages}")
+        if self.cell.m > _MAX_M:
+            raise BadIndices(f"render needs m <= {_MAX_M}, got m={self.cell.m}")
 
 
 def _dec(value: Fraction) -> str:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
-from .cube import PointRep, Rational, cell_metric, epsilon, metric_d
+from .cube import PointRep, Rational, epsilon, metric_d
 from .errors import (
     BadIndices,
     DegeneratePair,
@@ -43,7 +43,8 @@ from .errors import (
     Unclassifiable,
 )
 
-ZERO = Fraction(0)
+# largest m that twist_diagnostics and render take
+_MAX_M = 64
 
 
 class MapKind(str, Enum):
@@ -298,15 +299,13 @@ def twist_eval(cm: CellMap, x: Rational, y: Rational) -> tuple[Fraction, Fractio
         d, x, y = ker.apply(d, x, y)
         if abs(x) > d or abs(y) > d:
             value = _fractions(d, x, y)
-            raise RangeViolation(
-                f"{cm.label()} left the square at {_fmt_pair(value)}", value=value
-            )
+            raise RangeViolation(f"{cm.label()} left the square at {_fmt_pair(value)}", value)
     return _fractions(d, x, y)
 
 
 def twist_eval_unchecked(cm: CellMap, x: Rational, y: Rational) -> tuple[Fraction, Fraction]:
-    """Like twist_eval but lets out-of-square values pass through, so the
-    diagnostics engine can report them instead of dying on them."""
+    """Like twist_eval but lets out-of-square values pass through, so a
+    picture of the verbatim variant can show them instead of dying on them."""
     ker = _Kernel(cm)
     d, x, y = _lift(_exact(x), _exact(y))
     for _ in range(3 if cm.is_cubed else 1):
@@ -406,10 +405,7 @@ class ErrataReport:
 
     def to_records(self) -> list[dict]:
         """Canonically ordered plain records (sorted, rationals as strings)."""
-        ordered = sorted(
-            self.findings,
-            key=lambda f: (f.check, f.map_label, f.witness[0], f.witness[1]),
-        )
+        ordered = sorted(self.findings, key=lambda f: (f.check, f.map_label, *f.witness))
         return [
             {
                 "check": f.check,
@@ -420,11 +416,6 @@ class ErrataReport:
             }
             for f in ordered
         ]
-
-
-def _grid_values(step: Fraction) -> list[Fraction]:
-    count = int(1 / step)
-    return [k * step for k in range(-count, count + 1)]
 
 
 def _fmt_pair(p: tuple[Fraction, Fraction]) -> str:
@@ -444,99 +435,91 @@ def twist_diagnostics(variant: Variant, n: int, m: int, grid_step: Rational) -> 
       displacement        cell displacement <= displacement_bound (cubed maps
                           checked on a stride-4 subgrid)
 
+    One pass over the grid points (x, y)/d, d = 1/step, in the kernel's
+    integers: images sit over e = a*d, a = 2^(m-n), and every check compares
+    integers.  Fractions are built only for piece_inverse_oracle's input and
+    for the text of a finding.
+
     The step is 1/2^k with 4 <= k <= 8: the finest grid, 1/256, already has
-    513^2 points, and every step finer asks for four times as many.
+    513^2 points, and every step finer asks for four times as many.  m is at
+    most 64: every clause integer carries the factor 2^(m-n).
     """
     grid_step = Fraction(grid_step)
     if not Fraction(1, 256) <= grid_step <= Fraction(1, 16) or grid_step.numerator != 1 \
             or grid_step.denominator & (grid_step.denominator - 1):
         raise BadIndices(f"grid step must be 1/2^k, 4 <= k <= 8, got {grid_step}")
-    ccw = CellMap(MapKind.TWIST_CCW, variant, n, m)
-    cw = CellMap(MapKind.TWIST_CW, variant, n, m)
-    ccw3 = CellMap(MapKind.TWIST_CCW_CUBED, variant, n, m)
-    cw3 = CellMap(MapKind.TWIST_CW_CUBED, variant, n, m)
-    one_minus_b = 1 - Fraction(1, 2 ** (m - n))
+    kinds = (MapKind.TWIST_CCW, MapKind.TWIST_CW, MapKind.TWIST_CCW_CUBED, MapKind.TWIST_CW_CUBED)
+    ccw, cw, ccw3, cw3 = (CellMap(kind, variant, n, m) for kind in kinds)
+    if m > _MAX_M:
+        raise BadIndices(f"diagnostics need m <= {_MAX_M}, got m={m}")
+    single = [(cm, _Kernel(cm)) for cm in (ccw, cw)]
+    cubed = [(cm, _Kernel(cm)) for cm in (ccw3, cw3)]
+    d, a = grid_step.denominator, 1 << (m - n)
+    e = a * d
     eps_m = epsilon(m)
     findings: list[Finding] = []
-    grid = _grid_values(grid_step)
-    stride = [g for i, g in enumerate(grid) if i % 4 == 0]
-    kernels = [(cm, _Kernel(cm)) for cm in (ccw, cw)]
 
-    def note(check, label, witness, expected, observed):
-        findings.append(Finding(check, label, witness, expected, observed))
+    def note(check, cm, x, y, expected, observed):
+        findings.append(Finding(check, cm.label(), _fractions(d, x, y), expected, observed))
 
-    for x in grid:
-        for y in grid:
-            w = (x, y)
-            point = _lift(x, y)
-            images = {}
-            for cm, ker in kernels:
+    def displacement(cm, times, x, y, f, u, v):
+        # 2^m * f*d times the cell metric from (x, y)/d to (u, v)/(f*d)
+        far = a * abs(f * x - u) + abs(f * y - v)
+        if far > times * f * d:
+            note("displacement", cm, x, y, f"cell displacement <= {times * eps_m}",
+                 str(Fraction(far, 2**m * f * d)))
+
+    for x in range(-d, d + 1):
+        for y in range(-d, d + 1):
+            images = []
+            for cm, ker in single:
                 # the first matching clause is the one applied
-                hits = ker.hits(*point)
-                vals = [_fractions(ker.scale * point[0], *ker.value(k, *point)) for k in hits]
-                img = images[cm.kind] = vals[0]
-                if not (-1 <= img[0] <= 1 and -1 <= img[1] <= 1):
-                    note("range-containment", cm.label(), w,
-                         "image inside the square", f"{ker.tags[hits[0]]} -> {_fmt_pair(img)}")
-                if len(hits) > 1:
+                hits = ker.hits(d, x, y)
+                vals = [ker.value(k, d, x, y) for k in hits]
+                img = vals[0]
+                images.append(img)
+                if abs(img[0]) > e or abs(img[1]) > e:
+                    note("range-containment", cm, x, y, "image inside the square",
+                         f"{ker.tags[hits[0]]} -> {_fmt_pair(_fractions(e, *img))}")
+                if any(val != img for val in vals[1:]):
                     tags = [ker.tags[k] for k in hits]
-                    if any(val != vals[0] for val in vals[1:]):
-                        note("piece-agreement", cm.label(), w,
-                             f"clauses {tags} agree",
-                             "; ".join(f"{t}: {_fmt_pair(val)}" for t, val in zip(tags, vals)))
-                disp = cell_metric(n, m, w, img)
-                if disp > eps_m:
-                    note("displacement", cm.label(), w,
-                         f"cell displacement <= {eps_m}", str(disp))
-            fwd = images[MapKind.TWIST_CCW]
-            if -1 <= fwd[0] <= 1 and -1 <= fwd[1] <= 1:
-                back = twist_eval_unchecked(cw, *fwd)
-                if back != w:
-                    note("inverse-roundtrip", cw.label(), w,
-                         f"cw(ccw{_fmt_pair(w)}) == {_fmt_pair(w)}",
-                         f"{_fmt_pair(fwd)} -> {_fmt_pair(back)}")
-                try:
-                    pre = piece_inverse_oracle(ccw, *fwd)
-                    if pre != w:
-                        note("oracle-roundtrip", ccw.label(), w,
-                             f"unique preimage {_fmt_pair(w)}", _fmt_pair(pre))
-                except NoPreimage:
-                    note("oracle-roundtrip", ccw.label(), w,
-                         f"unique preimage of {_fmt_pair(fwd)}", "no preimage")
-                except MultiplePreimages as exc:
-                    note("oracle-roundtrip", ccw.label(), w,
-                         f"unique preimage of {_fmt_pair(fwd)}", str(exc))
-            else:
-                note("inverse-roundtrip", cw.label(), w,
-                     "forward image inside the square", _fmt_pair(fwd))
-        if abs(x) <= one_minus_b:
-            for cm in (ccw, cw):
-                img = twist_eval_unchecked(cm, x, ZERO)
-                if img != (x, ZERO):
-                    note("center-fixity", cm.label(), (x, ZERO),
-                         f"({x}, 0) fixed", _fmt_pair(img))
+                    note("piece-agreement", cm, x, y, f"clauses {tags} agree",
+                         "; ".join(f"{t}: {_fmt_pair(_fractions(e, *val))}"
+                                   for t, val in zip(tags, vals)))
+                displacement(cm, 1, x, y, a, *img)
+                if y == 0 and a * abs(x) <= (a - 1) * d and img != (a * x, 0):
+                    note("center-fixity", cm, x, 0, f"({Fraction(x, d)}, 0) fixed",
+                         _fmt_pair(_fractions(e, *img)))
+            if x % 4 == 0 and y % 4 == 0:  # cubed maps: every fourth row and column
+                for cm, ker in cubed:
+                    try:
+                        point = (d, x, y)
+                        for _ in range(3):
+                            point = ker.apply(*point)
+                    except Unclassifiable as exc:
+                        # an earlier application already left the square, so
+                        # the orbit has no defined continuation to measure
+                        note("displacement", cm, x, y, f"cell displacement <= {3 * eps_m}",
+                             str(exc))
+                        continue
+                    displacement(cm, 3, x, y, a**3, *point[1:])
+            u, v = images[0]
+            w, fwd = _fractions(d, x, y), _fractions(e, u, v)
+            if abs(u) > e or abs(v) > e:
+                note("inverse-roundtrip", cw, x, y, "forward image inside the square",
+                     _fmt_pair(fwd))
+                continue
+            ee, p, q = single[1][1].apply(e, u, v)
+            if (p, q) != (a * a * x, a * a * y):
+                note("inverse-roundtrip", cw, x, y, f"cw(ccw{_fmt_pair(w)}) == {_fmt_pair(w)}",
+                     f"{_fmt_pair(fwd)} -> {_fmt_pair(_fractions(ee, p, q))}")
+            try:
+                pre = piece_inverse_oracle(ccw, *fwd)
+                if pre != w:
+                    note("oracle-roundtrip", ccw, x, y, f"unique preimage {_fmt_pair(w)}",
+                         _fmt_pair(pre))
+            except (NoPreimage, MultiplePreimages) as exc:
+                note("oracle-roundtrip", ccw, x, y, f"unique preimage of {_fmt_pair(fwd)}",
+                     "no preimage" if isinstance(exc, NoPreimage) else str(exc))
 
-    for x in stride:
-        for y in stride:
-            for cm in (ccw3, cw3):
-                try:
-                    img = twist_eval_unchecked(cm, x, y)
-                except Unclassifiable as exc:
-                    # an earlier application already left the square, so the
-                    # orbit has no defined continuation to measure
-                    note("displacement", cm.label(), (x, y),
-                         f"cell displacement <= {3 * eps_m}", str(exc))
-                    continue
-                disp = cell_metric(n, m, (x, y), img)
-                if disp > 3 * eps_m:
-                    note("displacement", cm.label(), (x, y),
-                         f"cell displacement <= {3 * eps_m}", str(disp))
-
-    return ErrataReport(
-        variant=variant,
-        n=n,
-        m=m,
-        grid_step=grid_step,
-        points_checked=len(grid) ** 2,
-        findings=tuple(findings),
-    )
+    return ErrataReport(variant, n, m, grid_step, (2 * d + 1) ** 2, tuple(findings))

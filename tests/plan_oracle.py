@@ -12,10 +12,10 @@ from hilbertcube.homogeneity import EvalInfo, PlanCase
 from hilbertcube.interior import interior_map_eval, interior_map_inverse, lipschitz_bound
 from hilbertcube.limits import (
     CertifiedPoint,
+    _least_stage,
     h_eval,
     reverse_partial_eval,
     reverse_tail_bound,
-    stages_for_reverse,
 )
 
 ZERO = Fraction(0)
@@ -40,11 +40,11 @@ def plan_eval_info_cases(plan, x, tau) -> EvalInfo:
         )
     if plan.case == PlanCase.INTERIOR_BOUNDARY:
         w = interior_map_eval(plan.move, x)
-        i = stages_for_reverse(plan.target_schedule, tau / 2)
+        i = _least_stage(plan.target_schedule, tau / 2, True)[0]
         value = reverse_partial_eval(plan.target_schedule, w, i)
         r = reverse_tail_bound(plan.target_schedule, i)
         return EvalInfo(CertifiedPoint(value, r, i), EIGHT**i * lip)
-    i = stages_for_reverse(plan.target_schedule, tau / 4)
+    i = _least_stage(plan.target_schedule, tau / 4, True)[0]
     r_rev = reverse_tail_bound(plan.target_schedule, i)
     inner = (tau / 4) / (EIGHT**i * lip)
     z = h_eval(plan.source_schedule, x, inner)
@@ -69,7 +69,7 @@ def plan_inverse_eval_info_cases(plan, y, tau) -> EvalInfo:
         return EvalInfo(CertifiedPoint(value, ZERO, 0), lip)
     if plan.case == PlanCase.BOUNDARY_INTERIOR:
         w = interior_map_eval(inv_move, y)
-        i = stages_for_reverse(plan.source_schedule, tau / 2)
+        i = _least_stage(plan.source_schedule, tau / 2, True)[0]
         value = reverse_partial_eval(plan.source_schedule, w, i)
         r = reverse_tail_bound(plan.source_schedule, i)
         return EvalInfo(CertifiedPoint(value, r, i), EIGHT**i * lip)
@@ -80,7 +80,7 @@ def plan_inverse_eval_info_cases(plan, y, tau) -> EvalInfo:
             CertifiedPoint(value, lip * z.radius, z.stages_used),
             lip * EIGHT**z.stages_used,
         )
-    i = stages_for_reverse(plan.source_schedule, tau / 4)
+    i = _least_stage(plan.source_schedule, tau / 4, True)[0]
     r_rev = reverse_tail_bound(plan.source_schedule, i)
     inner = (tau / 4) / (EIGHT**i * lip)
     z = h_eval(plan.target_schedule, y, inner)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from hilbertcube import first_attempt_partial, make_point, metric_d, twists
-from hilbertcube import cli
+from hilbertcube import cli, homogeneity
 from hilbertcube.cli import main
 from hilbertcube.homogeneity import stage_count_limit
 
@@ -125,6 +125,33 @@ def test_exit_3_on_horizon(capsys, points):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("module, work, argv, message", [
+    (cli, "first_attempt_partial", ["demo-first-attempt", "--t", "1/2", "--n", "65"],
+     "--n: 65 exceeds the limit of 64 stages"),
+    (cli, "render_svg", ["render", "--map", "ccw", "--n", "1", "--m", "2", "--grid", "256"],
+     "8 <= G <= 128, got 256"),
+    (cli, "render_svg", ["render", "--map", "ccw", "--n", "1", "--m", "2", "--grid", "16",
+                         "--stages", "257"], "stage count must be in 0..256, got 257"),
+    (cli, "render_svg", ["render", "--map", "ccw", "--n", "1", "--m", "65", "--grid", "16"],
+     "render needs m <= 64, got m=65"),
+    (twists, "_Kernel", ["diagnose", "--variant", "corrected", "--n", "1", "--m", "65",
+                         "--grid", "1/16"], "diagnostics need m <= 64, got m=65"),
+    (homogeneity, "classify_point", ["solve", "--horizon", "0"], "horizon must be in 1..256, got 0"),
+    (homogeneity, "classify_point", ["solve", "--horizon", "257"], "horizon must be in 1..256, got 257"),
+])
+def test_size_past_its_bound_exits_2_before_work(capsys, monkeypatch, points, tmp_path,
+                                                 module, work, argv, message):
+    monkeypatch.setattr(module, work, None)  # any call fails
+    if argv[0] == "render":
+        argv = argv + ["--out", str(tmp_path / "x.svg")]
+    if argv[0] == "solve":
+        argv = argv + ["--p", points["int_a"], "--q", points["ones"], "--tau", "1/1024"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_demo_table(capsys):
     code, out, _ = run(capsys, "demo-first-attempt", "--t", "1/2", "--n", "5")
     assert code == 0
@@ -165,10 +192,10 @@ def test_diagnose_rejects_coarse_grid(capsys):
 
 
 def test_diagnose_rejects_grid_finer_than_limit(capsys, monkeypatch):
-    def no_grid(step):
-        raise AssertionError("grid built")
+    def no_kernel(cm):
+        raise AssertionError("kernel built")
 
-    monkeypatch.setattr(twists, "_grid_values", no_grid)
+    monkeypatch.setattr(twists, "_Kernel", no_kernel)
     code, out, err = run(capsys, "diagnose", "--variant", "corrected",
                          "--n", "1", "--m", "2", "--grid", "1/512")
     assert (code, out) == (2, "")

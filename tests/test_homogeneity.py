@@ -8,6 +8,7 @@ import pytest
 
 from hilbertcube import (
     ORIGIN,
+    BadIndices,
     HorizonExceeded,
     OutOfRange,
     PlanCase,
@@ -21,7 +22,7 @@ from hilbertcube import (
     solve,
     verify_plan,
 )
-from hilbertcube import limits
+from hilbertcube import homogeneity, limits
 from hilbertcube.homogeneity import _inverse_plan, stage_count_limit
 from hilbertcube.limits import build_schedule, final_coordinates
 
@@ -139,6 +140,15 @@ def test_solve_rejects_nonpositive_tau():
 def test_horizon_exceeded():
     with pytest.raises(HorizonExceeded):
         solve(BND_A, INT_B, F(1, 2**40), horizon=3)
+
+
+@pytest.mark.parametrize("horizon", [0, 257])
+def test_horizon_outside_range_refused_before_work(monkeypatch, horizon):
+    # a horizon of 300 here once wrote 1059 target stages, which parse_plan
+    # refuses, and a horizon of 0 was reported as exceeded (exit 3)
+    monkeypatch.setattr(homogeneity, "classify_point", None)  # any call fails
+    with pytest.raises(BadIndices, match=f"horizon must be in 1..256, got {horizon}"):
+        solve(make_point([F(1, 3)], 0), make_point([1], 0), F(1, 2**260), horizon=horizon)
 
 
 def test_tiny_tolerance_still_verifies():

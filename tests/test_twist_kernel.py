@@ -5,7 +5,9 @@ images and inverse-oracle outcomes (exception type and message included)
 must agree exactly: on the full 1/32 grid of the criterion-3 cells, and on
 seeded random points with large denominators, out-of-square ones included.
 The 1/32 grid meets every clause tie the 1/64 grid of criterion 3 meets, at
-a quarter of the cost of the Fraction tables.
+a quarter of the cost of the Fraction tables.  The grid diagnostics, which
+check every point in the kernel's integers, must report exactly what the
+Fraction pass in twist_oracle.py reports.
 """
 
 import random
@@ -22,8 +24,10 @@ from hilbertcube import (
     matching_regions,
     piece_inverse_oracle,
     piece_value,
+    twist_diagnostics,
     twist_eval_unchecked,
 )
+from hilbertcube import twists
 
 F = Fraction
 
@@ -102,3 +106,32 @@ def test_piece_value_off_region_at_vanishing_denominator():
     assert piece_value(cm, "III", F(-1, 2), F(1, 4)) == (F(-5, 8), F(0))
     cw = CellMap(MapKind.TWIST_CW, Variant.VERBATIM, 1, 2)
     assert piece_value(cw, "I'", F(1, 2), F(1, 4)) == (F(3, 8), F(0))
+
+
+DIAGNOSED = [(variant, n, m, F(1, 16)) for n, m in CELLS + ((5, 6), (1, 20)) for variant in Variant]
+DIAGNOSED.append((Variant.VERBATIM, 1, 2, F(1, 32)))
+
+
+@pytest.mark.parametrize("case", DIAGNOSED, ids=lambda c: f"{c[0].value}-{c[1]}-{c[2]}-{c[3]}")
+def test_diagnostics_match_fraction_pass(case):
+    got, want = twist_diagnostics(*case), oracle.twist_diagnostics(*case)
+    assert got.to_records() == want.to_records()
+    assert got.counts_by_check() == want.counts_by_check()
+    assert (got.points_checked, got.ok) == (want.points_checked, want.ok)
+
+
+def test_diagnostics_match_fraction_pass_when_the_centre_moves(monkeypatch):
+    # no twist moves its centre segment, so the comparison above never sees
+    # a center-fixity finding; make every clause lift y = 0 by b = 2^(n-m),
+    # in the kernel both passes evaluate through
+    value = twists._Kernel._ccw_value
+
+    def lifted(self, k, d, x, y):
+        u, v = value(self, k, d, x, y)
+        return (u, v + d) if y == 0 else (u, v)  # v sits over a*d
+
+    monkeypatch.setattr(twists._Kernel, "_ccw_value", lifted)
+    case = (Variant.CORRECTED, 1, 4, F(1, 16))
+    got, want = twist_diagnostics(*case), oracle.twist_diagnostics(*case)
+    assert got.counts_by_check()["center-fixity"] == 2 * 29  # |x| <= 7/8 on both maps
+    assert got.to_records() == want.to_records()

@@ -5,12 +5,28 @@ condition and formula written out in Fraction arithmetic, exactly as printed,
 cw as its own table rather than as a reflection of ccw.  test_twist_kernel.py
 checks the library against them.  Nothing here is fast; it is meant to be
 easy to compare with the printed clauses.
+
+Below them is the grid diagnostics pass the library ran before it checked
+grid points in the kernel's integers; test_twist_kernel.py checks the
+integer pass against it, finding by finding.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from hilbertcube import MapKind, MultiplePreimages, NoPreimage, Unclassifiable, Variant
+from hilbertcube import (
+    CellMap,
+    ErrataReport,
+    Finding,
+    MapKind,
+    MultiplePreimages,
+    NoPreimage,
+    Unclassifiable,
+    Variant,
+    cell_metric,
+    epsilon,
+)
+from hilbertcube import twists as lib
 from hilbertcube.twists import sigma
 
 ZERO = Fraction(0)
@@ -165,3 +181,100 @@ def piece_inverse_oracle(cm, u, v):
             f"{cm.label()} has {len(found)} preimages of ({u}, {v}): {found}"
         )
     return found[0]
+
+
+# --- grid diagnostics, point by point in Fractions ---------------------------
+
+def _grid_values(step):
+    count = int(1 / step)
+    return [k * step for k in range(-count, count + 1)]
+
+
+def _fmt_pair(p):
+    return f"({p[0]}, {p[1]})"
+
+
+def twist_diagnostics(variant, n, m, grid_step):
+    """The grid diagnostics the library ran before its integer pass: every
+    grid point, image, displacement and roundtrip a Fraction, the cell
+    displacement by cell_metric, the centre segment in a second loop and the
+    cubed maps on a list of every fourth grid value."""
+    grid_step = Fraction(grid_step)
+    ccw = CellMap(MapKind.TWIST_CCW, variant, n, m)
+    cw = CellMap(MapKind.TWIST_CW, variant, n, m)
+    ccw3 = CellMap(MapKind.TWIST_CCW_CUBED, variant, n, m)
+    cw3 = CellMap(MapKind.TWIST_CW_CUBED, variant, n, m)
+    one_minus_b = 1 - Fraction(1, 2 ** (m - n))
+    eps_m = epsilon(m)
+    findings = []
+    grid = _grid_values(grid_step)
+    stride = [g for i, g in enumerate(grid) if i % 4 == 0]
+
+    def note(check, label, witness, expected, observed):
+        findings.append(Finding(check, label, witness, expected, observed))
+
+    for x in grid:
+        for y in grid:
+            w = (x, y)
+            images = {}
+            for cm in (ccw, cw):
+                # the first matching clause is the one applied
+                tags = lib.matching_regions(cm, x, y)
+                vals = [lib.piece_value(cm, tag, x, y) for tag in tags]
+                img = images[cm.kind] = vals[0]
+                if not (-1 <= img[0] <= 1 and -1 <= img[1] <= 1):
+                    note("range-containment", cm.label(), w,
+                         "image inside the square", f"{tags[0]} -> {_fmt_pair(img)}")
+                if len(tags) > 1 and any(val != vals[0] for val in vals[1:]):
+                    note("piece-agreement", cm.label(), w,
+                         f"clauses {tags} agree",
+                         "; ".join(f"{t}: {_fmt_pair(val)}" for t, val in zip(tags, vals)))
+                disp = cell_metric(n, m, w, img)
+                if disp > eps_m:
+                    note("displacement", cm.label(), w,
+                         f"cell displacement <= {eps_m}", str(disp))
+            fwd = images[MapKind.TWIST_CCW]
+            if -1 <= fwd[0] <= 1 and -1 <= fwd[1] <= 1:
+                back = lib.twist_eval_unchecked(cw, *fwd)
+                if back != w:
+                    note("inverse-roundtrip", cw.label(), w,
+                         f"cw(ccw{_fmt_pair(w)}) == {_fmt_pair(w)}",
+                         f"{_fmt_pair(fwd)} -> {_fmt_pair(back)}")
+                try:
+                    pre = lib.piece_inverse_oracle(ccw, *fwd)
+                    if pre != w:
+                        note("oracle-roundtrip", ccw.label(), w,
+                             f"unique preimage {_fmt_pair(w)}", _fmt_pair(pre))
+                except NoPreimage:
+                    note("oracle-roundtrip", ccw.label(), w,
+                         f"unique preimage of {_fmt_pair(fwd)}", "no preimage")
+                except MultiplePreimages as exc:
+                    note("oracle-roundtrip", ccw.label(), w,
+                         f"unique preimage of {_fmt_pair(fwd)}", str(exc))
+            else:
+                note("inverse-roundtrip", cw.label(), w,
+                     "forward image inside the square", _fmt_pair(fwd))
+        if abs(x) <= one_minus_b:
+            for cm in (ccw, cw):
+                img = lib.twist_eval_unchecked(cm, x, ZERO)
+                if img != (x, ZERO):
+                    note("center-fixity", cm.label(), (x, ZERO),
+                         f"({x}, 0) fixed", _fmt_pair(img))
+
+    for x in stride:
+        for y in stride:
+            for cm in (ccw3, cw3):
+                try:
+                    img = lib.twist_eval_unchecked(cm, x, y)
+                except Unclassifiable as exc:
+                    # an earlier application already left the square, so the
+                    # orbit has no defined continuation to measure
+                    note("displacement", cm.label(), (x, y),
+                         f"cell displacement <= {3 * eps_m}", str(exc))
+                    continue
+                disp = cell_metric(n, m, (x, y), img)
+                if disp > 3 * eps_m:
+                    note("displacement", cm.label(), (x, y),
+                         f"cell displacement <= {3 * eps_m}", str(disp))
+
+    return ErrataReport(variant, n, m, grid_step, len(grid) ** 2, tuple(findings))
