@@ -23,8 +23,8 @@ from .homogeneity import (
     stage_count_limit,
 )
 from .limits import (
+    _first_attempt_stage,
     build_schedule,
-    first_attempt_partial,
     forward_tail_bound,
     reverse_tail_bound,
     schedule_budget_ok,
@@ -38,7 +38,6 @@ from .serialize import (
     parse_point_spec,
     parse_rational,
     plan_to_obj,
-    point_to_obj,
     schedule_to_obj,
 )
 from .twists import CellMap, MapKind, Variant, twist_diagnostics
@@ -115,8 +114,8 @@ def _inline(p) -> str:
     return f"({cells}; tail {format_rational(p.tail)})" if cells else f"(tail {format_rational(p.tail)})"
 
 
-# the table recomputes every row from stage 0, so its cost grows faster
-# than n^2
+# row k is row k-1 plus one unit twist, but row k has k + 1 coordinates, so
+# the table grows like n^2
 _DEMO_STAGES = 64
 
 
@@ -126,10 +125,10 @@ def _cmd_demo(args) -> int:
     t = parse_rational(args.t, "--t")
     ones = make_point([], Fraction(1))
     other = make_point([], t)
-    rows = []
-    for k in range(args.n + 1):
-        a = first_attempt_partial(ones, k)
-        b = first_attempt_partial(other, k)
+    rows = [(0, ones, other, metric_d(ones, other))]
+    a, b = ones, other
+    for k in range(1, args.n + 1):
+        a, b = _first_attempt_stage(a, k), _first_attempt_stage(b, k)
         rows.append((k, a, b, metric_d(a, b)))
     width = max(len(_inline(r[1])) for r in rows)
     sys.stdout.write(f"stage  {'image of all-ones':<{width}}  image of all-{t}  distance\n")

@@ -21,7 +21,6 @@ from .errors import BadIndices, EmptySampleSet, OutOfRange
 Rational = Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def epsilon(j: int) -> Fraction:
@@ -42,10 +41,14 @@ class CoordinateWeight:
         return cls(j, epsilon(j))
 
 
-def _check_unit(value: Fraction, what: str) -> Fraction:
-    if not (-1 <= value <= 1):
+def _exact(value) -> Fraction:
+    return value if type(value) is Fraction else Fraction(value)
+
+
+def _check_unit(value: Fraction, index: int = 0) -> None:  # index 0: the tail
+    if abs(value.numerator) > value.denominator:
+        what = f"coordinate {index}" if index else "tail"
         raise OutOfRange(f"{what} = {value} outside [-1, 1]")
-    return value
 
 
 @dataclass(frozen=True)
@@ -60,11 +63,11 @@ class PointRep:
     tail: Fraction
 
     def __post_init__(self):
-        tail = Fraction(self.tail)
-        _check_unit(tail, "tail")
-        prefix = tuple(Fraction(c) for c in self.prefix)
-        for k, c in enumerate(prefix):
-            _check_unit(c, f"coordinate {k + 1}")
+        tail = _exact(self.tail)
+        _check_unit(tail)
+        prefix = tuple(map(_exact, self.prefix))
+        for k, c in enumerate(prefix, 1):
+            _check_unit(c, k)
         while prefix and prefix[-1] == tail:
             prefix = prefix[:-1]
         object.__setattr__(self, "prefix", prefix)

@@ -158,14 +158,14 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
     sched_q = build_schedule(q, n_cut + 1) if q_prof.is_boundary else None
 
     # a touched j <= n_cut finalizes by stage j, within the n_cut + 1 stages;
-    # refuse from the stage lists alone, before any twist is evaluated
+    # refuse from the stage lists alone, before any twist is evaluated, and
+    # name the horizon tau needs: the latest of those stages
     stages = [finalization_stages(s, n_cut) for s in (sched_p, sched_q) if s is not None]
-    for j in range(1, n_cut + 1):
-        for fin in stages:
-            if fin[j] > horizon:
-                raise HorizonExceeded(
-                    f"coordinate {j} finalizes at stage {fin[j]}, beyond horizon {horizon}"
-                )
+    need = max((k for fin in stages for k in fin.values()), default=0)
+    if need > horizon:
+        j, k = next((j, fin[j]) for j in range(1, n_cut + 1) for fin in stages if fin[j] > horizon)
+        raise HorizonExceeded(f"coordinate {j} finalizes at stage {k}, beyond horizon {horizon};"
+                              f" tolerance {tau} needs horizon {need}")
 
     # one forward walk per schedule yields pt's first n_cut escaped coordinates
     def anchors(s: Schedule | None, pt: PointRep) -> PointRep:

@@ -4,28 +4,62 @@ For pseudo-interior anchors p, q the coordinate map is the unique two-piece
 increasing linear map [-1,1] -> [-1,1] fixing -1 and 1 and sending p_i to q_i.
 Applied in every coordinate it moves p to q exactly while fixing the whole
 pseudo-boundary, and its inverse is the same construction with anchors
-swapped.
+swapped.  Each knee (p_i, q_i) is held as integers (pn, pd, qn, qd).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cube import PointRep, Rational
 from .errors import AnchorOnBoundary, OutOfRange
 
 
 def _require_interior(p: PointRep, name: str) -> None:
-    for k, c in enumerate(p.prefix):
-        if abs(c) >= 1:
-            raise AnchorOnBoundary(f"{name} coordinate {k + 1} = {c} is not interior")
-    if abs(p.tail) >= 1:
-        raise AnchorOnBoundary(f"{name} tail = {p.tail} is not interior")
+    for k, c in enumerate((*p.prefix, p.tail), 1):
+        if abs(c.numerator) >= c.denominator:
+            where = "tail" if k > len(p.prefix) else f"coordinate {k}"
+            raise AnchorOnBoundary(f"{name} {where} = {c} is not interior")
+
+
+def _knee(p_i: Fraction, q_i: Fraction) -> tuple[int, int, int, int]:
+    return p_i.numerator, p_i.denominator, q_i.numerator, q_i.denominator
+
+
+def _coord_value(knee: tuple, t: Fraction) -> Fraction:
+    """Value at t of the two-piece map through the knee: (t+1)(q+1)/(p+1) - 1
+    for t <= p, else (t-p)(1-q)/(1-p) + q, each over one denominator."""
+    pn, pd, qn, qd = knee
+    tn, td = t.numerator, t.denominator
+    if not -td <= tn <= td:
+        raise OutOfRange(f"t = {t} outside [-1, 1]")
+    if tn * pd <= pn * td:
+        den = td * (pn + pd) * qd
+        return Fraction((tn + td) * (qn + qd) * pd - den, den)
+    return Fraction((tn * pd - pn * td) * (qd - qn) + qn * td * (pd - pn), td * (pd - pn) * qd)
+
+
+def _slopes(knee: tuple) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Left slope (q+1)/(p+1), right slope (1-q)/(1-p), as (num, den > 0)."""
+    pn, pd, qn, qd = knee
+    return ((qn + qd) * pd, (pn + pd) * qd), ((qd - qn) * pd, (pd - pn) * qd)
+
+
+def _knee_table(params: InteriorMapParams) -> tuple:
+    """Knees of coordinates 1..anchor_count, then the tail's, used past them."""
+    src, tgt = params.source, params.target
+    pairs = [(src.coord(i), tgt.coord(i)) for i in range(1, params.anchor_count + 1)]
+    return tuple(_knee(p, q) for p, q in pairs + [(src.tail, tgt.tail)])
 
 
 @dataclass(frozen=True)
 class InteriorMapParams:
+    """The anchors of one interior move.  Its knee table, Lipschitz bound and
+    inverse are built once, on first use; not being fields, they stay out of
+    equality, hashing and repr."""
+
     source: PointRep
     target: PointRep
 
@@ -37,37 +71,49 @@ class InteriorMapParams:
     def anchor_count(self) -> int:
         return max(len(self.source.prefix), len(self.target.prefix))
 
+    @cached_property
+    def _knees(self) -> tuple:
+        return _knee_table(self)
+
+    @cached_property
+    def _lipschitz(self) -> Fraction:
+        """max(1, every slope of every knee), compared as integer fractions."""
+        best_n, best_d = 1, 1
+        for knee in self._knees:
+            for n, d in _slopes(knee):
+                if n * best_d > best_n * d:
+                    best_n, best_d = n, d
+        return Fraction(best_n, best_d)
+
+    @cached_property
+    def _inverse(self) -> InteriorMapParams:
+        return InteriorMapParams(self.target, self.source)
+
 
 def interior_coord_map(p_i: Rational, q_i: Rational, t: Rational) -> Fraction:
     """Value at t of the two-piece map with knee (p_i, q_i)."""
     p_i, q_i, t = Fraction(p_i), Fraction(q_i), Fraction(t)
     if not (abs(p_i) < 1 and abs(q_i) < 1):
         raise AnchorOnBoundary(f"anchors ({p_i}, {q_i}) must be interior")
-    if not (-1 <= t <= 1):
-        raise OutOfRange(f"t = {t} outside [-1, 1]")
-    if t <= p_i:
-        return (t + 1) * (q_i + 1) / (p_i + 1) - 1
-    return (t - p_i) * (1 - q_i) / (1 - p_i) + q_i
+    return _coord_value(_knee(p_i, q_i), t)
 
 
 def coord_slopes(p_i: Rational, q_i: Rational) -> tuple[Fraction, Fraction]:
     """The two linear slopes of the coordinate map, (left, right)."""
-    p_i, q_i = Fraction(p_i), Fraction(q_i)
-    return (q_i + 1) / (p_i + 1), (1 - q_i) / (1 - p_i)
+    (ln, ld), (rn, rd) = _slopes(_knee(Fraction(p_i), Fraction(q_i)))
+    return Fraction(ln, ld), Fraction(rn, rd)
 
 
 def interior_map_eval(params: InteriorMapParams, x: PointRep) -> PointRep:
-    n = max(params.anchor_count, len(x.prefix))
-    cells = tuple(
-        interior_coord_map(params.source.coord(i), params.target.coord(i), x.coord(i))
-        for i in range(1, n + 1)
-    )
-    tail = interior_coord_map(params.source.tail, params.target.tail, x.tail)
-    return PointRep(cells, tail)
+    knees = params._knees
+    last = len(knees) - 1  # the tail's knee; coordinates past the anchors share it
+    n = max(last, len(x.prefix))
+    cells = tuple(_coord_value(knees[min(i, last)], x.coord(i + 1)) for i in range(n))
+    return PointRep(cells, _coord_value(knees[last], x.tail))
 
 
 def interior_map_inverse(params: InteriorMapParams) -> InteriorMapParams:
-    return InteriorMapParams(params.target, params.source)
+    return params._inverse
 
 
 def lipschitz_bound(params: InteriorMapParams) -> Fraction:
@@ -77,9 +123,4 @@ def lipschitz_bound(params: InteriorMapParams) -> Fraction:
     coord_slopes, so |f_i(s) - f_i(t)| <= L_i |s - t| with L_i their max;
     the weighted sum then scales by max_i L_i at worst.
     """
-    worst = Fraction(1)
-    for i in range(1, params.anchor_count + 1):
-        left, right = coord_slopes(params.source.coord(i), params.target.coord(i))
-        worst = max(worst, left, right)
-    left, right = coord_slopes(params.source.tail, params.target.tail)
-    return max(worst, left, right)
+    return params._lipschitz

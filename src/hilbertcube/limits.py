@@ -15,12 +15,13 @@ evaluations are rational, and certified values carry the bound actually used.
 from __future__ import annotations
 
 import heapq
+from itertools import accumulate
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cube import BoundaryProfile, PointRep, Rational, classify_point
 from .errors import BadIndices, HorizonExceeded, OutOfRange
-from .twists import CellMap, MapKind, Variant, twist_eval
+from .twists import CellMap, MapKind, Variant, twist_cell_apply, twist_eval
 
 ZERO = Fraction(0)
 
@@ -179,39 +180,41 @@ def forward_tail_bound(s: Schedule, i: int) -> Fraction:
     materialized count contribute at most (1/5) * 2^(-m_count) since any
     valid continuation has m_k >= m_count + 4(k - count).
     """
-    if s.is_identity:
-        return ZERO
-    _require_stage_range(s, i)
-    return _tail_bounds(s, False, i)[0]
+    return _tail_bound(s, False, i)
 
 
 def reverse_tail_bound(s: Schedule, i: int) -> Fraction:
     """Like forward_tail_bound for the inverse composition, whose stage-k
     term is inflated by the accumulated Lipschitz factor 8^(k-1)."""
+    return _tail_bound(s, True, i)
+
+
+def _tail_sums(s: Schedule, reverse: bool) -> tuple[list[int], int]:
+    """Numerators of the forward (or reverse) tail bounds for i = 0..count
+    over one denominator, as integer suffix sums from the beyond-count term.
+    Forward: 3 * 2^-m_k per stage and (1/5) * 2^-m_last beyond, over
+    5 * 2^m_last.  Reverse: 8^(k-1) * 3 * 2^-m_k = 3 * 2^(3k-3-m_k) per stage
+    and sum_{k>c} 8^(k-1) * 3 * 2^-(m_last + 4(k-c)) = 3 * 2^(3c-3-m_last)
+    beyond, over 2^E, E the largest negated exponent (at least 0)."""
+    if s.is_identity:
+        return [0] * (s.count + 1), 1
+    m_last = s.stages[-1][1] if s.stages else 0
+    if reverse:
+        exps = [3 * k - 3 - m for k, (_, m) in enumerate(s.stages, 1)] + [3 * s.count - 3 - m_last]
+        e = max(0, *(-x for x in exps))
+        *terms, total = (3 << (x + e) for x in exps)
+        den = 1 << e
+    else:
+        terms, total, den = [15 << (m_last - m) for _, m in s.stages], 1, 5 << m_last
+    return list(accumulate(reversed(terms), initial=total))[::-1], den
+
+
+def _tail_bound(s: Schedule, reverse: bool, i: int) -> Fraction:
     if s.is_identity:
         return ZERO
     _require_stage_range(s, i)
-    return _tail_bounds(s, True, i)[0]
-
-
-def _tail_bounds(s: Schedule, reverse: bool, first: int = 0) -> list[Fraction]:
-    """Forward (or reverse) tail bounds for i = first..count, in one backward
-    pass of exact suffix sums that starts from the beyond-count term."""
-    if s.is_identity:
-        return [ZERO] * (s.count + 1 - first)
-    m_last = s.stages[-1][1] if s.stages else 0
-    if reverse:
-        # sum_{k>c} 8^(k-1) * 3 * 2^-(m_last + 4(k-c)) = 3 * 2^(3c-3-m_last)
-        total = 3 * Fraction(2) ** (3 * s.count - 3 - m_last)
-    else:
-        total = Fraction(1, 5) / 2**m_last
-    bounds = [total]
-    for k in range(s.count, first, -1):
-        term = Fraction(3, 2 ** s.stages[k - 1][1])
-        total += 8 ** (k - 1) * term if reverse else term
-        bounds.append(total)
-    bounds.reverse()
-    return bounds
+    sums, den = _tail_sums(s, reverse)
+    return Fraction(sums[i], den)
 
 
 def canonical_forward_bound(m1: int, i: int) -> Fraction:
@@ -276,9 +279,11 @@ def _least_stage(s: Schedule, tau: Fraction, reverse: bool) -> tuple[int, Fracti
     """Least i whose forward (or reverse) tail bound is < tau, with that bound."""
     if tau <= 0:
         raise OutOfRange(f"tolerance must be positive, got {tau}")
-    for i, bound in enumerate(_tail_bounds(s, reverse)):
-        if bound < tau:
-            return i, bound
+    sums, den = _tail_sums(s, reverse)
+    limit = tau.numerator * den  # num / den < tau, cross-multiplied
+    for i, num in enumerate(sums):
+        if num * tau.denominator < limit:
+            return i, Fraction(num, den)
     raise HorizonExceeded(
         f"tolerance {tau} needs more than the {s.count} materialized stages"
     )
@@ -345,6 +350,11 @@ def final_coordinate(s: Schedule, p: PointRep, j: int) -> tuple[int, Fraction]:
     return found
 
 
+def _first_attempt_stage(p: PointRep, k: int) -> PointRep:
+    """Stage k of the demo construction: the unit twist on cell (k, k+1)."""
+    return twist_cell_apply(CellMap(MapKind.FIRST_ATTEMPT, Variant.CORRECTED, k, k + 1), p)
+
+
 def first_attempt_partial(p: PointRep, n: int) -> PointRep:
     """Composition of unit twists on cells (k, k+1) for k = 1..n.
 
@@ -352,9 +362,6 @@ def first_attempt_partial(p: PointRep, n: int) -> PointRep:
     coordinate deeper, and the limit of the partials is not injective."""
     if n < 0:
         raise BadIndices(f"stage count must be >= 0, got {n}")
-    out = p
     for k in range(1, n + 1):
-        cm = CellMap(MapKind.FIRST_ATTEMPT, Variant.CORRECTED, k, k + 1)
-        u, v = twist_eval(cm, out.coord(k), out.coord(k + 1))
-        out = out.with_coord(k, u).with_coord(k + 1, v)
-    return out
+        p = _first_attempt_stage(p, k)
+    return p

@@ -63,17 +63,12 @@ def _px(x: Fraction, y: Fraction) -> str:
     return f"{_dec(_CENTER + _SCALE * x)},{_dec(_CENTER - _SCALE * y)}"
 
 
-def _nodes(grid: int) -> list[Fraction]:
-    return [Fraction(2 * i, grid) - 1 for i in range(grid + 1)]
-
-
 def render_svg(spec: RenderSpec) -> str:
     cm = spec.cell
-    ticks = _nodes(spec.grid)
-    image = {}
-    for x in ticks:
-        for y in ticks:
-            image[(x, y)] = twist_eval_unchecked(cm, x, y)
+    ticks = [Fraction(2 * i, spec.grid) - 1 for i in range(spec.grid + 1)]
+    # px[i][j]: pixel string of the image of node (ticks[i], ticks[j]),
+    # formatted once and reused by the cells and lines that meet there
+    px = [[_px(*twist_eval_unchecked(cm, x, y)) for y in ticks] for x in ticks]
 
     out = []
     out.append(
@@ -88,25 +83,12 @@ def render_svg(spec: RenderSpec) -> str:
         for j in range(spec.grid):
             cx, cy = ticks[i] + half, ticks[j] + half
             fill = _REGION_FILL.get(classify_region(cm, cx, cy), "#e8e8e8")
-            corners = [
-                image[(ticks[i], ticks[j])],
-                image[(ticks[i + 1], ticks[j])],
-                image[(ticks[i + 1], ticks[j + 1])],
-                image[(ticks[i], ticks[j + 1])],
-            ]
-            pts = " ".join(_px(u, v) for u, v in corners)
+            pts = f"{px[i][j]} {px[i + 1][j]} {px[i + 1][j + 1]} {px[i][j + 1]}"
             out.append(f'<polygon points="{pts}" fill="{fill}" stroke="none"/>')
 
-    for y in ticks:
-        pts = " ".join(_px(*image[(x, y)]) for x in ticks)
-        out.append(
-            f'<polyline points="{pts}" fill="none" stroke="#444444" stroke-width="1"/>'
-        )
-    for x in ticks:
-        pts = " ".join(_px(*image[(x, y)]) for y in ticks)
-        out.append(
-            f'<polyline points="{pts}" fill="none" stroke="#444444" stroke-width="1"/>'
-        )
+    # images of the horizontal grid lines, then of the vertical ones (px[i])
+    for line in (*zip(*px), *px):
+        out.append(f'<polyline points="{" ".join(line)}" fill="none" stroke="#444444" stroke-width="1"/>')
 
     if spec.trace is not None:
         x, y = spec.trace.coord(cm.n), spec.trace.coord(cm.m)
@@ -114,10 +96,10 @@ def render_svg(spec: RenderSpec) -> str:
         for _ in range(spec.trace_stages):
             x, y = twist_eval_unchecked(cm, x, y)
             orbit.append((x, y))
-        d = "M " + " L ".join(_px(u, v) for u, v in orbit)
-        out.append(f'<path d="{d}" fill="none" stroke="#c02020" stroke-width="2"/>')
-        for u, v in orbit:
-            cx, cy = _px(u, v).split(",")
+        dots = [_px(u, v) for u, v in orbit]
+        out.append(f'<path d="M {" L ".join(dots)}" fill="none" stroke="#c02020" stroke-width="2"/>')
+        for dot in dots:
+            cx, cy = dot.split(",")
             out.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="#c02020"/>')
 
     out.append("</svg>")

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
-from .cube import PointRep, Rational, epsilon, metric_d
+from .cube import PointRep, Rational, _exact, epsilon, metric_d
 from .errors import (
     BadIndices,
     DegeneratePair,
@@ -101,10 +101,6 @@ class CellMap:
 def sigma(x: Rational) -> int:
     """Sign convention used by the scaled twists: sigma(0) = +1."""
     return 1 if x >= 0 else -1
-
-
-def _exact(x: Rational) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
 
 
 def _check_square(x: Fraction, y: Fraction) -> None:

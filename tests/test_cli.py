@@ -126,7 +126,7 @@ def test_exit_3_on_horizon(capsys, points):
 
 
 @pytest.mark.parametrize("module, work, argv, message", [
-    (cli, "first_attempt_partial", ["demo-first-attempt", "--t", "1/2", "--n", "65"],
+    (cli, "_first_attempt_stage", ["demo-first-attempt", "--t", "1/2", "--n", "65"],
      "--n: 65 exceeds the limit of 64 stages"),
     (cli, "render_svg", ["render", "--map", "ccw", "--n", "1", "--m", "2", "--grid", "256"],
      "8 <= G <= 128, got 256"),

@@ -211,18 +211,28 @@ def test_refusal_evaluates_no_twist(monkeypatch):
     assert calls == []
 
 
+TAU64 = "tolerance 1/18446744073709551616"
+
+
 @pytest.mark.parametrize("horizon, pair, message", [
-    (256, (INT_A, BND_B), "coordinate 258 finalizes at stage 257, beyond horizon 256"),
-    (256, (BND_A, BND_B), "coordinate 258 finalizes at stage 257, beyond horizon 256"),
-    (64, (BND_A, BND_B), "coordinate 66 finalizes at stage 65, beyond horizon 64"),
-    (64, (ONES, ORIGIN), "coordinate 65 finalizes at stage 65, beyond horizon 64"),
-    (20, (INT_A, BND_B), "coordinate 22 finalizes at stage 21, beyond horizon 20"),
-    (20, (ONES, ORIGIN), "coordinate 21 finalizes at stage 21, beyond horizon 20"),
+    (256, (INT_A, BND_B), f"coordinate 258 finalizes at stage 257, beyond horizon 256; {TAU64} needs horizon 261"),
+    (256, (BND_A, BND_B), f"coordinate 258 finalizes at stage 257, beyond horizon 256; {TAU64} needs horizon 264"),
+    (64, (BND_A, BND_B), f"coordinate 66 finalizes at stage 65, beyond horizon 64; {TAU64} needs horizon 264"),
+    (64, (ONES, ORIGIN), f"coordinate 65 finalizes at stage 65, beyond horizon 64; {TAU64} needs horizon 67"),
+    (20, (INT_A, BND_B), f"coordinate 22 finalizes at stage 21, beyond horizon 20; {TAU64} needs horizon 261"),
+    (20, (ONES, ORIGIN), f"coordinate 21 finalizes at stage 21, beyond horizon 20; {TAU64} needs horizon 67"),
 ])
 def test_horizon_messages(horizon, pair, message):
     with pytest.raises(HorizonExceeded) as exc:
         solve(*pair, F(1, 2**64), horizon=horizon)
     assert str(exc.value) == message
+
+
+def test_needed_horizon_is_the_least_that_solves():
+    # the horizon a refusal names is exactly the one that lets solve through
+    with pytest.raises(HorizonExceeded, match="needs horizon 67$"):
+        solve(ONES, ORIGIN, F(1, 2**64), horizon=66)
+    assert verify_plan(solve(ONES, ORIGIN, F(1, 2**64), horizon=67), ONES, ORIGIN, F(1, 2**64))
 
 
 def test_stage_count_limit_bounds_solve():
