@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import BadIndices, EmptySampleSet, OutOfRange
 
 Rational = Fraction
-
-ZERO = Fraction(0)
 
 
 def epsilon(j: int) -> Fraction:
@@ -82,11 +81,19 @@ class PointRep:
 
     def with_coord(self, i: int, value: Fraction) -> "PointRep":
         """Copy with coordinate i replaced (prefix widened as needed)."""
-        if i < 1:
-            raise BadIndices(f"coordinate index must be >= 1, got {i}")
-        n = max(i, len(self.prefix))
-        cells = [self.coord(k) for k in range(1, n + 1)]
-        cells[i - 1] = Fraction(value)
+        return self.with_coords({i: value})
+
+    def with_coords(self, values: dict[int, Fraction]) -> "PointRep":
+        """Copy with coordinate i replaced by values[i] for each key i: the
+        prefix padded with the tail as far as needed, one point built."""
+        if not values:
+            return self
+        if min(values) < 1:
+            raise BadIndices(f"coordinate index must be >= 1, got {min(values)}")
+        cells = list(self.prefix)
+        cells.extend([self.tail] * (max(values) - len(cells)))
+        for i, value in values.items():
+            cells[i - 1] = value
         return PointRep(tuple(cells), self.tail)
 
     def __repr__(self):
@@ -106,15 +113,17 @@ def coord(p: PointRep, i: int) -> Fraction:
 
 
 def metric_d(p: PointRep, q: PointRep) -> Fraction:
+    """One integer sum over D, the common denominator of both points: with n
+    the longer prefix, d(p, q) * D * 2^n = sum_{i <= n} |P_i - Q_i| * 2^(n-i)
+    + |P_tail - Q_tail|, the tail's weight because sum_{i>n} 2^-i = 2^-n."""
     n = max(len(p.prefix), len(q.prefix))
-    total = ZERO
-    w = Fraction(1, 2)
-    for i in range(1, n + 1):
-        total += abs(p.coord(i) - q.coord(i)) * w
-        w /= 2
-    # remaining coordinates are the constant tails; sum_{i>n} 2^-i = 2^-n
-    total += abs(p.tail - q.tail) * Fraction(1, 2**n)
-    return total
+    pc = (*p.prefix, *[p.tail] * (n - len(p.prefix)), p.tail)
+    qc = (*q.prefix, *[q.tail] * (n - len(q.prefix)), q.tail)
+    den = lcm(*(c.denominator for c in pc), *(c.denominator for c in qc))
+    diffs = [abs(a.numerator * (den // a.denominator) - b.numerator * (den // b.denominator))
+             for a, b in zip(pc, qc)]
+    total = diffs[n] + sum(diff << (n - i) for i, diff in enumerate(diffs[:n], 1))
+    return Fraction(total, den << n)
 
 
 def cell_metric(n: int, m: int, a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> Fraction:

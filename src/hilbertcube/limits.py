@@ -15,13 +15,15 @@ evaluations are rational, and certified values carry the bound actually used.
 from __future__ import annotations
 
 import heapq
-from itertools import accumulate
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
+from math import gcd
 
 from .cube import BoundaryProfile, PointRep, Rational, classify_point
 from .errors import BadIndices, HorizonExceeded, OutOfRange
-from .twists import CellMap, MapKind, Variant, twist_cell_apply, twist_eval
+from .twists import CellMap, MapKind, Variant, _Kernel, _square_lift, twist_cell_apply
 
 ZERO = Fraction(0)
 
@@ -78,7 +80,9 @@ class Schedule:
     stages[k-1] = (n_k, m_k).  The underlying schedule is infinite whenever
     the source meets the boundary at all (every m_k re-enters the pool); it is
     empty only for a pseudo-interior source, in which case the limit map is
-    the identity and all tail bounds vanish.
+    the identity and all tail bounds vanish.  The stage kernels are built
+    once, on first use; not being fields, they stay out of equality, hashing
+    and repr.
     """
 
     stages: tuple[tuple[int, int], ...]
@@ -100,6 +104,14 @@ class Schedule:
         n, m = self.stages[k - 1]
         kind = MapKind.TWIST_CW_CUBED if reverse else MapKind.TWIST_CCW_CUBED
         return CellMap(kind, Variant.CORRECTED, n, m)
+
+    @cached_property
+    def _forward_kernels(self) -> tuple[_Kernel, ...]:
+        return tuple(_Kernel(self.stage_map(k)) for k in range(1, self.count + 1))
+
+    @cached_property
+    def _reverse_kernels(self) -> tuple[_Kernel, ...]:
+        return tuple(_Kernel(self.stage_map(k, reverse=True)) for k in range(1, self.count + 1))
 
 
 def build_schedule(p: PointRep, count: int) -> Schedule:
@@ -240,39 +252,40 @@ class CertifiedPoint:
 
 def _walk(s: Schedule, p: PointRep, upto: int, reverse: bool = False) -> dict[int, Fraction]:
     """Coordinate values changed by applying stages 1..upto (or upto..1 for
-    the reverse maps), sparse: only touched indices appear."""
-    cur: dict[int, Fraction] = {}
+    the reverse maps), sparse: only touched indices appear.
 
-    def val(i: int) -> Fraction:
-        return cur.get(i, p.coord(i))
+    Each touched coordinate is held as a reduced pair (num, den): a stage
+    lifts its two pairs over the lcm of their denominators, applies its
+    kernel in integers and reduces each output by one gcd.  A Fraction is
+    built once per touched coordinate, at the end."""
+    kernels = s._reverse_kernels if reverse else s._forward_kernels
+    cur: dict[int, tuple[int, int]] = {}
 
-    ks = range(upto, 0, -1) if reverse else range(1, upto + 1)
-    for k in ks:
+    def val(i: int) -> tuple[int, int]:
+        if i in cur:
+            return cur[i]
+        c = p.coord(i)
+        return c.numerator, c.denominator
+
+    for k in range(upto, 0, -1) if reverse else range(1, upto + 1):
         n, m = s.stages[k - 1]
-        u, v = twist_eval(s.stage_map(k, reverse=reverse), val(n), val(m))
-        cur[n] = u
-        cur[m] = v
-    return cur
-
-
-def _rebuild(p: PointRep, cur: dict[int, Fraction]) -> PointRep:
-    if not cur:
-        return p
-    width = max(max(cur), len(p.prefix))
-    cells = tuple(cur.get(i, p.coord(i)) for i in range(1, width + 1))
-    return PointRep(cells, p.tail)
+        d, u, v = kernels[k - 1].image(*_square_lift(*val(n), *val(m)))
+        g, h = gcd(u, d), gcd(v, d)
+        cur[n] = u // g, d // g
+        cur[m] = v // h, d // h
+    return {i: Fraction(num, den) for i, (num, den) in cur.items()}
 
 
 def forward_partial_eval(s: Schedule, p: PointRep, i: int) -> PointRep:
     """Stages 1..i applied to p (stage 1 first)."""
     _require_stage_range(s, i)
-    return _rebuild(p, _walk(s, p, i))
+    return p.with_coords(_walk(s, p, i))
 
 
 def reverse_partial_eval(s: Schedule, y: PointRep, i: int) -> PointRep:
     """Inverse of forward_partial_eval(s, ., i): cw stages i down to 1."""
     _require_stage_range(s, i)
-    return _rebuild(y, _walk(s, y, i, reverse=True))
+    return y.with_coords(_walk(s, y, i, reverse=True))
 
 
 def _least_stage(s: Schedule, tau: Fraction, reverse: bool) -> tuple[int, Fraction]:

@@ -103,11 +103,6 @@ def sigma(x: Rational) -> int:
     return 1 if x >= 0 else -1
 
 
-def _check_square(x: Fraction, y: Fraction) -> None:
-    if not (-1 <= x <= 1 and -1 <= y <= 1):
-        raise OutOfRange(f"({x}, {y}) outside the square")
-
-
 # --- exact integer clause kernel -------------------------------------------
 #
 # A point is held as integers (D, X, Y), x = X/D and y = Y/D with D > 0.  With
@@ -134,23 +129,36 @@ _TAGS = {
 _CCW_OF_CW = (2, 1, 0, 3)
 
 
+def _lift_ints(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int, int]:
+    """(D, X, Y) with xn/xd = X/D, yn/yd = Y/D and D = lcm(xd, yd)."""
+    if xd == yd:
+        return xd, xn, yn
+    d = xd // gcd(xd, yd) * yd
+    return d, xn * (d // xd), yn * (d // yd)
+
+
 def _lift(x: Fraction, y: Fraction) -> tuple[int, int, int]:
     """(D, X, Y) with x = X/D, y = Y/D and D the least common denominator."""
-    dx, dy = x.denominator, y.denominator
-    if dx == dy:
-        return dx, x.numerator, y.numerator
-    d = dx * dy // gcd(dx, dy)
-    return d, x.numerator * (d // dx), y.numerator * (d // dy)
+    return _lift_ints(x.numerator, x.denominator, y.numerator, y.denominator)
+
+
+def _square_lift(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int, int]:
+    """_lift_ints of a point of the square; any other point raises OutOfRange."""
+    d, x, y = _lift_ints(xn, xd, yn, yd)
+    if abs(x) > d or abs(y) > d:
+        raise OutOfRange(f"({Fraction(xn, xd)}, {Fraction(yn, yd)}) outside the square")
+    return d, x, y
 
 
 class _Kernel:
     """The once-applied map underlying a CellMap, on integer points."""
 
-    __slots__ = ("cm", "kind", "scale", "corrected", "tags")
+    __slots__ = ("cm", "kind", "times", "scale", "corrected", "tags")
 
     def __init__(self, cm: CellMap):
         self.cm = cm
         self.kind = _SINGLE_OF.get(cm.kind, cm.kind)
+        self.times = 1 if self.kind is cm.kind else 3
         self.scale = 1 if self.kind == MapKind.FIRST_ATTEMPT else 1 << (cm.m - cm.n)
         self.corrected = cm.variant == Variant.CORRECTED
         self.tags = _TAGS[self.kind]
@@ -211,6 +219,18 @@ class _Kernel:
             f"no clause matched ({Fraction(x, d)}, {Fraction(y, d)}) for {self.cm.single().label()}"
         )
 
+    def image(self, d: int, x: int, y: int) -> tuple[int, int, int]:
+        """The CellMap applied to (x/d, y/d), three times if cubed: (D, U, V),
+        not reduced.  Raises RangeViolation if any application leaves the
+        square (possible only for the verbatim variant)."""
+        for _ in range(self.times):
+            d, x, y = self.apply(d, x, y)
+            if abs(x) > d or abs(y) > d:
+                value = _fractions(d, x, y)
+                raise RangeViolation(f"{self.cm.label()} left the square at {_fmt_pair(value)}",
+                                     value)
+        return d, x, y
+
     def candidates(self, e: int, u: int, v: int) -> list[tuple[int, int]]:
         """Every clause formula solved for its input at (u/e, v/e), all sign
         branches, as numerators over scale*e; not yet filtered against the
@@ -261,9 +281,9 @@ def classify_region(cm: CellMap, x: Rational, y: Rational) -> str:
 def matching_regions(cm: CellMap, x: Rational, y: Rational) -> list[str]:
     """Every clause whose condition holds (clause boundaries give several)."""
     x, y = _exact(x), _exact(y)
-    _check_square(x, y)
+    point = _square_lift(x.numerator, x.denominator, y.numerator, y.denominator)
     ker = _Kernel(cm)
-    return [ker.tags[k] for k in ker.hits(*_lift(x, y))]
+    return [ker.tags[k] for k in ker.hits(*point)]
 
 
 def piece_value(cm: CellMap, tag: str, x: Rational, y: Rational) -> tuple[Fraction, Fraction]:
@@ -288,15 +308,8 @@ def twist_eval(cm: CellMap, x: Rational, y: Rational) -> tuple[Fraction, Fractio
     for the verbatim variant).
     """
     x, y = _exact(x), _exact(y)
-    _check_square(x, y)
-    ker = _Kernel(cm)
-    d, x, y = _lift(x, y)
-    for _ in range(3 if cm.is_cubed else 1):
-        d, x, y = ker.apply(d, x, y)
-        if abs(x) > d or abs(y) > d:
-            value = _fractions(d, x, y)
-            raise RangeViolation(f"{cm.label()} left the square at {_fmt_pair(value)}", value)
-    return _fractions(d, x, y)
+    point = _square_lift(x.numerator, x.denominator, y.numerator, y.denominator)
+    return _fractions(*_Kernel(cm).image(*point))
 
 
 def twist_eval_unchecked(cm: CellMap, x: Rational, y: Rational) -> tuple[Fraction, Fraction]:
@@ -304,7 +317,7 @@ def twist_eval_unchecked(cm: CellMap, x: Rational, y: Rational) -> tuple[Fractio
     picture of the verbatim variant can show them instead of dying on them."""
     ker = _Kernel(cm)
     d, x, y = _lift(_exact(x), _exact(y))
-    for _ in range(3 if cm.is_cubed else 1):
+    for _ in range(ker.times):
         d, x, y = ker.apply(d, x, y)
     return _fractions(d, x, y)
 
@@ -312,7 +325,7 @@ def twist_eval_unchecked(cm: CellMap, x: Rational, y: Rational) -> tuple[Fractio
 def twist_cell_apply(cm: CellMap, p: PointRep) -> PointRep:
     """Apply the twist to coordinates (n, m) of a full point."""
     u, v = twist_eval(cm, p.coord(cm.n), p.coord(cm.m))
-    return p.with_coord(cm.n, u).with_coord(cm.m, v)
+    return p.with_coords({cm.n: u, cm.m: v})
 
 
 def displacement_bound(cm: CellMap) -> Fraction:

@@ -1,5 +1,6 @@
 """Point representation, metric, and classification."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from hilbertcube import (
 from hilbertcube.twists import piece_inverse_oracle
 
 from conftest import rand_point
+from walk_oracle import metric_d_sum
 
 rationals = st.fractions(min_value=-1, max_value=1, max_denominator=64)
 points = st.builds(
@@ -108,6 +110,36 @@ def test_metric_mixed_prefix_lengths():
         + Fraction(1, 4) * Fraction(1, 8)  # tail gap over i > 3
     )
     assert metric_d(p, q) == expected
+
+
+def test_with_coords_builds_one_point():
+    p = make_point([Fraction(1, 2)], Fraction(1, 3))
+    assert p.with_coords({}) is p
+    third = Fraction(1, 3)
+    assert p.with_coords({4: Fraction(-1), 2: third}) == make_point([Fraction(1, 2), third, third, -1], third)
+    assert p.with_coords({1: third}) == make_point([], third)
+    with pytest.raises(BadIndices):
+        p.with_coords({0: Fraction(0), 2: Fraction(0)})
+
+
+def test_metric_integer_sum_matches_fraction_sum():
+    rng = random.Random(600)
+
+    def rational():
+        den = rng.choice((1, 3, 27, 100, 10007, 3**40)) << rng.randint(0, 600)
+        return Fraction(rng.randint(-den, den), den)
+
+    def point():
+        tail = rng.choice((rational(), Fraction(1), Fraction(-1)))
+        return make_point([rational() for _ in range(rng.randint(0, 14))], tail)
+
+    pairs = [(point(), point()) for _ in range(150)]
+    pairs += [(p, p) for p, _ in pairs[:20]] + [(make_point([], 1), make_point([], -1))]
+    for p, q in pairs:
+        assert metric_d(p, q) == metric_d_sum(p, q)
+    widths = {(len(p.prefix), len(q.prefix)) for p, q in pairs}
+    assert len({a - b for a, b in widths}) > 10  # prefix widths differ both ways
+    assert max(c.denominator for p, _ in pairs for c in p.prefix).bit_length() > 600
 
 
 @given(points, points)

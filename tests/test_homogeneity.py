@@ -10,6 +10,7 @@ from hilbertcube import (
     ORIGIN,
     BadIndices,
     HorizonExceeded,
+    MapKind,
     OutOfRange,
     PlanCase,
     classify_point,
@@ -182,30 +183,33 @@ def test_one_walk_anchors_match_per_coordinate_rewalk(k):
         assert plan == plan_from_anchors(plan, p, q, *finals)
 
 
-def _counting_twist_eval(monkeypatch):
+def _counting_stage_applications(monkeypatch):
+    """The CellMap of every kernel application a walk (or any twist_eval)
+    makes, in order."""
     calls = []
-    original = limits.twist_eval
+    original = limits._Kernel.image
 
-    def counted(*args):
-        calls.append(args[0])
-        return original(*args)
+    def counted(ker, *point):
+        calls.append(ker.cm)
+        return original(ker, *point)
 
-    monkeypatch.setattr(limits, "twist_eval", counted)
+    monkeypatch.setattr(limits._Kernel, "image", counted)
     return calls
 
 
 def test_solve_walks_each_schedule_once(monkeypatch):
-    calls = _counting_twist_eval(monkeypatch)
+    calls = _counting_stage_applications(monkeypatch)
     plan = solve(BND_A, BND_B, F(1, 2**40))
     src, tgt = plan.source_schedule.stages, plan.target_schedule.stages
     assert 0 < len(calls) <= len(src) + len(tgt)
+    assert {cm.kind for cm in calls} == {MapKind.TWIST_CCW_CUBED}  # forward stage kernels only
     # each cell at most once per schedule whose stage list holds it
     for cell, times in Counter((cm.n, cm.m) for cm in calls).items():
         assert times <= (cell in src) + (cell in tgt)
 
 
 def test_refusal_evaluates_no_twist(monkeypatch):
-    calls = _counting_twist_eval(monkeypatch)
+    calls = _counting_stage_applications(monkeypatch)
     with pytest.raises(HorizonExceeded):
         solve(BND_A, BND_B, F(1, 2**64))
     assert calls == []

@@ -1,0 +1,71 @@
+"""No dead names in the library: every import a module makes is used, and
+every module-level constant or private helper it defines is used by it or
+imported from it by another module of the package.  Read with ast, so
+nothing is imported or run."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hilbertcube"
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _used_names(tree) -> set[str]:
+    """Names the module reads, string annotations included."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.FunctionDef, ast.AnnAssign)):
+            ann = node.returns if isinstance(node, ast.FunctionDef) else node.annotation
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(ann.value, mode="eval")) if isinstance(n, ast.Name)}
+    return used
+
+
+def _imports(tree) -> list[tuple[str, str, str]]:
+    """(bound name, module named, name imported) of each module-level import."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            found += [(a.asname or a.name.split(".")[0], a.name, "") for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            found += [(a.asname or a.name, node.module or "", a.name) for a in node.names]
+    return found
+
+
+def _defined(tree) -> set[str]:
+    """Module-level constants and private helpers (public functions and
+    classes are the package's API)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+            names.add(node.name)
+    return names
+
+
+def test_every_import_is_used():
+    unused = {
+        f"{module}: {name}"
+        for module, tree in _trees().items() if module != "__init__"
+        for name, _, _ in _imports(tree) if name not in _used_names(tree)
+    }
+    assert not unused
+
+
+def test_every_constant_and_private_helper_is_used():
+    trees = _trees()
+    imported_from = {(src, name) for tree in trees.values() for _, src, name in _imports(tree)}
+    dead = {
+        f"{module}: {name}"
+        for module, tree in trees.items() if module != "__init__"
+        for name in _defined(tree)
+        if name not in _used_names(tree) and (module, name) not in imported_from
+    }
+    assert not dead

@@ -8,7 +8,9 @@ import pytest
 
 from hilbertcube import (
     ORIGIN,
+    CubeError,
     HorizonExceeded,
+    InteriorMapParams,
     OutOfRange,
     boundary_index_sequence,
     build_schedule,
@@ -18,6 +20,7 @@ from hilbertcube import (
     forward_tail_bound,
     h_eval,
     h_inverse_eval,
+    interior_map_eval,
     make_point,
     metric_d,
     reverse_partial_eval,
@@ -26,6 +29,7 @@ from hilbertcube import (
     stage_budget,
 )
 from hilbertcube.cube import classify_point
+from hilbertcube.homogeneity import stage_count_limit
 from hilbertcube.limits import (
     Schedule,
     _least_stage,
@@ -38,8 +42,10 @@ from hilbertcube.limits import (
 from conftest import rand_point
 from walk_oracle import (
     final_coordinate_rewalk,
+    final_coordinates_rewalk,
     forward_tail_sum,
     least_stage_scan,
+    partial_walk,
     reverse_tail_sum,
 )
 
@@ -363,3 +369,70 @@ def test_final_coordinates_one_walk_matches_rewalk():
                 continue
             assert found[j] == want == final_coordinate(s, p, j)
             assert finalization_stages(s, 30)[j] == want[0]
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and message of the library error it raised."""
+    try:
+        return fn(*args)
+    except CubeError as exc:
+        return type(exc), str(exc)
+
+
+def _odd_interior(rng):
+    den = rng.choice((27, 3**15, 10007, 3 * 65537, 2**61 - 1))
+    return F(rng.randint(1 - den, den - 1), den)
+
+
+def _walk_cases():
+    """(schedule, walked point, stages to walk to): seeded boundary sources
+    walked themselves, with coordinates over 27 and 100; interior-move
+    outputs with large odd denominators walked on those schedules; and the
+    identity, 0-stage, 1-stage and stage_count_limit schedules."""
+    rng = random.Random(27100)
+    cases = []
+    for _ in range(8):
+        p = rand_point(rng, width=10).with_coords({
+            rng.randint(1, 12): F(rng.randint(-26, 26), 27),
+            rng.randint(1, 12): F(rng.randint(-99, 99), 100),
+            rng.randint(1, 12): rng.choice((F(1), F(-1))),
+        })
+        s = build_schedule(p, rng.randint(2, 24))
+        anchors = [make_point([_odd_interior(rng) for _ in range(rng.randint(1, 30))], _odd_interior(rng))
+                   for _ in range(2)]
+        stages = range(-1, s.count + 2)
+        cases += [(s, p, stages), (s, interior_map_eval(InteriorMapParams(*anchors), p), stages)]
+    x = make_point([F(1, 3), F(-5, 27), F(41, 100)], F(7, 100))
+    limit = build_schedule(ONES, stage_count_limit(ONES))
+    cases += [(build_schedule(ORIGIN, 6), x, range(8)), (build_schedule(ONES, 0), x, range(-1, 2)),
+              (build_schedule(ONES, 1), x, range(-1, 3)), (build_schedule(ONES, 1), ONES, range(3)),
+              (limit, ONES, (0, 1, 40, limit.count, limit.count + 1)),
+              (limit, x, (0, 1, limit.count))]
+    return cases
+
+
+def test_integer_walk_matches_fraction_walk():
+    for s, x, stages in _walk_cases():
+        for i in stages:
+            assert _outcome(forward_partial_eval, s, x, i) == _outcome(partial_walk, s, x, i)
+            assert _outcome(reverse_partial_eval, s, x, i) == _outcome(partial_walk, s, x, i, True)
+        if classify_point(x) == s.source_profile:  # finalization reads the source's indices
+            assert final_coordinates(s, x, 30) == final_coordinates_rewalk(s, x, 30)
+
+
+def test_walk_cases_cover_wide_denominators():
+    dens = {c.denominator for _, x, _ in _walk_cases() for c in (*x.prefix, x.tail)}
+    odd_parts = {d // (d & -d) for d in dens}
+    assert {27, 100} <= dens and max(odd_parts).bit_length() > 64
+
+
+def test_stage_kernels_are_built_once_and_stay_out_of_equality():
+    s, fresh = build_schedule(ONES, 6), build_schedule(ONES, 6)
+    forward_partial_eval(s, ONES, 6)
+    reverse_partial_eval(s, ORIGIN, 6)
+    kernels = s._forward_kernels, s._reverse_kernels
+    forward_partial_eval(s, ONES, 3)
+    assert s._forward_kernels is kernels[0] and s._reverse_kernels is kernels[1]
+    assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+    assert [k.cm for k in kernels[0]] == [s.stage_map(k) for k in range(1, 7)]
+    assert [k.cm for k in kernels[1]] == [s.stage_map(k, reverse=True) for k in range(1, 7)]

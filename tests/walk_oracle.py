@@ -1,13 +1,16 @@
-"""Slow reference formulas for the schedule walk and the tail-bound search.
+"""Slow reference formulas for the schedule walk, the tail-bound search and
+the metric.
 
-Kept only to check the library's one-walk and suffix-sum paths against: each
-coordinate's final value comes from its own walk from stage 1, each tail
-bound is summed from scratch, and the least stage is a linear scan.
+Kept only to check the library's integer walk, one-walk and suffix-sum paths
+and its integer metric against: a walk applies twist_eval once per stage in
+Fractions, each coordinate's final value comes from its own walk from stage
+1, each tail bound is summed from scratch, the least stage is a linear scan
+and the metric is summed one Fraction term at a time.
 """
 
 from fractions import Fraction
 
-from hilbertcube import HorizonExceeded, OutOfRange, forward_partial_eval
+from hilbertcube import HorizonExceeded, OutOfRange, twist_eval
 from hilbertcube.cube import PointRep
 from hilbertcube.homogeneity import HomeoPlan
 from hilbertcube.interior import InteriorMapParams
@@ -16,13 +19,40 @@ from hilbertcube.limits import boundary_index_sequence
 ZERO = Fraction(0)
 
 
+def partial_walk(s, p, i, reverse=False):
+    """Stages 1..i applied to p (cw stages i down to 1 if reverse), one
+    twist_eval per stage."""
+    if not 0 <= i <= s.count:
+        raise HorizonExceeded(f"stage {i} requested but only {s.count} stages are materialized")
+    cur = {}
+    for k in range(i, 0, -1) if reverse else range(1, i + 1):
+        n, m = s.stages[k - 1]
+        cur[n], cur[m] = twist_eval(s.stage_map(k, reverse=reverse),
+                                    cur.get(n, p.coord(n)), cur.get(m, p.coord(m)))
+    if not cur:
+        return p
+    width = max(max(cur), len(p.prefix))
+    return PointRep(tuple(cur.get(j, p.coord(j)) for j in range(1, width + 1)), p.tail)
+
+
+def metric_d_sum(p, q):
+    """d(p, q) summed term by term in Fractions, the tail as |tail_p - tail_q| * 2^-n."""
+    n = max(len(p.prefix), len(q.prefix))
+    total = ZERO
+    w = Fraction(1, 2)
+    for i in range(1, n + 1):
+        total += abs(p.coord(i) - q.coord(i)) * w
+        w /= 2
+    return total + abs(p.tail - q.tail) * Fraction(1, 2**n)
+
+
 def final_coordinate_rewalk(s, p, j):
     """(stage, value) of coordinate j, re-walking stages 1..k for n_k = j;
     raises HorizonExceeded for a j touched but not yet finalized."""
     ns, ms = tuple(n for n, _ in s.stages), s.m_seq()
     if j in ns:
         k = ns.index(j) + 1
-        return k, forward_partial_eval(s, p, k).coord(j)
+        return k, partial_walk(s, p, k).coord(j)
     touched = boundary_index_sequence(p).contains(j) or j in ms
     if not touched and not s.is_identity:
         if ms and all(ms[k] == ms[0] + 4 * k for k in range(len(ms))):
