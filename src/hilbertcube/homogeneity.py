@@ -35,14 +35,13 @@ from .limits import (
     CertifiedPoint,
     Schedule,
     _least_stage,
-    boundary_index_sequence,
     build_schedule,
-    canonical_forward_bound,
-    canonical_reverse_bound,
     final_coordinates,
     finalization_stages,
+    first_sacrifice,
     h_eval,
     reverse_partial_eval,
+    stages_needed,
 )
 
 ZERO = Fraction(0)
@@ -99,25 +98,12 @@ def _escape_budget(tau: Fraction, both_escapes: bool) -> Fraction:
     return tau / 4 if both_escapes else tau / 2
 
 
-def _first_sacrifice(p: PointRep) -> int:
-    """m_1 of the canonical schedule for p: least multiple of 4 > n_1."""
-    n1 = boundary_index_sequence(p).first()
-    return max(4, 4 * (n1 // 4) + 4)
-
-
-def _stages_until(m1: int, budget: Fraction, bound_fn) -> int:
-    i = 0
-    while bound_fn(m1, i) >= budget:
-        i += 1
-    return i
-
-
 def stage_count_limit(p: PointRep, horizon: int = DEFAULT_HORIZON) -> int:
     """Most stages solve materializes for p's schedule under `horizon`:
     index m_1 + 4t finalizes at stage t + 2 or later, so the anchor cutoff
     stays below m_1 + 4(horizon - 1), plus the cutoff stage and the pad
     (m_1 = 0 for an interior p)."""
-    m1 = _first_sacrifice(p) if classify_point(p).is_boundary else 0
+    m1 = first_sacrifice(p) if classify_point(p).is_boundary else 0
     return 4 * (horizon - 1) + m1 + STAGE_PAD
 
 
@@ -141,9 +127,8 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
 
     # stages the verifying evaluation (at tau/2) will unwind on the target side
     if q_prof.is_boundary:
-        m1_q = _first_sacrifice(q)
-        rev_budget = _escape_budget(tau / 2, p_prof.is_boundary)
-        i_star = _stages_until(m1_q, rev_budget, canonical_reverse_bound)
+        b_q = first_sacrifice(q_prof) - 4  # the schedule's base: m_k = b + 4k
+        i_star = stages_needed(b_q, _escape_budget(tau / 2, p_prof.is_boundary), True)[0]
     else:
         i_star = 0
 
@@ -181,14 +166,11 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
     lip_inv = lipschitz_bound(interior_map_inverse(move))
     i_inv = 0  # stages the inverse unwinds on the source side
     if sched_p is not None:
-        m1_p = _first_sacrifice(p)
-        i_inv = _stages_until(m1_p, tau / 8, canonical_reverse_bound)
-        fwd_budget = (tau / 8) / (EIGHT**i_star * lip_f)
-        need_fwd = _stages_until(m1_p, fwd_budget, canonical_forward_bound)
+        i_inv = stages_needed(sched_p.base, tau / 8, True)[0]
+        need_fwd = stages_needed(sched_p.base, (tau / 8) / (EIGHT**i_star * lip_f), False)[0]
         sched_p = build_schedule(p, max(n_cut + 1, need_fwd, i_inv) + STAGE_PAD)
     if sched_q is not None:
-        fwd_budget = (tau / 8) / (EIGHT**i_inv * lip_inv)
-        need_fwd = _stages_until(m1_q, fwd_budget, canonical_forward_bound)
+        need_fwd = stages_needed(b_q, (tau / 8) / (EIGHT**i_inv * lip_inv), False)[0]
         sched_q = build_schedule(q, max(n_cut + 1, need_fwd, i_star) + STAGE_PAD)
 
     return HomeoPlan(case, move, sched_p, sched_q)

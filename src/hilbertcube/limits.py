@@ -15,10 +15,11 @@ evaluations are rational, and certified values carry the bound actually used.
 from __future__ import annotations
 
 import heapq
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from math import gcd
 
 from .cube import BoundaryProfile, PointRep, Rational, classify_point
@@ -37,9 +38,10 @@ class BoundaryIndexStream:
     head: tuple[int, ...]
     tail_start: int | None
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.head and self.tail_start is None
+    def __iter__(self) -> Iterator[int]:
+        yield from self.head
+        if self.tail_start is not None:
+            yield from itertools.count(self.tail_start)
 
     def first(self) -> int:
         if self.head:
@@ -51,13 +53,6 @@ class BoundaryIndexStream:
     def contains(self, j: int) -> bool:
         return j in self.head or (self.tail_start is not None and j >= self.tail_start)
 
-    def values_upto(self, bound: int, after: int = 0) -> list[int]:
-        """Indices j of the stream with after < j <= bound, ascending."""
-        vals = [j for j in self.head if after < j <= bound]
-        if self.tail_start is not None:
-            vals.extend(range(max(self.tail_start, after + 1), bound + 1))
-        return vals
-
 
 def boundary_index_sequence(p: PointRep | BoundaryProfile) -> BoundaryIndexStream:
     """Boundary indices of a point, or of its already classified profile."""
@@ -66,6 +61,12 @@ def boundary_index_sequence(p: PointRep | BoundaryProfile) -> BoundaryIndexStrea
         head=profile.explicit_indices,
         tail_start=profile.tail_start if profile.tail_is_boundary else None,
     )
+
+
+def first_sacrifice(p: PointRep | BoundaryProfile) -> int:
+    """m_1 of a boundary point's schedule: the least multiple of 4 above its
+    first boundary index."""
+    return 4 * (boundary_index_sequence(p).first() // 4) + 4
 
 
 def stage_budget(k: int) -> Fraction:
@@ -97,8 +98,11 @@ class Schedule:
     def is_identity(self) -> bool:
         return self.source_profile.is_pseudo_interior
 
-    def m_seq(self) -> tuple[int, ...]:
-        return tuple(m for _, m in self.stages)
+    @property
+    def base(self) -> int:
+        """b with m_k = b + 4k.  0 for an empty stage list, whatever the
+        source, so that its tail bounds read 1/5 and 3/8."""
+        return self.stages[0][1] - 4 if self.stages else 0
 
     def stage_map(self, k: int, reverse: bool = False) -> CellMap:
         n, m = self.stages[k - 1]
@@ -117,43 +121,25 @@ class Schedule:
 def build_schedule(p: PointRep, count: int) -> Schedule:
     """First `count` stages for source point p.
 
-    n_1 is the first boundary index; afterwards n_k is the least index in the
-    pool (unhandled boundary indices plus sacrificed m's), which is always
-    <= m_{k-1}, and m_k is the least multiple of 4 exceeding both m_{k-1} and
-    n_k and at least 4k.  A pseudo-interior p yields the empty schedule no
-    matter the count.
+    The construction's rule: n_k is the least index in the pool (boundary
+    indices not yet handled plus the sacrificed m's), and m_k is the least
+    multiple of 4 above m_{k-1} and n_k and at least 4k.  The pool holds
+    m_{k-1}, so n_k <= m_{k-1}, and with m_{k-1} >= 4(k-1) that makes m_k
+    always m_{k-1} + 4: m_k = m_1 + 4(k-1), with m_1 = first_sacrifice(p).
+    The pool then hands out every index up to m_{k-1} in order, so n_1, n_2,
+    ... are the boundary indices merged with those m's, without duplicates.
+    A pseudo-interior p yields the empty schedule no matter the count.
     """
     if count < 0:
         raise BadIndices(f"stage count must be >= 0, got {count}")
     profile = classify_point(p)
-    stream = boundary_index_sequence(profile)
-    if stream.is_empty:
+    if profile.is_pseudo_interior:
         return Schedule((), profile, ())
-    pool: list[int] = []
-    in_pool: set[int] = set()
-    pulled_upto = 0
-
-    def pull(bound: int) -> None:
-        nonlocal pulled_upto
-        if bound > pulled_upto:
-            for j in stream.values_upto(bound, pulled_upto):
-                if j not in in_pool:
-                    heapq.heappush(pool, j)
-                    in_pool.add(j)
-            pulled_upto = bound
-
-    stages: list[tuple[int, int]] = []
-    m_prev = 0
-    for k in range(1, count + 1):
-        pull(stream.first() if k == 1 else m_prev)
-        n = heapq.heappop(pool)
-        in_pool.discard(n)
-        m = max(m_prev + 4, 4 * k, 4 * (n // 4) + 4)
-        stages.append((n, m))
-        heapq.heappush(pool, m)
-        in_pool.add(m)
-        m_prev = m
-    return Schedule(tuple(stages), profile, tuple(stage_budget(k) for k in range(1, count + 1)))
+    m1 = first_sacrifice(profile)
+    ms = range(m1, m1 + 4 * count, 4)
+    merged = (n for n, _ in itertools.groupby(heapq.merge(boundary_index_sequence(profile), ms)))
+    stages = tuple(zip(itertools.islice(merged, count), ms))
+    return Schedule(stages, profile, tuple(stage_budget(k) for k in range(1, count + 1)))
 
 
 def schedule_budget_ok(s: Schedule) -> bool:
@@ -185,60 +171,45 @@ def _require_stage_range(s: Schedule, i: int) -> None:
         )
 
 
-def forward_tail_bound(s: Schedule, i: int) -> Fraction:
-    """Bound on d(limit, stage-i partial): sum of displacements past stage i.
+def _tail_bound(b: int, i: int, reverse: bool) -> Fraction:
+    """Tail bound past stage i of the schedule m_k = b + 4k.  Forward: the
+    sum over k > i of the stage displacements 3 * 2^-m_k, which is
+    2^-(b+4i) / 5.  Reverse: the same terms inflated by the accumulated
+    Lipschitz factor 8^(k-1), which sum to 3 * 2^-(b+i) / 8."""
+    return Fraction(3, 8 << (b + i)) if reverse else Fraction(1, 5 << (b + 4 * i))
 
-    Materialized stages contribute 3 * 2^(-m_k) exactly; stages past the
-    materialized count contribute at most (1/5) * 2^(-m_count) since any
-    valid continuation has m_k >= m_count + 4(k - count).
-    """
-    return _tail_bound(s, False, i)
+
+def stages_needed(b: int, tau: Fraction, reverse: bool) -> tuple[int, Fraction]:
+    """Least i whose tail bound past stage i, for m_k = b + 4k, is < tau,
+    with that bound."""
+    i = 0
+    while (bound := _tail_bound(b, i, reverse)) >= tau:
+        i += 1
+    return i, bound
+
+
+def _schedule_tail_bound(s: Schedule, i: int, reverse: bool) -> Fraction:
+    if s.is_identity:
+        return ZERO
+    _require_stage_range(s, i)
+    return _tail_bound(s.base, i, reverse)
+
+
+def forward_tail_bound(s: Schedule, i: int) -> Fraction:
+    """Bound on d(limit, stage-i partial): the displacements 3 * 2^-m_k of
+    the stages past i, summed in closed form as 2^-(b+4i) / 5 with
+    b = s.base.  Exact for every built schedule, the stages past the
+    materialized count included, since they continue m_k = b + 4k; an upper
+    bound for any schedule whose m's are increasing multiples of 4 from
+    m_1."""
+    return _schedule_tail_bound(s, i, False)
 
 
 def reverse_tail_bound(s: Schedule, i: int) -> Fraction:
     """Like forward_tail_bound for the inverse composition, whose stage-k
-    term is inflated by the accumulated Lipschitz factor 8^(k-1)."""
-    return _tail_bound(s, True, i)
-
-
-def _tail_sums(s: Schedule, reverse: bool) -> tuple[list[int], int]:
-    """Numerators of the forward (or reverse) tail bounds for i = 0..count
-    over one denominator, as integer suffix sums from the beyond-count term.
-    Forward: 3 * 2^-m_k per stage and (1/5) * 2^-m_last beyond, over
-    5 * 2^m_last.  Reverse: 8^(k-1) * 3 * 2^-m_k = 3 * 2^(3k-3-m_k) per stage
-    and sum_{k>c} 8^(k-1) * 3 * 2^-(m_last + 4(k-c)) = 3 * 2^(3c-3-m_last)
-    beyond, over 2^E, E the largest negated exponent (at least 0)."""
-    if s.is_identity:
-        return [0] * (s.count + 1), 1
-    m_last = s.stages[-1][1] if s.stages else 0
-    if reverse:
-        exps = [3 * k - 3 - m for k, (_, m) in enumerate(s.stages, 1)] + [3 * s.count - 3 - m_last]
-        e = max(0, *(-x for x in exps))
-        *terms, total = (3 << (x + e) for x in exps)
-        den = 1 << e
-    else:
-        terms, total, den = [15 << (m_last - m) for _, m in s.stages], 1, 5 << m_last
-    return list(accumulate(reversed(terms), initial=total))[::-1], den
-
-
-def _tail_bound(s: Schedule, reverse: bool, i: int) -> Fraction:
-    if s.is_identity:
-        return ZERO
-    _require_stage_range(s, i)
-    sums, den = _tail_sums(s, reverse)
-    return Fraction(sums[i], den)
-
-
-def canonical_forward_bound(m1: int, i: int) -> Fraction:
-    """forward_tail_bound for the full canonical continuation with first
-    sacrificed index m1 (m_k = m1 + 4(k-1)): (16/5) * 2^-(m1 + 4i)."""
-    return Fraction(16, 5) / 2 ** (m1 + 4 * i)
-
-
-def canonical_reverse_bound(m1: int, i: int) -> Fraction:
-    """reverse_tail_bound for the full canonical continuation:
-    6 * 2^-(m1 + i)."""
-    return Fraction(6) / 2 ** (m1 + i)
+    term is inflated by the accumulated Lipschitz factor 8^(k-1): the tail
+    sums to 3 * 2^-(b+i) / 8."""
+    return _schedule_tail_bound(s, i, True)
 
 
 @dataclass(frozen=True)
@@ -292,14 +263,13 @@ def _least_stage(s: Schedule, tau: Fraction, reverse: bool) -> tuple[int, Fracti
     """Least i whose forward (or reverse) tail bound is < tau, with that bound."""
     if tau <= 0:
         raise OutOfRange(f"tolerance must be positive, got {tau}")
-    sums, den = _tail_sums(s, reverse)
-    limit = tau.numerator * den  # num / den < tau, cross-multiplied
-    for i, num in enumerate(sums):
-        if num * tau.denominator < limit:
-            return i, Fraction(num, den)
-    raise HorizonExceeded(
-        f"tolerance {tau} needs more than the {s.count} materialized stages"
-    )
+    if s.is_identity:
+        return 0, ZERO
+    if _tail_bound(s.base, s.count, reverse) >= tau:
+        raise HorizonExceeded(
+            f"tolerance {tau} needs more than the {s.count} materialized stages"
+        )
+    return stages_needed(s.base, tau, reverse)
 
 
 def h_eval(s: Schedule, x: PointRep, tau: Rational) -> CertifiedPoint:
@@ -329,14 +299,10 @@ def finalization_stages(s: Schedule, upto: int) -> dict[int, int]:
         if n <= upto:
             stages.setdefault(n, k)
     stream = boundary_index_sequence(s.source_profile)
-    sacrificed = set(s.m_seq())
-    # past the last materialized m, every multiple of 4 is yet to be sacrificed
-    m_last = s.stages[-1][1] if s.stages else 0
     for j in range(1, upto + 1):
-        touched = stream.contains(j) or j in sacrificed
-        if not touched and not s.is_identity:
-            touched = j % 4 == 0 and j > m_last
-        if not touched:
+        # the sacrificed m's, materialized or not, are the multiples of 4 above b
+        sacrificed = not s.is_identity and j % 4 == 0 and j > s.base
+        if not (stream.contains(j) or sacrificed):
             stages.setdefault(j, 0)
     return stages
 

@@ -2,9 +2,9 @@
 
 interior_oracle.py holds the Fraction interior move; walk_oracle.py sums
 every tail bound from scratch.  The integer interior move, its slopes and
-its Lipschitz bound, the integer tail sums and the PointRep check must give
-exactly the same Fractions, and raise the same error type with the same
-message: on seeded moves with denominators up to 2^600, at t = -1, 1, the
+its Lipschitz bound, the closed-form tail bounds and the PointRep check
+must give exactly the same Fractions, and raise the same error type with
+the same message: on seeded moves with denominators up to 2^600, at t = -1, 1, the
 knee itself and out of range, and on schedules as long as a plan file may
 hold.  A counter also pins that a plan builds its move's knee table and
 Lipschitz bound once, however often it is evaluated.
@@ -36,7 +36,7 @@ from hilbertcube import (
 )
 from hilbertcube import interior
 from hilbertcube.homogeneity import stage_count_limit
-from hilbertcube.limits import _least_stage, _tail_sums, build_schedule
+from hilbertcube.limits import _least_stage, build_schedule, forward_tail_bound, reverse_tail_bound
 
 F = Fraction
 
@@ -112,36 +112,37 @@ def _schedules():
     yield build_schedule(make_point([], 0), 5)  # the identity
 
 
-def test_tail_sums_match_summed_formulas_up_to_the_stage_limit():
+def _bounds(s, reverse):
+    """Tail bounds past stages 0..count."""
+    bound = reverse_tail_bound if reverse else forward_tail_bound
+    return [bound(s, i) for i in range(s.count + 1)]
+
+
+def test_closed_form_tail_bounds_match_summed_formulas_up_to_the_stage_limit():
     for s in _schedules():
-        m_last = s.stages[-1][1] if s.stages else 0
         for reverse, oracle_sum in ((False, forward_tail_sum), (True, reverse_tail_sum)):
-            sums, den = _tail_sums(s, reverse)
-            assert len(sums) == s.count + 1
-            if s.is_identity:
-                assert (set(sums), den) == ({0}, 1)
-            elif reverse:
-                assert den & (den - 1) == 0  # a power of two
-            else:
-                assert den == 5 << m_last
+            bounds = _bounds(s, reverse)
             for i in sorted({0, 1, s.count // 2, s.count - 1, s.count} & set(range(s.count + 1))):
-                assert F(sums[i], den) == oracle_sum(s, i)
-            # suffix sums strictly decrease, so the search may stop at the first hit
-            assert s.is_identity or all(a > b for a, b in zip(sums, sums[1:]))
+                assert bounds[i] == oracle_sum(s, i)
+            # each step drops by exactly its stage's term, so every i matches
+            # the summed formula; the bounds strictly decrease, so the search
+            # may stop at the first hit
+            for k, (_, m) in enumerate(s.stages, 1):
+                assert bounds[k - 1] - bounds[k] == F(3 * 8 ** (k - 1) if reverse else 3, 2**m)
 
 
 def test_least_stage_on_long_schedules_matches_sums():
     for s in _schedules():
         for reverse in (False, True):
-            sums, den = _tail_sums(s, reverse)
+            bounds = _bounds(s, reverse)
             for i in sorted({0, 1, s.count // 2, s.count} & set(range(s.count + 1))):
-                bound = F(sums[i], den)
+                bound = bounds[i]
                 if bound:
                     # just above the bound finds stage i; at the bound, the next one
                     assert _least_stage(s, bound * F(1025, 1024), reverse)[0] <= i
                     found = outcome(_least_stage, s, bound, reverse)
                     if i < s.count:
-                        assert found == (i + 1, F(sums[i + 1], den))
+                        assert found == (i + 1, bounds[i + 1])
                     else:
                         assert found[0] is HorizonExceeded
 

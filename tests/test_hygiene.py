@@ -1,12 +1,14 @@
 """No dead names in the library: every import a module makes is used, and
 every module-level constant or private helper it defines is used by it or
-imported from it by another module of the package.  Read with ast, so
-nothing is imported or run."""
+imported from it by another module of the package.  Every function the
+benchmark tracer wraps is still defined where the tracer looks for it.
+Read with ast, so nothing is imported or run."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hilbertcube"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hilbertcube"
 
 
 def _trees():
@@ -69,3 +71,24 @@ def test_every_constant_and_private_helper_is_used():
         if name not in _used_names(tree) and (module, name) not in imported_from
     }
     assert not dead
+
+
+def _top_level_names(tree) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_every_traced_function_is_defined_by_its_module():
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in tracer.body if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets))
+    assert traced
+    trees = _trees()
+    missing = {f"{module}.{name}" for module, name in traced
+               if module not in trees or name not in _top_level_names(trees[module])}
+    assert not missing

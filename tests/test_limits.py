@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -33,14 +34,14 @@ from hilbertcube.homogeneity import stage_count_limit
 from hilbertcube.limits import (
     Schedule,
     _least_stage,
-    canonical_forward_bound,
-    canonical_reverse_bound,
     final_coordinates,
     finalization_stages,
+    first_sacrifice,
 )
 
 from conftest import rand_point
 from walk_oracle import (
+    build_schedule_pool,
     final_coordinate_rewalk,
     final_coordinates_rewalk,
     forward_tail_sum,
@@ -55,25 +56,19 @@ ONES = make_point([], 1)
 
 def test_boundary_index_sequence_const_one():
     stream = boundary_index_sequence(ONES)
-    assert stream.values_upto(5) == [1, 2, 3, 4, 5]
+    assert list(islice(stream, 5)) == [1, 2, 3, 4, 5]
     assert stream.contains(999)
+    assert list(islice(boundary_index_sequence(make_point([1, 0, -1, 0], 1)), 4)) == [1, 3, 5, 6]
 
 
 def test_boundary_index_sequence_single():
     stream = boundary_index_sequence(make_point([F(1, 2), F(1, 2), 1], 0))
-    assert stream.values_upto(100) == [3]
+    assert list(stream) == [3]
     assert not stream.contains(4)
 
 
-def test_values_upto_after():
-    assert boundary_index_sequence(ONES).values_upto(7, 3) == [4, 5, 6, 7]
-    stream = boundary_index_sequence(make_point([1, 0, -1, 0], 1))
-    assert stream.values_upto(6, 1) == [3, 5, 6]
-    assert stream.values_upto(2, 3) == []
-
-
 def test_boundary_index_sequence_interior():
-    assert boundary_index_sequence(ORIGIN).is_empty
+    assert list(boundary_index_sequence(ORIGIN)) == []
 
 
 def test_build_schedule_const_one():
@@ -145,10 +140,64 @@ def test_tail_bounds_identity_schedule():
 
 
 def test_canonical_closed_forms_match():
-    s = build_schedule(ONES, 12)
-    for i in range(6):
-        assert forward_tail_bound(s, i) == canonical_forward_bound(4, i)
-        assert reverse_tail_bound(s, i) == canonical_reverse_bound(4, i)
+    # m_k = b + 4k: the forward tail is 2^-(b+4i) / 5, the reverse 3 * 2^-(b+i) / 8
+    for p, b in ((ONES, 0), (make_point([0, 0, 0, 0, F(1, 2), 0, -1], 0), 4)):
+        s = build_schedule(p, 12)
+        assert s.base == b == first_sacrifice(p) - 4
+        for i in range(13):
+            assert forward_tail_bound(s, i) == F(1, 5 * 2 ** (b + 4 * i)) == forward_tail_sum(s, i)
+            assert reverse_tail_bound(s, i) == F(3, 8 * 2 ** (b + i)) == reverse_tail_sum(s, i)
+
+
+def test_closed_forms_bound_any_increasing_multiples_of_four():
+    # hand-built schedules: the closed form from m_1 is at least the summed
+    # formula, which reads the m's as they stand, and above it once they skip
+    profile = classify_point(ONES)
+    for stages, skips in ((((1, 4), (2, 12), (3, 16)), True), (((1, 8), (2, 12), (3, 20), (4, 40)), True),
+                          (((2, 4), (4, 8)), False)):
+        s = Schedule(stages, profile, tuple(stage_budget(k) for k in range(1, len(stages) + 1)))
+        assert schedule_budget_ok(s)
+        for i in range(s.count + 1):
+            assert forward_tail_bound(s, i) >= forward_tail_sum(s, i)
+            assert reverse_tail_bound(s, i) >= reverse_tail_sum(s, i)
+        assert (forward_tail_bound(s, 0) > forward_tail_sum(s, 0)) == skips
+        assert (reverse_tail_bound(s, 0) > reverse_tail_sum(s, 0)) == skips
+
+
+def test_empty_stage_list_reads_base_zero():
+    # a 0-stage schedule's bounds read 1/5 and 3/8 whatever the source, even
+    # where m_1 (8 for n_1 = 5) would give a larger base and smaller bounds
+    for p in (ONES, make_point([0, 0, 0, 0, 1], 0), make_point([F(1, 2)] * 9, -1)):
+        s = build_schedule(p, 0)
+        assert s.stages == () and s.base == 0
+        assert (forward_tail_bound(s, 0), reverse_tail_bound(s, 0)) == (F(1, 5), F(3, 8))
+        assert _least_stage(s, F(1, 4), False) == (0, F(1, 5))
+        with pytest.raises(HorizonExceeded, match="needs more than the 0 materialized stages"):
+            _least_stage(s, F(3, 8), True)
+
+
+def _boundary_points(rng, n):
+    points = []
+    while len(points) < n:
+        p = rand_point(rng, width=rng.randint(0, 14))
+        if rng.random() < 0.5:
+            p = p.with_coords({rng.randint(1, 14): rng.choice((F(1), F(-1))) for _ in range(rng.randint(1, 4))})
+        if classify_point(p).is_boundary:
+            points.append(p)
+    return points
+
+
+def test_merged_schedule_matches_pool_reference():
+    rng = random.Random(150)
+    points = [ONES, make_point([0, 0, 0, 0, 1], 0), make_point([1, 0, -1, 0], 1)]
+    points += _boundary_points(rng, 30)
+    for p in points:
+        for count in (0, 1, 7, 40, stage_count_limit(p)):
+            s = build_schedule(p, count)
+            assert s == build_schedule_pool(p, count)
+            m1 = first_sacrifice(p)
+            assert [m for _, m in s.stages] == [m1 + 4 * (k - 1) for k in range(1, count + 1)]
+    assert build_schedule(ORIGIN, 7) == build_schedule_pool(ORIGIN, 7)
 
 
 def test_forward_partial_const_one_stage1():
@@ -322,7 +371,7 @@ def test_tail_bounds_match_summed_formulas():
             assert reverse_tail_bound(s, i) == reverse_tail_sum(s, i)
 
 
-def test_suffix_sum_least_stage_matches_scan():
+def test_closed_form_least_stage_matches_scan():
     rng = random.Random(7)
     for s in _seeded_schedules():
         for reverse, bound_fn in ((False, forward_tail_bound), (True, reverse_tail_bound)):

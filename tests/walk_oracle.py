@@ -1,22 +1,59 @@
-"""Slow reference formulas for the schedule walk, the tail-bound search and
-the metric.
+"""Slow reference formulas for the schedule, its walk, the tail-bound
+search and the metric.
 
-Kept only to check the library's integer walk, one-walk and suffix-sum paths
-and its integer metric against: a walk applies twist_eval once per stage in
-Fractions, each coordinate's final value comes from its own walk from stage
-1, each tail bound is summed from scratch, the least stage is a linear scan
-and the metric is summed one Fraction term at a time.
+Kept only to check the library's merged schedule, integer walk, one-walk
+and closed-form paths and its integer metric against: the schedule comes
+from the construction's pool of unhandled indices, a walk applies
+twist_eval once per stage in Fractions, each coordinate's final value comes
+from its own walk from stage 1, each tail bound is summed from scratch, the
+least stage is a linear scan and the metric is summed one Fraction term at
+a time.
 """
 
+import heapq
 from fractions import Fraction
 
-from hilbertcube import HorizonExceeded, OutOfRange, twist_eval
-from hilbertcube.cube import PointRep
+from hilbertcube import BadIndices, HorizonExceeded, OutOfRange, twist_eval
+from hilbertcube.cube import PointRep, classify_point
 from hilbertcube.homogeneity import HomeoPlan
 from hilbertcube.interior import InteriorMapParams
-from hilbertcube.limits import boundary_index_sequence
+from hilbertcube.limits import Schedule, boundary_index_sequence, stage_budget
 
 ZERO = Fraction(0)
+
+
+def build_schedule_pool(p, count):
+    """First `count` stages for p by the construction's rule: n_k is the
+    least index of a pool of unhandled boundary indices and sacrificed m's
+    (boundary indices are pulled into it up to n_1, then up to m_{k-1}), and
+    m_k is the least multiple of 4 above m_{k-1} and n_k and at least 4k."""
+    if count < 0:
+        raise BadIndices(f"stage count must be >= 0, got {count}")
+    profile = classify_point(p)
+    stream = boundary_index_sequence(profile)
+    if profile.is_pseudo_interior:
+        return Schedule((), profile, ())
+    pool, in_pool, pulled_upto = [], set(), 0
+
+    def pull(bound):
+        nonlocal pulled_upto
+        for j in range(pulled_upto + 1, bound + 1):
+            if stream.contains(j) and j not in in_pool:
+                heapq.heappush(pool, j)
+                in_pool.add(j)
+        pulled_upto = max(pulled_upto, bound)
+
+    stages, m_prev = [], 0
+    for k in range(1, count + 1):
+        pull(stream.first() if k == 1 else m_prev)
+        n = heapq.heappop(pool)
+        in_pool.discard(n)
+        m = max(m_prev + 4, 4 * k, 4 * (n // 4) + 4)
+        stages.append((n, m))
+        heapq.heappush(pool, m)
+        in_pool.add(m)
+        m_prev = m
+    return Schedule(tuple(stages), profile, tuple(stage_budget(k) for k in range(1, count + 1)))
 
 
 def partial_walk(s, p, i, reverse=False):
@@ -49,7 +86,7 @@ def metric_d_sum(p, q):
 def final_coordinate_rewalk(s, p, j):
     """(stage, value) of coordinate j, re-walking stages 1..k for n_k = j;
     raises HorizonExceeded for a j touched but not yet finalized."""
-    ns, ms = tuple(n for n, _ in s.stages), s.m_seq()
+    ns, ms = tuple(n for n, _ in s.stages), tuple(m for _, m in s.stages)
     if j in ns:
         k = ns.index(j) + 1
         return k, partial_walk(s, p, k).coord(j)
