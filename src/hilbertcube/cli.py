@@ -47,7 +47,7 @@ def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}") from e
 
 
@@ -120,6 +120,8 @@ _DEMO_STAGES = 64
 
 
 def _cmd_demo(args) -> int:
+    if args.n < 0:
+        raise BadIndices(f"--n: stage count must be >= 0, got {args.n}")
     if args.n > _DEMO_STAGES:
         raise BadIndices(f"--n: {args.n} exceeds the limit of {_DEMO_STAGES} stages")
     t = parse_rational(args.t, "--t")

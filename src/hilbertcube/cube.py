@@ -12,10 +12,11 @@ remainder is a geometric series with value |tail_p - tail_q| * 2^(-N).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BadIndices, EmptySampleSet, OutOfRange
 
@@ -145,11 +146,26 @@ class BoundaryProfile:
     explicit_indices: prefix positions j with |p_j| = 1.
     tail_is_boundary: whether the constant tail is +-1 (then every index from
     tail_start on is a boundary coordinate).
+    Iterating yields the boundary indices in increasing order, endlessly for
+    a +-1 tail.
     """
 
     explicit_indices: tuple[int, ...]
     tail_is_boundary: bool
     tail_start: int
+
+    def __iter__(self) -> Iterator[int]:
+        yield from self.explicit_indices
+        if self.tail_is_boundary:
+            yield from itertools.count(self.tail_start)
+
+    def first(self) -> int:
+        for j in self:
+            return j
+        raise BadIndices("a pseudo-interior point has no boundary index")
+
+    def contains(self, j: int) -> bool:
+        return j in self.explicit_indices or (self.tail_is_boundary and j >= self.tail_start)
 
     @property
     def is_pseudo_interior(self) -> bool:

@@ -32,6 +32,7 @@ from .interior import (
     lipschitz_bound,
 )
 from .limits import (
+    STAGE_LIPSCHITZ,
     CertifiedPoint,
     Schedule,
     _least_stage,
@@ -45,7 +46,6 @@ from .limits import (
 )
 
 ZERO = Fraction(0)
-EIGHT = Fraction(8)
 
 DEFAULT_HORIZON = 256
 STAGE_PAD = 12  # stages a plan materializes past the ones it is sized for
@@ -64,13 +64,23 @@ class HomeoPlan:
 
     source_schedule escapes the source point (present iff the source meets
     the boundary); target_schedule escapes the target.  move holds the
-    interior-map anchors.
+    interior-map anchors.  The case follows from which schedules are present.
     """
 
-    case: PlanCase
     move: InteriorMapParams
     source_schedule: Schedule | None
     target_schedule: Schedule | None
+
+    @property
+    def case(self) -> PlanCase:
+        src, tgt = self.source_schedule is not None, self.target_schedule is not None
+        if src and tgt:
+            return PlanCase.BOUNDARY_BOUNDARY
+        if src:
+            return PlanCase.BOUNDARY_INTERIOR
+        if tgt:
+            return PlanCase.INTERIOR_BOUNDARY
+        return PlanCase.INTERIOR_INTERIOR
 
 
 @dataclass(frozen=True)
@@ -80,16 +90,6 @@ class EvalInfo:
 
     point: CertifiedPoint
     lipschitz: Fraction
-
-
-def _case_of(p_boundary: bool, q_boundary: bool) -> PlanCase:
-    if p_boundary and q_boundary:
-        return PlanCase.BOUNDARY_BOUNDARY
-    if p_boundary:
-        return PlanCase.BOUNDARY_INTERIOR
-    if q_boundary:
-        return PlanCase.INTERIOR_BOUNDARY
-    return PlanCase.INTERIOR_INTERIOR
 
 
 def _escape_budget(tau: Fraction, both_escapes: bool) -> Fraction:
@@ -121,9 +121,8 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
     if tau <= 0:
         raise OutOfRange(f"tolerance must be positive, got {tau}")
     p_prof, q_prof = classify_point(p), classify_point(q)
-    case = _case_of(p_prof.is_boundary, q_prof.is_boundary)
-    if case == PlanCase.INTERIOR_INTERIOR:
-        return HomeoPlan(case, InteriorMapParams(p, q), None, None)
+    if p_prof.is_pseudo_interior and q_prof.is_pseudo_interior:
+        return HomeoPlan(InteriorMapParams(p, q), None, None)
 
     # stages the verifying evaluation (at tau/2) will unwind on the target side
     if q_prof.is_boundary:
@@ -132,11 +131,13 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
     else:
         i_star = 0
 
-    # anchor cutoff: the design residual 2^(1-N) must survive inflation
-    # by 8^i_star and still fit in a quarter of the tolerance
-    resid_target = (tau / 4) / EIGHT**i_star
-    n_cut = 1
-    while Fraction(2, 2**n_cut) > resid_target:
+    # anchor cutoff: the least N >= 1 whose design residual 2^(1-N) survives
+    # inflation by L^i_star and still fits in a quarter of the tolerance.
+    # For that share a/c, 2c <= a * 2^N first holds at bits(2c) - bits(a) or one more
+    resid = (tau / 4) / STAGE_LIPSCHITZ**i_star
+    a, c2 = resid.numerator, 2 * resid.denominator
+    n_cut = max(1, c2.bit_length() - a.bit_length())
+    if a << n_cut < c2:
         n_cut += 1
 
     sched_p = build_schedule(p, n_cut + 1) if p_prof.is_boundary else None
@@ -167,20 +168,18 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
     i_inv = 0  # stages the inverse unwinds on the source side
     if sched_p is not None:
         i_inv = stages_needed(sched_p.base, tau / 8, True)[0]
-        need_fwd = stages_needed(sched_p.base, (tau / 8) / (EIGHT**i_star * lip_f), False)[0]
+        need_fwd = stages_needed(sched_p.base, (tau / 8) / (STAGE_LIPSCHITZ**i_star * lip_f), False)[0]
         sched_p = build_schedule(p, max(n_cut + 1, need_fwd, i_inv) + STAGE_PAD)
     if sched_q is not None:
-        need_fwd = stages_needed(b_q, (tau / 8) / (EIGHT**i_inv * lip_inv), False)[0]
+        need_fwd = stages_needed(b_q, (tau / 8) / (STAGE_LIPSCHITZ**i_inv * lip_inv), False)[0]
         sched_q = build_schedule(q, max(n_cut + 1, need_fwd, i_star) + STAGE_PAD)
 
-    return HomeoPlan(case, move, sched_p, sched_q)
+    return HomeoPlan(move, sched_p, sched_q)
 
 
 def _inverse_plan(plan: HomeoPlan) -> HomeoPlan:
     """H^-1 as a plan: the inverse move between the swapped escapes."""
-    src, tgt = plan.target_schedule, plan.source_schedule
-    case = _case_of(src is not None, tgt is not None)
-    return HomeoPlan(case, interior_map_inverse(plan.move), src, tgt)
+    return HomeoPlan(interior_map_inverse(plan.move), plan.target_schedule, plan.source_schedule)
 
 
 def plan_eval_info(plan: HomeoPlan, x: PointRep, tau: Rational) -> EvalInfo:
@@ -199,13 +198,13 @@ def plan_eval_info(plan: HomeoPlan, x: PointRep, tau: Rational) -> EvalInfo:
     src, tgt = plan.source_schedule, plan.target_schedule
     budget = _escape_budget(tau, src is not None and tgt is not None)
     i, r_rev = (0, ZERO) if tgt is None else _least_stage(tgt, budget, True)
-    outer = EIGHT**i * lipschitz_bound(plan.move)  # Lipschitz factor of move + target leg
+    outer = STAGE_LIPSCHITZ**i * lipschitz_bound(plan.move)  # Lipschitz factor of move + target leg
     z = CertifiedPoint(x, ZERO, 0) if src is None else h_eval(src, x, budget / outer)
     w = interior_map_eval(plan.move, z.value)
     value = w if tgt is None else reverse_partial_eval(tgt, w, i)
     return EvalInfo(
         CertifiedPoint(value, outer * z.radius + r_rev, i + z.stages_used),
-        outer * EIGHT**z.stages_used,
+        outer * STAGE_LIPSCHITZ**z.stages_used,
     )
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,39 +27,13 @@ from .twists import CellMap, MapKind, Variant, _Kernel, _square_lift, twist_cell
 
 ZERO = Fraction(0)
 
-
-@dataclass(frozen=True)
-class BoundaryIndexStream:
-    """Ordered description of the indices where a point meets the boundary:
-    an explicit head plus, when the tail is +-1, every index from tail_start
-    on (an arithmetic stream with step 1)."""
-
-    head: tuple[int, ...]
-    tail_start: int | None
-
-    def __iter__(self) -> Iterator[int]:
-        yield from self.head
-        if self.tail_start is not None:
-            yield from itertools.count(self.tail_start)
-
-    def first(self) -> int:
-        if self.head:
-            return self.head[0]
-        if self.tail_start is None:
-            raise BadIndices("empty index stream has no first element")
-        return self.tail_start
-
-    def contains(self, j: int) -> bool:
-        return j in self.head or (self.tail_start is not None and j >= self.tail_start)
+# Lipschitz factor charged to one cubed twist stage: 2 per application
+STAGE_LIPSCHITZ = 8
 
 
-def boundary_index_sequence(p: PointRep | BoundaryProfile) -> BoundaryIndexStream:
-    """Boundary indices of a point, or of its already classified profile."""
-    profile = p if isinstance(p, BoundaryProfile) else classify_point(p)
-    return BoundaryIndexStream(
-        head=profile.explicit_indices,
-        tail_start=profile.tail_start if profile.tail_is_boundary else None,
-    )
+def boundary_index_sequence(p: PointRep | BoundaryProfile) -> BoundaryProfile:
+    """Boundary indices of a point, in increasing order: its profile."""
+    return p if isinstance(p, BoundaryProfile) else classify_point(p)
 
 
 def first_sacrifice(p: PointRep | BoundaryProfile) -> int:
@@ -81,14 +54,13 @@ class Schedule:
     stages[k-1] = (n_k, m_k).  The underlying schedule is infinite whenever
     the source meets the boundary at all (every m_k re-enters the pool); it is
     empty only for a pseudo-interior source, in which case the limit map is
-    the identity and all tail bounds vanish.  The stage kernels are built
-    once, on first use; not being fields, they stay out of equality, hashing
-    and repr.
+    the identity and all tail bounds vanish.  Stage k's budget is
+    stage_budget(k).  The stage kernels are built once, on first use; not
+    being fields, they stay out of equality, hashing and repr.
     """
 
     stages: tuple[tuple[int, int], ...]
     source_profile: BoundaryProfile
-    budget: tuple[Fraction, ...]
 
     @property
     def count(self) -> int:
@@ -134,12 +106,11 @@ def build_schedule(p: PointRep, count: int) -> Schedule:
         raise BadIndices(f"stage count must be >= 0, got {count}")
     profile = classify_point(p)
     if profile.is_pseudo_interior:
-        return Schedule((), profile, ())
+        return Schedule((), profile)
     m1 = first_sacrifice(profile)
     ms = range(m1, m1 + 4 * count, 4)
-    merged = (n for n, _ in itertools.groupby(heapq.merge(boundary_index_sequence(profile), ms)))
-    stages = tuple(zip(itertools.islice(merged, count), ms))
-    return Schedule(stages, profile, tuple(stage_budget(k) for k in range(1, count + 1)))
+    merged = (n for n, _ in itertools.groupby(heapq.merge(profile, ms)))
+    return Schedule(tuple(zip(itertools.islice(merged, count), ms)), profile)
 
 
 def schedule_budget_ok(s: Schedule) -> bool:
@@ -148,16 +119,10 @@ def schedule_budget_ok(s: Schedule) -> bool:
     Stage k must satisfy the paper's m_k >= log2(3 / eps_{k-1}) + 3(k-1) + 1
     with eps_{k-1} = stage_budget(k-1) = 3 * 2^-(k+2): the log is k + 2, so
     the inequality is m_k >= 4k.  Also checks: n and m strictly increasing,
-    m_k > n_k, every m_k a multiple of 4, and the stored budget being the
-    canonical one.
+    m_k > n_k and every m_k a multiple of 4.
     """
-    if len(s.budget) != s.count:
-        return False
     prev_n, prev_m = 0, 0
-    for k in range(1, s.count + 1):
-        n, m = s.stages[k - 1]
-        if s.budget[k - 1] != stage_budget(k):
-            return False
+    for k, (n, m) in enumerate(s.stages, 1):
         if n <= prev_n or m <= prev_m or m <= n or m % 4 or m < 4 * k:
             return False
         prev_n, prev_m = n, m
@@ -175,17 +140,24 @@ def _tail_bound(b: int, i: int, reverse: bool) -> Fraction:
     """Tail bound past stage i of the schedule m_k = b + 4k.  Forward: the
     sum over k > i of the stage displacements 3 * 2^-m_k, which is
     2^-(b+4i) / 5.  Reverse: the same terms inflated by the accumulated
-    Lipschitz factor 8^(k-1), which sum to 3 * 2^-(b+i) / 8."""
-    return Fraction(3, 8 << (b + i)) if reverse else Fraction(1, 5 << (b + 4 * i))
+    Lipschitz factor L^(k-1), L = STAGE_LIPSCHITZ, which sum to
+    3 * L^i / ((16 - L) * 2^(b+4i)): 3 * 2^-(b+i) / 8 at L = 8."""
+    if reverse:
+        return Fraction(3 * STAGE_LIPSCHITZ**i, (16 - STAGE_LIPSCHITZ) << (b + 4 * i))
+    return Fraction(1, 5 << (b + 4 * i))
 
 
 def stages_needed(b: int, tau: Fraction, reverse: bool) -> tuple[int, Fraction]:
     """Least i whose tail bound past stage i, for m_k = b + 4k, is < tau,
-    with that bound."""
-    i = 0
-    while (bound := _tail_bound(b, i, reverse)) >= tau:
-        i += 1
-    return i, bound
+    with that bound.  The bound falls as i grows, so the search doubles i
+    and then bisects: O(log i) bounds, each of O(i) bits, not i of them."""
+    lo, hi = -1, 0  # lo = -1 or bound(lo) >= tau; bound(hi) < tau once the doubling stops
+    while _tail_bound(b, hi, reverse) >= tau:
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _tail_bound(b, mid, reverse) >= tau else (lo, mid)
+    return hi, _tail_bound(b, hi, reverse)
 
 
 def _schedule_tail_bound(s: Schedule, i: int, reverse: bool) -> Fraction:
@@ -207,8 +179,8 @@ def forward_tail_bound(s: Schedule, i: int) -> Fraction:
 
 def reverse_tail_bound(s: Schedule, i: int) -> Fraction:
     """Like forward_tail_bound for the inverse composition, whose stage-k
-    term is inflated by the accumulated Lipschitz factor 8^(k-1): the tail
-    sums to 3 * 2^-(b+i) / 8."""
+    term is inflated by the accumulated Lipschitz factor L^(k-1), with
+    L = STAGE_LIPSCHITZ: the tail sums to 3 * L^i / ((16 - L) * 2^(b+4i))."""
     return _schedule_tail_bound(s, i, True)
 
 
@@ -298,11 +270,10 @@ def finalization_stages(s: Schedule, upto: int) -> dict[int, int]:
     for k, (n, _) in enumerate(s.stages, 1):
         if n <= upto:
             stages.setdefault(n, k)
-    stream = boundary_index_sequence(s.source_profile)
     for j in range(1, upto + 1):
         # the sacrificed m's, materialized or not, are the multiples of 4 above b
         sacrificed = not s.is_identity and j % 4 == 0 and j > s.base
-        if not (stream.contains(j) or sacrificed):
+        if not (s.source_profile.contains(j) or sacrificed):
             stages.setdefault(j, 0)
     return stages
 

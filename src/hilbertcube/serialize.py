@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .cube import PointRep, make_point
 from .errors import ParseError
-from .homogeneity import HomeoPlan, PlanCase, _case_of, stage_count_limit
+from .homogeneity import HomeoPlan, PlanCase, stage_count_limit
 from .interior import InteriorMapParams
 from .limits import CertifiedPoint, Schedule, build_schedule
 
@@ -66,6 +66,8 @@ def _load_json(text: str, what: str):
         raise ParseError(f"{what}: invalid JSON at position {e.pos}: {e.msg}") from e
     except ValueError:  # an integer literal with more digits than Python converts
         raise ParseError(f"{what}: integer literal has too many digits") from None
+    except RecursionError:
+        raise ParseError(f"{what}: JSON nested too deeply") from None
 
 
 def parse_point_spec(text: str) -> PointRep:
@@ -152,9 +154,10 @@ def plan_from_obj(obj) -> HomeoPlan:
     tgt_obj = obj.get("target_schedule")
     sched_src = None if src_obj is None else schedule_from_obj(src_obj, "plan.source_schedule")[0]
     sched_tgt = None if tgt_obj is None else schedule_from_obj(tgt_obj, "plan.target_schedule")[0]
-    if _case_of(sched_src is not None, sched_tgt is not None) != case:
+    plan = HomeoPlan(move, sched_src, sched_tgt)
+    if plan.case != case:
         raise ParseError(f"plan: schedules present do not match case {case.value!r}")
-    return HomeoPlan(case, move, sched_src, sched_tgt)
+    return plan
 
 
 def parse_plan(text: str) -> HomeoPlan:

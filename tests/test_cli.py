@@ -97,11 +97,16 @@ def test_solve_boundary_case_verifies(capsys, points):
 
 def test_exit_2_on_malformed_point(capsys, points, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("not json at all")
-    code, _, err = run(capsys, "solve", "--p", str(bad), "--q", points["int_b"],
-                       "--tau", "1/4")
-    assert code == 2
-    assert err.startswith("error:")
+    for content in (
+        b"not json at all",
+        b"\xff\xfe{}",  # not UTF-8
+        b"[" * 100000 + b"]" * 100000,  # nested past the recursion limit
+    ):
+        bad.write_bytes(content)
+        code, _, err = run(capsys, "solve", "--p", str(bad), "--q", points["int_b"],
+                           "--tau", "1/4")
+        assert code == 2
+        assert err.startswith("error:")
 
 
 def test_exit_2_on_decimal_tolerance(capsys, points):
@@ -138,6 +143,8 @@ def test_exit_3_on_horizon(capsys, points):
                          "--grid", "1/16"], "diagnostics need m <= 64, got m=65"),
     (homogeneity, "classify_point", ["solve", "--horizon", "0"], "horizon must be in 1..256, got 0"),
     (homogeneity, "classify_point", ["solve", "--horizon", "257"], "horizon must be in 1..256, got 257"),
+    (cli, "_first_attempt_stage", ["demo-first-attempt", "--t", "1/2", "--n", "-3"],
+     "--n: stage count must be >= 0, got -3"),
 ])
 def test_size_past_its_bound_exits_2_before_work(capsys, monkeypatch, points, tmp_path,
                                                  module, work, argv, message):

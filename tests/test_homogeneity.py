@@ -1,8 +1,10 @@
 """Plan construction and certified evaluation for all four endpoint cases."""
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
+from itertools import count
 
 import pytest
 
@@ -25,7 +27,7 @@ from hilbertcube import (
 )
 from hilbertcube import homogeneity, limits
 from hilbertcube.homogeneity import _inverse_plan, stage_count_limit
-from hilbertcube.limits import build_schedule, final_coordinates
+from hilbertcube.limits import build_schedule, final_coordinates, first_sacrifice
 
 from conftest import rand_point
 from plan_oracle import plan_eval_info_cases, plan_inverse_eval_info_cases
@@ -213,6 +215,45 @@ def test_refusal_evaluates_no_twist(monkeypatch):
     with pytest.raises(HorizonExceeded):
         solve(BND_A, BND_B, F(1, 2**64))
     assert calls == []
+
+
+def test_tiny_tolerance_refused_in_bounded_time(monkeypatch):
+    # sizing and the anchor cutoff read bit lengths and closed forms, and a
+    # schedule stores no per-stage budget, so a 14,000-bit tolerance is
+    # refused from the stage lists at once
+    calls = _counting_stage_applications(monkeypatch)
+    tau = F(1, 2**14000)
+    start = time.perf_counter()
+    with pytest.raises(HorizonExceeded) as exc:
+        solve(ORIGIN, ONES, tau)
+    assert time.perf_counter() - start < 2
+    assert calls == []
+    assert str(exc.value) == ("coordinate 257 finalizes at stage 257, beyond horizon 256;"
+                              f" tolerance {tau} needs horizon 56006")
+
+
+class _Cutoff(Exception):
+    pass
+
+
+def test_anchor_cutoff_is_the_least_n_that_fits(monkeypatch):
+    # n_cut is the least N >= 1 with 2^(1-N) <= (tau/4) / 8^i_star, i_star the
+    # target stages verification unwinds at its escape budget tau/8 (0 for an
+    # interior target); solve first builds the source schedule with n_cut + 1
+    # stages
+    def first_count(p, n):
+        raise _Cutoff(n)
+
+    monkeypatch.setattr(homogeneity, "build_schedule", first_count)
+    b_q = first_sacrifice(BND_B) - 4
+    for tau in [F(k, 3**j * 2**e) for k in (1, 5, 7) for j in (0, 1, 2) for e in (0, 3, 17, 40)]:
+        for q, i_star in ((INT_B, 0), (BND_B, next(i for i in count() if F(3, 8 << (b_q + i)) < tau / 8))):
+            n_cut = 1
+            while F(2, 2**n_cut) > (tau / 4) / 8**i_star:
+                n_cut += 1
+            with pytest.raises(_Cutoff) as exc:
+                solve(BND_A, q, tau)
+            assert exc.value.args[0] == n_cut + 1, (q, tau)
 
 
 TAU64 = "tolerance 1/18446744073709551616"

@@ -1,10 +1,13 @@
 """No dead names in the library: every import a module makes is used, and
 every module-level constant or private helper it defines is used by it or
-imported from it by another module of the package.  Every function the
-benchmark tracer wraps is still defined where the tracer looks for it.
-Read with ast, so nothing is imported or run."""
+imported from it by another module of the package.  Every public function
+or class is used in the package, exported by it, traced by the benchmark or
+installed as a console script.  Every function the benchmark tracer wraps
+is still defined where the tracer looks for it.  Read with ast, so nothing
+is imported or run."""
 
 import ast
+import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,10 +86,29 @@ def _top_level_names(tree) -> set[str]:
     return names
 
 
-def test_every_traced_function_is_defined_by_its_module():
+def _traced() -> dict[tuple[str, str], str]:
     tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
-    traced = next(ast.literal_eval(node.value) for node in tracer.body if isinstance(node, ast.Assign)
-                  and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets))
+    return next(ast.literal_eval(node.value) for node in tracer.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets))
+
+
+def test_every_public_function_and_class_is_used():
+    trees = _trees()
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    used = {(src, name) for tree in trees.values() for _, src, name in _imports(tree)}
+    used |= set(_traced()) | {tuple(entry.removeprefix("hilbertcube.").split(":")) for entry in scripts.values()}
+    dead = {
+        f"{module}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and (module, node.name) not in used and node.name not in _used_names(tree)
+    }
+    assert not dead
+
+
+def test_every_traced_function_is_defined_by_its_module():
+    traced = _traced()
     assert traced
     trees = _trees()
     missing = {f"{module}.{name}" for module, name in traced

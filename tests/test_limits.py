@@ -9,6 +9,7 @@ import pytest
 
 from hilbertcube import (
     ORIGIN,
+    BadIndices,
     CubeError,
     HorizonExceeded,
     InteriorMapParams,
@@ -69,6 +70,8 @@ def test_boundary_index_sequence_single():
 
 def test_boundary_index_sequence_interior():
     assert list(boundary_index_sequence(ORIGIN)) == []
+    with pytest.raises(BadIndices):
+        classify_point(ORIGIN).first()
 
 
 def test_build_schedule_const_one():
@@ -106,9 +109,9 @@ def test_budget_inequality_is_tight():
 
 def test_schedule_budget_rejects_bad_m():
     good = build_schedule(ONES, 3)
-    bad = Schedule(((1, 4), (2, 4), (3, 12)), good.source_profile, good.budget)
+    bad = Schedule(((1, 4), (2, 4), (3, 12)), good.source_profile)
     assert not schedule_budget_ok(bad)
-    slack = Schedule(((1, 8), (2, 12), (3, 16)), good.source_profile, good.budget)
+    slack = Schedule(((1, 8), (2, 12), (3, 16)), good.source_profile)
     assert schedule_budget_ok(slack)
 
 
@@ -155,7 +158,7 @@ def test_closed_forms_bound_any_increasing_multiples_of_four():
     profile = classify_point(ONES)
     for stages, skips in ((((1, 4), (2, 12), (3, 16)), True), (((1, 8), (2, 12), (3, 20), (4, 40)), True),
                           (((2, 4), (4, 8)), False)):
-        s = Schedule(stages, profile, tuple(stage_budget(k) for k in range(1, len(stages) + 1)))
+        s = Schedule(stages, profile)
         assert schedule_budget_ok(s)
         for i in range(s.count + 1):
             assert forward_tail_bound(s, i) >= forward_tail_sum(s, i)

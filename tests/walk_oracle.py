@@ -17,7 +17,7 @@ from hilbertcube import BadIndices, HorizonExceeded, OutOfRange, twist_eval
 from hilbertcube.cube import PointRep, classify_point
 from hilbertcube.homogeneity import HomeoPlan
 from hilbertcube.interior import InteriorMapParams
-from hilbertcube.limits import Schedule, boundary_index_sequence, stage_budget
+from hilbertcube.limits import Schedule, boundary_index_sequence
 
 ZERO = Fraction(0)
 
@@ -32,7 +32,7 @@ def build_schedule_pool(p, count):
     profile = classify_point(p)
     stream = boundary_index_sequence(profile)
     if profile.is_pseudo_interior:
-        return Schedule((), profile, ())
+        return Schedule((), profile)
     pool, in_pool, pulled_upto = [], set(), 0
 
     def pull(bound):
@@ -53,7 +53,7 @@ def build_schedule_pool(p, count):
         heapq.heappush(pool, m)
         in_pool.add(m)
         m_prev = m
-    return Schedule(tuple(stages), profile, tuple(stage_budget(k) for k in range(1, count + 1)))
+    return Schedule(tuple(stages), profile)
 
 
 def partial_walk(s, p, i, reverse=False):
@@ -125,7 +125,7 @@ def plan_from_anchors(plan, p, q, source_final, target_final):
         src.append(s_j)
         tgt.append(t_j)
     move = InteriorMapParams(PointRep(tuple(src), ZERO), PointRep(tuple(tgt), ZERO))
-    return HomeoPlan(plan.case, move, plan.source_schedule, plan.target_schedule)
+    return HomeoPlan(move, plan.source_schedule, plan.target_schedule)
 
 
 def forward_tail_sum(s, i):
