@@ -263,6 +263,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value such as -1/2 for an option, so join it to its
+    # option, as in --t=-1/2: every option here takes exactly one value
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1].startswith("--") and argv[i][:1] == "-" and argv[i][1:2].isdigit():
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _build_parser().parse_args(argv)
     handlers = {
         "solve": _cmd_solve,

@@ -23,7 +23,7 @@ from math import gcd
 
 from .cube import BoundaryProfile, PointRep, Rational, classify_point
 from .errors import BadIndices, HorizonExceeded, OutOfRange
-from .twists import CellMap, MapKind, Variant, _Kernel, _square_lift, twist_cell_apply
+from .twists import CellMap, MapKind, Variant, _square_lift, twist_cell_apply
 
 ZERO = Fraction(0)
 
@@ -55,7 +55,7 @@ class Schedule:
     the source meets the boundary at all (every m_k re-enters the pool); it is
     empty only for a pseudo-interior source, in which case the limit map is
     the identity and all tail bounds vanish.  Stage k's budget is
-    stage_budget(k).  The stage kernels are built once, on first use; not
+    stage_budget(k).  The stage maps are built once, on first use; not
     being fields, they stay out of equality, hashing and repr.
     """
 
@@ -77,17 +77,20 @@ class Schedule:
         return self.stages[0][1] - 4 if self.stages else 0
 
     def stage_map(self, k: int, reverse: bool = False) -> CellMap:
-        n, m = self.stages[k - 1]
-        kind = MapKind.TWIST_CW_CUBED if reverse else MapKind.TWIST_CCW_CUBED
-        return CellMap(kind, Variant.CORRECTED, n, m)
+        """Stage k's cubed twist, cw for the reverse maps; k in 1..count."""
+        if not 1 <= k <= self.count:
+            raise BadIndices(f"stage must be in 1..{self.count}, got {k}")
+        return (self._reverse_maps if reverse else self._forward_maps)[k - 1]
 
     @cached_property
-    def _forward_kernels(self) -> tuple[_Kernel, ...]:
-        return tuple(_Kernel(self.stage_map(k)) for k in range(1, self.count + 1))
+    def _forward_maps(self) -> tuple[CellMap, ...]:
+        return tuple(CellMap(MapKind.TWIST_CCW_CUBED, Variant.CORRECTED, n, m)
+                     for n, m in self.stages)
 
     @cached_property
-    def _reverse_kernels(self) -> tuple[_Kernel, ...]:
-        return tuple(_Kernel(self.stage_map(k, reverse=True)) for k in range(1, self.count + 1))
+    def _reverse_maps(self) -> tuple[CellMap, ...]:
+        return tuple(CellMap(MapKind.TWIST_CW_CUBED, Variant.CORRECTED, n, m)
+                     for n, m in self.stages)
 
 
 def build_schedule(p: PointRep, count: int) -> Schedule:
@@ -199,9 +202,9 @@ def _walk(s: Schedule, p: PointRep, upto: int, reverse: bool = False) -> dict[in
 
     Each touched coordinate is held as a reduced pair (num, den): a stage
     lifts its two pairs over the lcm of their denominators, applies its
-    kernel in integers and reduces each output by one gcd.  A Fraction is
+    map in integers and reduces each output by one gcd.  A Fraction is
     built once per touched coordinate, at the end."""
-    kernels = s._reverse_kernels if reverse else s._forward_kernels
+    maps = reversed(s._reverse_maps[:upto]) if reverse else s._forward_maps[:upto]
     cur: dict[int, tuple[int, int]] = {}
 
     def val(i: int) -> tuple[int, int]:
@@ -210,12 +213,11 @@ def _walk(s: Schedule, p: PointRep, upto: int, reverse: bool = False) -> dict[in
         c = p.coord(i)
         return c.numerator, c.denominator
 
-    for k in range(upto, 0, -1) if reverse else range(1, upto + 1):
-        n, m = s.stages[k - 1]
-        d, u, v = kernels[k - 1].image(*_square_lift(*val(n), *val(m)))
+    for cm in maps:
+        d, u, v = cm.image(*_square_lift(*val(cm.n), *val(cm.m)))
         g, h = gcd(u, d), gcd(v, d)
-        cur[n] = u // g, d // g
-        cur[m] = v // h, d // h
+        cur[cm.n] = u // g, d // g
+        cur[cm.m] = v // h, d // h
     return {i: Fraction(num, den) for i, (num, den) in cur.items()}
 
 

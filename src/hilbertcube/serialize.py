@@ -3,9 +3,10 @@
 Point specs look like {"prefix": ["1", "-1/2"], "tail": "0"}.  Rational
 strings are integer or num/den form; decimal literals are rejected so no
 reader can quietly lose exactness.  Schedule records carry the source point
-and stage count and are rebuilt deterministically on load, with the stored
-stage list cross-checked against the rebuild.  A count above the most stages
-solve materializes under the default horizon is refused before the rebuild.
+(on the boundary) and stage count and are rebuilt deterministically on load,
+with the stored stage list cross-checked against the rebuild.  A count above
+the most stages solve materializes under the default horizon is refused
+before the rebuild.
 """
 
 from __future__ import annotations
@@ -108,6 +109,8 @@ def schedule_from_obj(obj, where: str = "schedule") -> tuple[Schedule, PointRep]
     if count > limit:
         raise ParseError(f"{where}.count: {count} exceeds the limit of {limit} stages")
     s = build_schedule(source, count)
+    if s.is_identity:  # a plan holds a schedule only for a source on the boundary
+        raise ParseError(f"{where}.source: a pseudo-interior point has no schedule")
     stored = obj.get("stages")
     if stored is not None:
         rebuilt = [[n, m] for n, m in s.stages]

@@ -65,44 +65,6 @@ _SINGLE_OF = {
     MapKind.TWIST_CW_CUBED: MapKind.TWIST_CW,
 }
 
-
-@dataclass(frozen=True)
-class CellMap:
-    """A twist acting on the (n, m)-coordinate cell, m > n >= 1.
-
-    The first-attempt kind ignores the variant (it has no defective clause).
-    """
-
-    kind: MapKind
-    variant: Variant
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if not (isinstance(self.n, int) and isinstance(self.m, int)):
-            raise BadIndices("cell indices must be integers")
-        if not (1 <= self.n < self.m):
-            raise BadIndices(f"need m > n >= 1, got n={self.n}, m={self.m}")
-
-    @property
-    def is_cubed(self) -> bool:
-        return self.kind in _SINGLE_OF
-
-    def single(self) -> "CellMap":
-        """The once-applied map underlying a cubed kind (self if single)."""
-        if self.is_cubed:
-            return CellMap(_SINGLE_OF[self.kind], self.variant, self.n, self.m)
-        return self
-
-    def label(self) -> str:
-        return f"{self.kind.value} n={self.n} m={self.m} {self.variant.value}"
-
-
-def sigma(x: Rational) -> int:
-    """Sign convention used by the scaled twists: sigma(0) = +1."""
-    return 1 if x >= 0 else -1
-
-
 # --- exact integer clause kernel -------------------------------------------
 #
 # A point is held as integers (D, X, Y), x = X/D and y = Y/D with D > 0.  With
@@ -119,7 +81,8 @@ def sigma(x: Rational) -> int:
 # cw is ccw conjugated by R(x, y) = (x, -y): cw clause k at (x, y) is ccw
 # clause _CCW_OF_CW[k] at R(x, y), its value reflected by R.  That sends the
 # corrected ccw shear -b*y to cw's +b*y, and the verbatim defect along with it.
-# The unit twist has no scale: A = 1.
+# The unit twist is corrected ccw at A = 1, where C = 0: its formulas A1-A4
+# are ccw's I-IV, and the two sign branches of ccw's inversion coincide.
 
 _TAGS = {
     MapKind.FIRST_ATTEMPT: ("A1", "A2", "A3", "A4"),
@@ -129,56 +92,68 @@ _TAGS = {
 _CCW_OF_CW = (2, 1, 0, 3)
 
 
-def _lift_ints(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int, int]:
-    """(D, X, Y) with xn/xd = X/D, yn/yd = Y/D and D = lcm(xd, yd)."""
-    if xd == yd:
-        return xd, xn, yn
-    d = xd // gcd(xd, yd) * yd
-    return d, xn * (d // xd), yn * (d // yd)
+@dataclass(frozen=True)
+class CellMap:
+    """A twist acting on the (n, m)-coordinate cell, m > n >= 1.
 
+    The first-attempt kind ignores the variant (it has no defective clause).
+    A CellMap evaluates itself on integer points.  The constants of the
+    once-applied map are set at construction; not being fields, they stay
+    out of equality, hashing and repr.  The scale 2^(m-n) is kept as its
+    exponent and built only to evaluate a point: a map is built before any
+    size bound checks m, and 2^m need not fit in memory.
+    """
 
-def _lift(x: Fraction, y: Fraction) -> tuple[int, int, int]:
-    """(D, X, Y) with x = X/D, y = Y/D and D the least common denominator."""
-    return _lift_ints(x.numerator, x.denominator, y.numerator, y.denominator)
+    kind: MapKind
+    variant: Variant
+    n: int
+    m: int
 
+    def __post_init__(self):
+        if not (isinstance(self.n, int) and isinstance(self.m, int)):
+            raise BadIndices("cell indices must be integers")
+        if not (1 <= self.n < self.m):
+            raise BadIndices(f"need m > n >= 1, got n={self.n}, m={self.m}")
+        once = _SINGLE_OF.get(self.kind, self.kind)
+        unit = once == MapKind.FIRST_ATTEMPT
+        set_constant = object.__setattr__  # the way a frozen dataclass sets its fields
+        set_constant(self, "_once", once)
+        set_constant(self, "_times", 1 if once is self.kind else 3)
+        set_constant(self, "_shift", 0 if unit else self.m - self.n)
+        set_constant(self, "_corrected", unit or self.variant == Variant.CORRECTED)
+        set_constant(self, "_tags", _TAGS[once])
 
-def _square_lift(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int, int]:
-    """_lift_ints of a point of the square; any other point raises OutOfRange."""
-    d, x, y = _lift_ints(xn, xd, yn, yd)
-    if abs(x) > d or abs(y) > d:
-        raise OutOfRange(f"({Fraction(xn, xd)}, {Fraction(yn, yd)}) outside the square")
-    return d, x, y
+    @property
+    def is_cubed(self) -> bool:
+        return self.kind in _SINGLE_OF
 
+    def single(self) -> "CellMap":
+        """The once-applied map underlying a cubed kind (self if single)."""
+        return CellMap(self._once, self.variant, self.n, self.m) if self.is_cubed else self
 
-class _Kernel:
-    """The once-applied map underlying a CellMap, on integer points."""
-
-    __slots__ = ("cm", "kind", "times", "scale", "corrected", "tags")
-
-    def __init__(self, cm: CellMap):
-        self.cm = cm
-        self.kind = _SINGLE_OF.get(cm.kind, cm.kind)
-        self.times = 1 if self.kind is cm.kind else 3
-        self.scale = 1 if self.kind == MapKind.FIRST_ATTEMPT else 1 << (cm.m - cm.n)
-        self.corrected = cm.variant == Variant.CORRECTED
-        self.tags = _TAGS[self.kind]
+    def label(self) -> str:
+        return f"{self.kind.value} n={self.n} m={self.m} {self.variant.value}"
 
     def hits(self, d: int, x: int, y: int) -> list[int]:
         """Indices, in printed order, of the clauses whose condition holds."""
         return [k for k, cond in enumerate(self._conditions(d, x, y)) if cond]
 
     def _conditions(self, d: int, x: int, y: int) -> tuple[bool, bool, bool, bool]:
-        if self.kind == MapKind.TWIST_CW:
+        if self._once == MapKind.TWIST_CW:
             i, ii, iii, iv = self._ccw_conditions(d, x, -y)
             return iii, ii, i, iv
-        if self.kind == MapKind.FIRST_ATTEMPT:
+        if self._once == MapKind.FIRST_ATTEMPT:
+            # the unit twist keeps its own regions: on the axes they differ
+            # from ccw's at A = 1, which match I and IV at (0, 1/2), where
+            # these match A4 alone, and II and III at (1/2, 0), where A3 alone
             ax, ay, neg = abs(x), abs(y), x * y < 0
             return ax <= ay and neg, ax >= ay and neg, ax >= ay and not neg, ax <= ay and not neg
         return self._ccw_conditions(d, x, y)
 
     def _ccw_conditions(self, d: int, x: int, y: int) -> tuple[bool, bool, bool, bool]:
         ax, ay, xy = abs(x), abs(y), x * y
-        edge, far = (self.scale - 1) * d, self.scale * ax
+        a = 1 << self._shift
+        edge, far = (a - 1) * d, a * ax
         line = far - edge
         strip = edge <= far and ax <= d
         high = strip and line <= ay <= d
@@ -187,19 +162,13 @@ class _Kernel:
 
     def value(self, k: int, d: int, x: int, y: int) -> tuple[int, int]:
         """Numerators over scale*d of clause k's formula at (x/d, y/d)."""
-        if self.kind == MapKind.TWIST_CW:
+        if self._once == MapKind.TWIST_CW:
             u, v = self._ccw_value(_CCW_OF_CW[k], d, x, -y)
             return u, -v
-        if self.kind == MapKind.FIRST_ATTEMPT:
-            if k == 0:
-                return -y, x + y
-            if k == 1:
-                return x, x + y
-            return x - y, x if k == 2 else y
         return self._ccw_value(k, d, x, y)
 
     def _ccw_value(self, k: int, d: int, x: int, y: int) -> tuple[int, int]:
-        a = self.scale
+        a = 1 << self._shift
         ax = a * x
         w = ax - sigma(x) * (a - 1) * d
         if k == 0:
@@ -207,48 +176,47 @@ class _Kernel:
         if k == 1:
             return ax, a * (w + y)
         if k == 2:
-            return (ax - y if self.corrected else ax + y), a * w
+            return (ax - y if self._corrected else ax + y), a * w
         return ax - y, a * y
 
     def apply(self, d: int, x: int, y: int) -> tuple[int, int, int]:
-        """The first matching clause applied: (scale*d, u, v), not reduced."""
+        """The first matching clause applied once: (scale*d, u, v), not reduced."""
         for k, cond in enumerate(self._conditions(d, x, y)):
             if cond:
-                return (self.scale * d, *self.value(k, d, x, y))
+                return (d << self._shift, *self.value(k, d, x, y))
         raise Unclassifiable(
-            f"no clause matched ({Fraction(x, d)}, {Fraction(y, d)}) for {self.cm.single().label()}"
+            f"no clause matched ({Fraction(x, d)}, {Fraction(y, d)}) for {self.single().label()}"
         )
 
     def image(self, d: int, x: int, y: int) -> tuple[int, int, int]:
-        """The CellMap applied to (x/d, y/d), three times if cubed: (D, U, V),
+        """The map applied to (x/d, y/d), three times if cubed: (D, U, V),
         not reduced.  Raises RangeViolation if any application leaves the
         square (possible only for the verbatim variant)."""
-        for _ in range(self.times):
+        for _ in range(self._times):
             d, x, y = self.apply(d, x, y)
             if abs(x) > d or abs(y) > d:
                 value = _fractions(d, x, y)
-                raise RangeViolation(f"{self.cm.label()} left the square at {_fmt_pair(value)}",
+                raise RangeViolation(f"{self.label()} left the square at {_fmt_pair(value)}",
                                      value)
         return d, x, y
 
     def candidates(self, e: int, u: int, v: int) -> list[tuple[int, int]]:
-        """Every clause formula solved for its input at (u/e, v/e), all sign
-        branches, as numerators over scale*e; not yet filtered against the
-        clause conditions.
+        """Every clause formula of the once-applied map solved for its input
+        at (u/e, v/e), all sign branches, as numerators over scale*e; not yet
+        filtered against the clause conditions.
 
         Each clause is affine in (x, y) once sigma is fixed (the second output
         coordinate pins x, then the first is linear in y), so inversion is
         exact.  cw's are ccw's at R(u, v), reflected, listed in cw's order.
+        At A = 1 the two sign branches give the same candidates twice.
         """
-        if self.kind == MapKind.FIRST_ATTEMPT:
-            return [(v + u, -u), (u, v - u), (v, v - u), (u + v, v)]
-        if self.kind == MapKind.TWIST_CW:
+        if self._once == MapKind.TWIST_CW:
             return [(x, -y) for x, y in self._ccw_candidates(e, u, -v, _CCW_OF_CW[:3])]
         return self._ccw_candidates(e, u, v, (0, 1, 2))
 
     def _ccw_candidates(self, e: int, u: int, v: int, order) -> list[tuple[int, int]]:
-        a = self.scale
-        t = 1 if self.corrected else -1
+        a = 1 << self._shift
+        t = 1 if self._corrected else -1
         out = []
         for s in (1, -1):
             for k in order:
@@ -261,6 +229,27 @@ class _Kernel:
                     out.append((x, t * a * (x - a * u)))
         out.append((a * u + v, a * v))  # IV: u = x - b*y, v = y
         return out
+
+
+def sigma(x: Rational) -> int:
+    """Sign convention used by the scaled twists: sigma(0) = +1."""
+    return 1 if x >= 0 else -1
+
+
+def _lift_ints(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int, int]:
+    """(D, X, Y) with xn/xd = X/D, yn/yd = Y/D and D = lcm(xd, yd)."""
+    if xd == yd:
+        return xd, xn, yn
+    d = xd // gcd(xd, yd) * yd
+    return d, xn * (d // xd), yn * (d // yd)
+
+
+def _square_lift(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int, int]:
+    """_lift_ints of a point of the square; any other point raises OutOfRange."""
+    d, x, y = _lift_ints(xn, xd, yn, yd)
+    if abs(x) > d or abs(y) > d:
+        raise OutOfRange(f"({Fraction(xn, xd)}, {Fraction(yn, yd)}) outside the square")
+    return d, x, y
 
 
 def _fractions(d: int, x: int, y: int) -> tuple[Fraction, Fraction]:
@@ -282,8 +271,7 @@ def matching_regions(cm: CellMap, x: Rational, y: Rational) -> list[str]:
     """Every clause whose condition holds (clause boundaries give several)."""
     x, y = _exact(x), _exact(y)
     point = _square_lift(x.numerator, x.denominator, y.numerator, y.denominator)
-    ker = _Kernel(cm)
-    return [ker.tags[k] for k in ker.hits(*point)]
+    return [cm._tags[k] for k in cm.hits(*point)]
 
 
 def piece_value(cm: CellMap, tag: str, x: Rational, y: Rational) -> tuple[Fraction, Fraction]:
@@ -294,11 +282,11 @@ def piece_value(cm: CellMap, tag: str, x: Rational, y: Rational) -> tuple[Fracti
     x = +-(1-b), y != 0, where that quotient's denominator vanishes, the
     value is still returned.
     """
-    ker = _Kernel(cm)
-    if tag not in ker.tags:
+    if tag not in cm._tags:
         raise BadIndices(f"unknown clause {tag!r} for {cm.label()}")
-    d, x, y = _lift(_exact(x), _exact(y))
-    return _fractions(ker.scale * d, *ker.value(ker.tags.index(tag), d, x, y))
+    x, y = _exact(x), _exact(y)
+    d, x, y = _lift_ints(x.numerator, x.denominator, y.numerator, y.denominator)
+    return _fractions(d << cm._shift, *cm.value(cm._tags.index(tag), d, x, y))
 
 
 def twist_eval(cm: CellMap, x: Rational, y: Rational) -> tuple[Fraction, Fraction]:
@@ -309,16 +297,16 @@ def twist_eval(cm: CellMap, x: Rational, y: Rational) -> tuple[Fraction, Fractio
     """
     x, y = _exact(x), _exact(y)
     point = _square_lift(x.numerator, x.denominator, y.numerator, y.denominator)
-    return _fractions(*_Kernel(cm).image(*point))
+    return _fractions(*cm.image(*point))
 
 
 def twist_eval_unchecked(cm: CellMap, x: Rational, y: Rational) -> tuple[Fraction, Fraction]:
     """Like twist_eval but lets out-of-square values pass through, so a
     picture of the verbatim variant can show them instead of dying on them."""
-    ker = _Kernel(cm)
-    d, x, y = _lift(_exact(x), _exact(y))
-    for _ in range(ker.times):
-        d, x, y = ker.apply(d, x, y)
+    x, y = _exact(x), _exact(y)
+    d, x, y = _lift_ints(x.numerator, x.denominator, y.numerator, y.denominator)
+    for _ in range(cm._times):
+        d, x, y = cm.apply(d, x, y)
     return _fractions(d, x, y)
 
 
@@ -330,9 +318,9 @@ def twist_cell_apply(cm: CellMap, p: PointRep) -> PointRep:
 
 def displacement_bound(cm: CellMap) -> Fraction:
     """Exact d-displacement bound: how far the twist can move any point."""
-    if cm.single().kind == MapKind.FIRST_ATTEMPT:
+    if cm.kind == MapKind.FIRST_ATTEMPT:
         return 2 * epsilon(cm.n) + 2 * epsilon(cm.m)
-    return (3 if cm.is_cubed else 1) * epsilon(cm.m)
+    return cm._times * epsilon(cm.m)
 
 
 def piece_inverse_oracle(cm: CellMap, u: Rational, v: Rational) -> tuple[Fraction, Fraction]:
@@ -347,14 +335,13 @@ def piece_inverse_oracle(cm: CellMap, u: Rational, v: Rational) -> tuple[Fractio
     if cm.is_cubed:
         raise BadIndices("oracle inverts single applications only")
     u, v = _exact(u), _exact(v)
-    ker = _Kernel(cm)
-    e, uu, vv = _lift(u, v)
-    d = ker.scale * e  # every candidate sits over d
+    e, uu, vv = _lift_ints(u.numerator, u.denominator, v.numerator, v.denominator)
+    d = e << cm._shift  # every candidate sits over d
     found: list[tuple[int, int]] = []
-    for x, y in ker.candidates(e, uu, vv):
+    for x, y in cm.candidates(e, uu, vv):
         if abs(x) > d or abs(y) > d or (x, y) in found:
             continue
-        dd, p, q = ker.apply(d, x, y)
+        dd, p, q = cm.apply(d, x, y)
         if p * e == uu * dd and q * e == vv * dd:
             found.append((x, y))
     points = [_fractions(d, x, y) for x, y in found]
@@ -461,8 +448,6 @@ def twist_diagnostics(variant: Variant, n: int, m: int, grid_step: Rational) -> 
     ccw, cw, ccw3, cw3 = (CellMap(kind, variant, n, m) for kind in kinds)
     if m > _MAX_M:
         raise BadIndices(f"diagnostics need m <= {_MAX_M}, got m={m}")
-    single = [(cm, _Kernel(cm)) for cm in (ccw, cw)]
-    cubed = [(cm, _Kernel(cm)) for cm in (ccw3, cw3)]
     d, a = grid_step.denominator, 1 << (m - n)
     e = a * d
     eps_m = epsilon(m)
@@ -481,17 +466,17 @@ def twist_diagnostics(variant: Variant, n: int, m: int, grid_step: Rational) -> 
     for x in range(-d, d + 1):
         for y in range(-d, d + 1):
             images = []
-            for cm, ker in single:
+            for cm in (ccw, cw):
                 # the first matching clause is the one applied
-                hits = ker.hits(d, x, y)
-                vals = [ker.value(k, d, x, y) for k in hits]
+                hits = cm.hits(d, x, y)
+                vals = [cm.value(k, d, x, y) for k in hits]
                 img = vals[0]
                 images.append(img)
                 if abs(img[0]) > e or abs(img[1]) > e:
                     note("range-containment", cm, x, y, "image inside the square",
-                         f"{ker.tags[hits[0]]} -> {_fmt_pair(_fractions(e, *img))}")
+                         f"{cm._tags[hits[0]]} -> {_fmt_pair(_fractions(e, *img))}")
                 if any(val != img for val in vals[1:]):
-                    tags = [ker.tags[k] for k in hits]
+                    tags = [cm._tags[k] for k in hits]
                     note("piece-agreement", cm, x, y, f"clauses {tags} agree",
                          "; ".join(f"{t}: {_fmt_pair(_fractions(e, *val))}"
                                    for t, val in zip(tags, vals)))
@@ -500,11 +485,11 @@ def twist_diagnostics(variant: Variant, n: int, m: int, grid_step: Rational) -> 
                     note("center-fixity", cm, x, 0, f"({Fraction(x, d)}, 0) fixed",
                          _fmt_pair(_fractions(e, *img)))
             if x % 4 == 0 and y % 4 == 0:  # cubed maps: every fourth row and column
-                for cm, ker in cubed:
+                for cm in (ccw3, cw3):
                     try:
                         point = (d, x, y)
                         for _ in range(3):
-                            point = ker.apply(*point)
+                            point = cm.apply(*point)
                     except Unclassifiable as exc:
                         # an earlier application already left the square, so
                         # the orbit has no defined continuation to measure
@@ -518,7 +503,7 @@ def twist_diagnostics(variant: Variant, n: int, m: int, grid_step: Rational) -> 
                 note("inverse-roundtrip", cw, x, y, "forward image inside the square",
                      _fmt_pair(fwd))
                 continue
-            ee, p, q = single[1][1].apply(e, u, v)
+            ee, p, q = cw.apply(e, u, v)
             if (p, q) != (a * a * x, a * a * y):
                 note("inverse-roundtrip", cw, x, y, f"cw(ccw{_fmt_pair(w)}) == {_fmt_pair(w)}",
                      f"{_fmt_pair(fwd)} -> {_fmt_pair(_fractions(ee, p, q))}")

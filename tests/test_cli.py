@@ -18,6 +18,9 @@ from hilbertcube.homogeneity import stage_count_limit
 F = Fraction
 ROOT = Path(__file__).resolve().parent.parent
 
+# every method through which a CellMap evaluates itself
+EVALUATION = ("hits", "value", "apply", "image", "candidates")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -139,16 +142,24 @@ def test_exit_3_on_horizon(capsys, points):
                          "--stages", "257"], "stage count must be in 0..256, got 257"),
     (cli, "render_svg", ["render", "--map", "ccw", "--n", "1", "--m", "65", "--grid", "16"],
      "render needs m <= 64, got m=65"),
-    (twists, "_Kernel", ["diagnose", "--variant", "corrected", "--n", "1", "--m", "65",
-                         "--grid", "1/16"], "diagnostics need m <= 64, got m=65"),
+    (twists.CellMap, EVALUATION, ["diagnose", "--variant", "corrected", "--n", "1", "--m", "65",
+                                  "--grid", "1/16"], "diagnostics need m <= 64, got m=65"),
     (homogeneity, "classify_point", ["solve", "--horizon", "0"], "horizon must be in 1..256, got 0"),
     (homogeneity, "classify_point", ["solve", "--horizon", "257"], "horizon must be in 1..256, got 257"),
     (cli, "_first_attempt_stage", ["demo-first-attempt", "--t", "1/2", "--n", "-3"],
      "--n: stage count must be >= 0, got -3"),
+    # 2^m has more digits than an int can hold: a map that computed its scale
+    # when built would raise OverflowError here instead of exiting 2
+    (cli, "render_svg", ["render", "--map", "ccw", "--n", "1", "--m", str(10**20), "--grid", "16"],
+     f"render needs m <= 64, got m={10**20}"),
+    (twists.CellMap, EVALUATION, ["diagnose", "--variant", "corrected", "--n", "1",
+                                  "--m", str(10**20), "--grid", "1/16"],
+     f"diagnostics need m <= 64, got m={10**20}"),
 ])
 def test_size_past_its_bound_exits_2_before_work(capsys, monkeypatch, points, tmp_path,
                                                  module, work, argv, message):
-    monkeypatch.setattr(module, work, None)  # any call fails
+    for name in (work,) if isinstance(work, str) else work:
+        monkeypatch.setattr(module, name, None)  # any call fails
     if argv[0] == "render":
         argv = argv + ["--out", str(tmp_path / "x.svg")]
     if argv[0] == "solve":
@@ -157,6 +168,39 @@ def test_size_past_its_bound_exits_2_before_work(capsys, monkeypatch, points, tm
     assert (code, out) == (2, "")
     assert message in err
     assert not (tmp_path / "x.svg").exists()
+
+
+def test_negative_rational_option_value_is_read_as_a_value(capsys):
+    code, out, _ = run(capsys, "demo-first-attempt", "--t", "-1/2", "--n", "2")
+    assert code == 0
+    assert "image of all--1/2" in out.splitlines()[0]
+    assert run(capsys, "demo-first-attempt", "--t=-1/2", "--n", "2") == (0, out, "")
+
+
+def test_negative_tolerance_exits_2(capsys, points):
+    code, out, err = run(capsys, "solve", "--p", points["ones"], "--q", points["int_b"],
+                         "--tau", "-1/2")
+    assert (code, out) == (2, "")
+    assert "tolerance must be positive" in err
+    code, out, err = run(capsys, "diagnose", "--variant", "corrected",
+                         "--n", "1", "--m", "2", "--grid", "-1/16")
+    assert (code, out) == (2, "")
+    assert "grid step must be 1/2^k" in err
+
+
+def test_plan_with_pseudo_interior_schedule_source_exits_2(capsys, points, tmp_path):
+    code, out, _ = run(capsys, "solve", "--p", points["ones"], "--q", points["int_b"],
+                       "--tau", "1/1024")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["case"] == "boundary-interior"
+    obj["source_schedule"] = {"source": {"prefix": ["1/3"], "tail": "0"}, "count": 7}
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "eval", "--plan", str(plan_file),
+                         "--x", points["int_a"], "--tau", "1/1024")
+    assert (code, out) == (2, "")
+    assert "plan.source_schedule.source: a pseudo-interior point has no schedule" in err
 
 
 def test_demo_table(capsys):
@@ -199,10 +243,11 @@ def test_diagnose_rejects_coarse_grid(capsys):
 
 
 def test_diagnose_rejects_grid_finer_than_limit(capsys, monkeypatch):
-    def no_kernel(cm):
-        raise AssertionError("kernel built")
+    def no_evaluation(cm, *point):
+        raise AssertionError("twist evaluated")
 
-    monkeypatch.setattr(twists, "_Kernel", no_kernel)
+    for name in EVALUATION:
+        monkeypatch.setattr(twists.CellMap, name, no_evaluation)
     code, out, err = run(capsys, "diagnose", "--variant", "corrected",
                          "--n", "1", "--m", "2", "--grid", "1/512")
     assert (code, out) == (2, "")

@@ -186,16 +186,16 @@ def test_one_walk_anchors_match_per_coordinate_rewalk(k):
 
 
 def _counting_stage_applications(monkeypatch):
-    """The CellMap of every kernel application a walk (or any twist_eval)
+    """The CellMap of every stage application a walk (or any twist_eval)
     makes, in order."""
     calls = []
-    original = limits._Kernel.image
+    original = limits.CellMap.image
 
-    def counted(ker, *point):
-        calls.append(ker.cm)
-        return original(ker, *point)
+    def counted(cm, *point):
+        calls.append(cm)
+        return original(cm, *point)
 
-    monkeypatch.setattr(limits._Kernel, "image", counted)
+    monkeypatch.setattr(limits.CellMap, "image", counted)
     return calls
 
 
@@ -204,7 +204,7 @@ def test_solve_walks_each_schedule_once(monkeypatch):
     plan = solve(BND_A, BND_B, F(1, 2**40))
     src, tgt = plan.source_schedule.stages, plan.target_schedule.stages
     assert 0 < len(calls) <= len(src) + len(tgt)
-    assert {cm.kind for cm in calls} == {MapKind.TWIST_CCW_CUBED}  # forward stage kernels only
+    assert {cm.kind for cm in calls} == {MapKind.TWIST_CCW_CUBED}  # forward stage maps only
     # each cell at most once per schedule whose stage list holds it
     for cell, times in Counter((cm.n, cm.m) for cm in calls).items():
         assert times <= (cell in src) + (cell in tgt)

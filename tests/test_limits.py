@@ -10,10 +10,13 @@ import pytest
 from hilbertcube import (
     ORIGIN,
     BadIndices,
+    CellMap,
     CubeError,
     HorizonExceeded,
     InteriorMapParams,
+    MapKind,
     OutOfRange,
+    Variant,
     boundary_index_sequence,
     build_schedule,
     final_coordinate,
@@ -479,12 +482,26 @@ def test_walk_cases_cover_wide_denominators():
 
 
 def test_stage_kernels_are_built_once_and_stay_out_of_equality():
+    # the cached stage maps are what a walk applies
     s, fresh = build_schedule(ONES, 6), build_schedule(ONES, 6)
     forward_partial_eval(s, ONES, 6)
     reverse_partial_eval(s, ORIGIN, 6)
-    kernels = s._forward_kernels, s._reverse_kernels
+    maps = s._forward_maps, s._reverse_maps
     forward_partial_eval(s, ONES, 3)
-    assert s._forward_kernels is kernels[0] and s._reverse_kernels is kernels[1]
+    assert s._forward_maps is maps[0] and s._reverse_maps is maps[1]
     assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
-    assert [k.cm for k in kernels[0]] == [s.stage_map(k) for k in range(1, 7)]
-    assert [k.cm for k in kernels[1]] == [s.stage_map(k, reverse=True) for k in range(1, 7)]
+    assert "_forward_maps" not in vars(fresh) and "_reverse_maps" not in vars(fresh)
+    for kind, built, reverse in ((MapKind.TWIST_CCW_CUBED, maps[0], False),
+                                 (MapKind.TWIST_CW_CUBED, maps[1], True)):
+        assert built == tuple(CellMap(kind, Variant.CORRECTED, n, m) for n, m in s.stages)
+        assert all(s.stage_map(k, reverse) is built[k - 1] for k in range(1, 7))
+
+
+@pytest.mark.parametrize("k", [0, -1, 7])
+def test_stage_map_refuses_a_stage_outside_the_schedule(k):
+    s = build_schedule(ONES, 6)
+    for reverse in (False, True):
+        with pytest.raises(BadIndices, match=f"stage must be in 1..6, got {k}"):
+            s.stage_map(k, reverse)
+    with pytest.raises(BadIndices, match="stage must be in 1..0, got 1"):
+        build_schedule(ORIGIN, 3).stage_map(1)

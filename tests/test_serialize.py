@@ -111,6 +111,20 @@ def test_schedule_rejects_tampered_stage_list():
         schedule_from_obj(obj)
 
 
+def test_schedule_rejects_pseudo_interior_source():
+    # only a source that meets the boundary has a schedule; read as one,
+    # this record would become the identity and write back with count 0
+    obj = {"source": {"prefix": ["1/3"], "tail": "0"}, "count": 7}
+    with pytest.raises(ParseError, match="source: a pseudo-interior point has no schedule"):
+        schedule_from_obj(obj, "plan.source_schedule")
+    p = make_point([1], 0)
+    plan_obj = plan_to_obj(solve(p, make_point([F(1, 3)], 0), F(1, 64)), (p, None))
+    assert plan_obj["case"] == "boundary-interior"
+    plan_obj["source_schedule"] = obj
+    with pytest.raises(ParseError, match="plan.source_schedule.source: a pseudo-interior"):
+        plan_from_obj(plan_obj)
+
+
 def test_plan_json_roundtrip():
     p = make_point([1, F(1, 2)], F(1, 4))
     q = make_point([F(-1, 3)], -1)

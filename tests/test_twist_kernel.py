@@ -124,13 +124,13 @@ def test_diagnostics_match_fraction_pass_when_the_centre_moves(monkeypatch):
     # no twist moves its centre segment, so the comparison above never sees
     # a center-fixity finding; make every clause lift y = 0 by b = 2^(n-m),
     # in the kernel both passes evaluate through
-    value = twists._Kernel._ccw_value
+    value = twists.CellMap._ccw_value
 
     def lifted(self, k, d, x, y):
         u, v = value(self, k, d, x, y)
         return (u, v + d) if y == 0 else (u, v)  # v sits over a*d
 
-    monkeypatch.setattr(twists._Kernel, "_ccw_value", lifted)
+    monkeypatch.setattr(twists.CellMap, "_ccw_value", lifted)
     case = (Variant.CORRECTED, 1, 4, F(1, 16))
     got, want = twist_diagnostics(*case), oracle.twist_diagnostics(*case)
     assert got.counts_by_check()["center-fixity"] == 2 * 29  # |x| <= 7/8 on both maps
