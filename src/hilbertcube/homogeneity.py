@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .cube import PointRep, Rational, classify_point, metric_d
+from .cube import ORIGIN, PointRep, Rational, classify_point, metric_d
 from .errors import BadIndices, HorizonExceeded, OutOfRange
 from .interior import (
     InteriorMapParams,
@@ -32,7 +32,6 @@ from .interior import (
     lipschitz_bound,
 )
 from .limits import (
-    STAGE_LIPSCHITZ,
     CertifiedPoint,
     Schedule,
     _least_stage,
@@ -42,10 +41,10 @@ from .limits import (
     first_sacrifice,
     h_eval,
     reverse_partial_eval,
-    stages_needed,
 )
 
 ZERO = Fraction(0)
+NO_ESCAPE = build_schedule(ORIGIN, 0)  # the identity leg: 0 stages, radius 0, factor 1
 
 DEFAULT_HORIZON = 256
 STAGE_PAD = 12  # stages a plan materializes past the ones it is sized for
@@ -124,57 +123,51 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
     if p_prof.is_pseudo_interior and q_prof.is_pseudo_interior:
         return HomeoPlan(InteriorMapParams(p, q), None, None)
 
-    # stages the verifying evaluation (at tau/2) will unwind on the target side
-    if q_prof.is_boundary:
-        b_q = first_sacrifice(q_prof) - 4  # the schedule's base: m_k = b + 4k
-        i_star = stages_needed(b_q, _escape_budget(tau / 2, p_prof.is_boundary), True)[0]
-    else:
-        i_star = 0
+    # stages the verifying evaluation (at tau/2) will unwind on the target
+    # side, read off the target's stage list, which evaluates no twist
+    sched_q = build_schedule(q, 1)
+    i_star = sched_q.stages_needed(_escape_budget(tau / 2, p_prof.is_boundary), True)[0]
 
     # anchor cutoff: the least N >= 1 whose design residual 2^(1-N) survives
-    # inflation by L^i_star and still fits in a quarter of the tolerance.
+    # the target leg's factor and still fits in a quarter of the tolerance.
     # For that share a/c, 2c <= a * 2^N first holds at bits(2c) - bits(a) or one more
-    resid = (tau / 4) / STAGE_LIPSCHITZ**i_star
+    resid = (tau / 4) / sched_q.lipschitz(i_star)
     a, c2 = resid.numerator, 2 * resid.denominator
     n_cut = max(1, c2.bit_length() - a.bit_length())
     if a << n_cut < c2:
         n_cut += 1
 
-    sched_p = build_schedule(p, n_cut + 1) if p_prof.is_boundary else None
-    sched_q = build_schedule(q, n_cut + 1) if q_prof.is_boundary else None
+    sched_p, sched_q = build_schedule(p, n_cut + 1), build_schedule(q, n_cut + 1)
 
     # a touched j <= n_cut finalizes by stage j, within the n_cut + 1 stages;
     # refuse from the stage lists alone, before any twist is evaluated, and
     # name the horizon tau needs: the latest of those stages
-    stages = [finalization_stages(s, n_cut) for s in (sched_p, sched_q) if s is not None]
-    need = max((k for fin in stages for k in fin.values()), default=0)
+    stages = [finalization_stages(s, n_cut) for s in (sched_p, sched_q)]
+    need = max(k for fin in stages for k in fin.values())
     if need > horizon:
         j, k = next((j, fin[j]) for j in range(1, n_cut + 1) for fin in stages if fin[j] > horizon)
         raise HorizonExceeded(f"coordinate {j} finalizes at stage {k}, beyond horizon {horizon};"
                               f" tolerance {tau} needs horizon {need}")
 
     # one forward walk per schedule yields pt's first n_cut escaped coordinates
-    def anchors(s: Schedule | None, pt: PointRep) -> PointRep:
-        fin = None if s is None else final_coordinates(s, pt, n_cut)
-        vals = (pt.coord(j) if fin is None else fin[j][1] for j in range(1, n_cut + 1))
-        return PointRep(tuple(vals), ZERO)
+    def anchors(s: Schedule, pt: PointRep) -> PointRep:
+        fin = final_coordinates(s, pt, n_cut)
+        return PointRep(tuple(fin[j][1] for j in range(1, n_cut + 1)), ZERO)
 
     move = InteriorMapParams(anchors(sched_p, p), anchors(sched_q, q))
 
     # size the materialized schedules for every evaluation verify or a
-    # roundtrip at this tolerance will ask of them, plus slack
-    lip_f = lipschitz_bound(move)
-    lip_inv = lipschitz_bound(interior_map_inverse(move))
-    i_inv = 0  # stages the inverse unwinds on the source side
-    if sched_p is not None:
-        i_inv = stages_needed(sched_p.base, tau / 8, True)[0]
-        need_fwd = stages_needed(sched_p.base, (tau / 8) / (STAGE_LIPSCHITZ**i_star * lip_f), False)[0]
-        sched_p = build_schedule(p, max(n_cut + 1, need_fwd, i_inv) + STAGE_PAD)
-    if sched_q is not None:
-        need_fwd = stages_needed(b_q, (tau / 8) / (STAGE_LIPSCHITZ**i_inv * lip_inv), False)[0]
-        sched_q = build_schedule(q, max(n_cut + 1, need_fwd, i_star) + STAGE_PAD)
-
-    return HomeoPlan(move, sched_p, sched_q)
+    # roundtrip at this tolerance will ask of them, plus slack; lip_p and
+    # lip_q inflate the radius of the forward leg on p's and on q's side
+    i_inv = sched_p.stages_needed(tau / 8, True)[0]  # stages the inverse unwinds on the source side
+    lip_p = sched_q.lipschitz(i_star) * lipschitz_bound(move)
+    lip_q = sched_p.lipschitz(i_inv) * lipschitz_bound(interior_map_inverse(move))
+    need_p = sched_p.stages_needed((tau / 8) / lip_p, False)[0]
+    need_q = sched_q.stages_needed((tau / 8) / lip_q, False)[0]
+    sched_p = build_schedule(p, max(n_cut + 1, need_p, i_inv) + STAGE_PAD)
+    sched_q = build_schedule(q, max(n_cut + 1, need_q, i_star) + STAGE_PAD)
+    # a plan stores an identity leg as no escape
+    return HomeoPlan(move, *(None if s.is_identity else s for s in (sched_p, sched_q)))
 
 
 def _inverse_plan(plan: HomeoPlan) -> HomeoPlan:
@@ -186,26 +179,23 @@ def plan_eval_info(plan: HomeoPlan, x: PointRep, tau: Rational) -> EvalInfo:
     """Certified H(x) within tau, with the approximation's Lipschitz bound.
 
     H composes three legs: source escape, interior move, target unescape.
-    An absent escape is the identity leg (0 stages, radius 0, Lipschitz
-    factor 1).  The target leg's stage count i is chosen before the source
-    leg runs, since its factor 8^i inflates the source leg's radius; the
+    An absent escape is evaluated as the identity schedule NO_ESCAPE.  The
+    target leg's stage count i is chosen before the source leg runs, since
+    its factor tgt.lipschitz(i) inflates the source leg's radius; the
     escape budgets keep the radius at most tau/2, leaving headroom for
     verification at doubled tolerance.
     """
     tau = Fraction(tau)
     if tau <= 0:
         raise OutOfRange(f"tolerance must be positive, got {tau}")
-    src, tgt = plan.source_schedule, plan.target_schedule
-    budget = _escape_budget(tau, src is not None and tgt is not None)
-    i, r_rev = (0, ZERO) if tgt is None else _least_stage(tgt, budget, True)
-    outer = STAGE_LIPSCHITZ**i * lipschitz_bound(plan.move)  # Lipschitz factor of move + target leg
-    z = CertifiedPoint(x, ZERO, 0) if src is None else h_eval(src, x, budget / outer)
-    w = interior_map_eval(plan.move, z.value)
-    value = w if tgt is None else reverse_partial_eval(tgt, w, i)
-    return EvalInfo(
-        CertifiedPoint(value, outer * z.radius + r_rev, i + z.stages_used),
-        outer * STAGE_LIPSCHITZ**z.stages_used,
-    )
+    src, tgt = (NO_ESCAPE if s is None else s for s in (plan.source_schedule, plan.target_schedule))
+    budget = _escape_budget(tau, not (src.is_identity or tgt.is_identity))
+    i, r_rev = _least_stage(tgt, budget, True)
+    outer = tgt.lipschitz(i) * lipschitz_bound(plan.move)  # Lipschitz factor of move + target leg
+    z = h_eval(src, x, budget / outer)
+    value = reverse_partial_eval(tgt, interior_map_eval(plan.move, z.value), i)
+    point = CertifiedPoint(value, outer * z.radius + r_rev, i + z.stages_used)
+    return EvalInfo(point, outer * src.lipschitz(z.stages_used))
 
 
 def plan_inverse_eval_info(plan: HomeoPlan, y: PointRep, tau: Rational) -> EvalInfo:

@@ -76,6 +76,34 @@ class Schedule:
         source, so that its tail bounds read 1/5 and 3/8."""
         return self.stages[0][1] - 4 if self.stages else 0
 
+    def lipschitz(self, i: int) -> int:
+        """Lipschitz factor charged to stages 1..i, ccw or cw: L^i, L = STAGE_LIPSCHITZ."""
+        return STAGE_LIPSCHITZ**i
+
+    def tail_bound(self, i: int, reverse: bool) -> Fraction:
+        """Bound on the distance from the stage-i partial to the limit, in
+        closed form, valid past the count as the stages go on m_k = b + 4k.
+        Forward: the displacements 3 * 2^-m_k past i sum to 2^-(b+4i) / 5.
+        Reverse: each is inflated by lipschitz(k-1), for a sum of
+        3 * lipschitz(i) / ((16 - L) * 2^(b+4i)).  0 for the identity."""
+        if self.is_identity:
+            return ZERO
+        if reverse:
+            return Fraction(3 * self.lipschitz(i), (16 - STAGE_LIPSCHITZ) << (self.base + 4 * i))
+        return Fraction(1, 5 << (self.base + 4 * i))
+
+    def stages_needed(self, tau: Fraction, reverse: bool) -> tuple[int, Fraction]:
+        """Least i whose tail bound is < tau, with that bound, materialized or
+        not.  The bound falls as i grows, so the search doubles i and then
+        bisects: O(log i) bounds, each of O(i) bits, not i of them."""
+        lo, hi = -1, 0  # lo = -1 or bound(lo) >= tau; bound(hi) < tau once the doubling stops
+        while self.tail_bound(hi, reverse) >= tau:
+            lo, hi = hi, 2 * hi + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if self.tail_bound(mid, reverse) >= tau else (lo, mid)
+        return hi, self.tail_bound(hi, reverse)
+
     def stage_map(self, k: int, reverse: bool = False) -> CellMap:
         """Stage k's cubed twist, cw for the reverse maps; k in 1..count."""
         if not 1 <= k <= self.count:
@@ -134,57 +162,23 @@ def schedule_budget_ok(s: Schedule) -> bool:
 
 def _require_stage_range(s: Schedule, i: int) -> None:
     if not (0 <= i <= s.count):
-        raise HorizonExceeded(
-            f"stage {i} requested but only {s.count} stages are materialized"
-        )
-
-
-def _tail_bound(b: int, i: int, reverse: bool) -> Fraction:
-    """Tail bound past stage i of the schedule m_k = b + 4k.  Forward: the
-    sum over k > i of the stage displacements 3 * 2^-m_k, which is
-    2^-(b+4i) / 5.  Reverse: the same terms inflated by the accumulated
-    Lipschitz factor L^(k-1), L = STAGE_LIPSCHITZ, which sum to
-    3 * L^i / ((16 - L) * 2^(b+4i)): 3 * 2^-(b+i) / 8 at L = 8."""
-    if reverse:
-        return Fraction(3 * STAGE_LIPSCHITZ**i, (16 - STAGE_LIPSCHITZ) << (b + 4 * i))
-    return Fraction(1, 5 << (b + 4 * i))
-
-
-def stages_needed(b: int, tau: Fraction, reverse: bool) -> tuple[int, Fraction]:
-    """Least i whose tail bound past stage i, for m_k = b + 4k, is < tau,
-    with that bound.  The bound falls as i grows, so the search doubles i
-    and then bisects: O(log i) bounds, each of O(i) bits, not i of them."""
-    lo, hi = -1, 0  # lo = -1 or bound(lo) >= tau; bound(hi) < tau once the doubling stops
-    while _tail_bound(b, hi, reverse) >= tau:
-        lo, hi = hi, 2 * hi + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if _tail_bound(b, mid, reverse) >= tau else (lo, mid)
-    return hi, _tail_bound(b, hi, reverse)
-
-
-def _schedule_tail_bound(s: Schedule, i: int, reverse: bool) -> Fraction:
-    if s.is_identity:
-        return ZERO
-    _require_stage_range(s, i)
-    return _tail_bound(s.base, i, reverse)
+        raise HorizonExceeded(f"stage {i} requested but only {s.count} stages are materialized")
 
 
 def forward_tail_bound(s: Schedule, i: int) -> Fraction:
-    """Bound on d(limit, stage-i partial): the displacements 3 * 2^-m_k of
-    the stages past i, summed in closed form as 2^-(b+4i) / 5 with
-    b = s.base.  Exact for every built schedule, the stages past the
-    materialized count included, since they continue m_k = b + 4k; an upper
-    bound for any schedule whose m's are increasing multiples of 4 from
-    m_1."""
-    return _schedule_tail_bound(s, i, False)
+    """Bound on d(limit, stage-i partial), i in 0..count: s.tail_bound.
+    Exact for every built schedule; an upper bound for any schedule whose
+    m's are increasing multiples of 4 from m_1."""
+    if not s.is_identity:
+        _require_stage_range(s, i)
+    return s.tail_bound(i, False)
 
 
 def reverse_tail_bound(s: Schedule, i: int) -> Fraction:
-    """Like forward_tail_bound for the inverse composition, whose stage-k
-    term is inflated by the accumulated Lipschitz factor L^(k-1), with
-    L = STAGE_LIPSCHITZ: the tail sums to 3 * L^i / ((16 - L) * 2^(b+4i))."""
-    return _schedule_tail_bound(s, i, True)
+    """Like forward_tail_bound for the inverse composition."""
+    if not s.is_identity:
+        _require_stage_range(s, i)
+    return s.tail_bound(i, True)
 
 
 @dataclass(frozen=True)
@@ -234,16 +228,15 @@ def reverse_partial_eval(s: Schedule, y: PointRep, i: int) -> PointRep:
 
 
 def _least_stage(s: Schedule, tau: Fraction, reverse: bool) -> tuple[int, Fraction]:
-    """Least i whose forward (or reverse) tail bound is < tau, with that bound."""
+    """Least i whose forward (or reverse) tail bound is < tau, with that
+    bound.  A tau past the materialized stages is refused with the count it
+    needs."""
     if tau <= 0:
         raise OutOfRange(f"tolerance must be positive, got {tau}")
-    if s.is_identity:
-        return 0, ZERO
-    if _tail_bound(s.base, s.count, reverse) >= tau:
-        raise HorizonExceeded(
-            f"tolerance {tau} needs more than the {s.count} materialized stages"
-        )
-    return stages_needed(s.base, tau, reverse)
+    if s.tail_bound(s.count, reverse) >= tau:
+        raise HorizonExceeded(f"tolerance {tau} needs more than the {s.count} materialized"
+                              f" stages; it needs {s.stages_needed(tau, reverse)[0]} stages")
+    return s.stages_needed(tau, reverse)
 
 
 def h_eval(s: Schedule, x: PointRep, tau: Rational) -> CertifiedPoint:

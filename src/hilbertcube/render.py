@@ -4,18 +4,21 @@ The unit square of the chosen cell is subdivided into a G x G grid; each cell
 is painted by the region its center lies in, then the images of the G+1
 horizontal and G+1 vertical grid lines are drawn as polylines (exactly
 2(G+1) of them).  An optional trajectory overlays the forward orbit of one
-point's (n, m) pair as a path with dot markers.  All geometry is computed in
+point's (n, m) pair as a path with dot markers.  An orbit, a grid node's
+included, ends at the last value it reached once an application finds no
+clause (a verbatim image may leave the square).  All geometry is computed in
 exact rationals and formatted to fixed-point decimals, so rendering the same
 spec twice yields byte-identical output.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cube import PointRep
-from .errors import BadIndices, OutOfRange
+from .errors import BadIndices, OutOfRange, Unclassifiable
 from .twists import _MAX_M, CellMap, classify_region, twist_eval_unchecked
 
 # canvas: domain [-1,1]^2 -> 560x560 viewport with a margin
@@ -63,12 +66,29 @@ def _px(x: Fraction, y: Fraction) -> str:
     return f"{_dec(_CENTER + _SCALE * x)},{_dec(_CENTER - _SCALE * y)}"
 
 
+def _orbit(cm: CellMap, x: Fraction, y: Fraction, stages: int) -> list[tuple[Fraction, Fraction]]:
+    """(x, y) and its images under 1..stages applications of the map, ended
+    at the last value reached once an application finds no clause (for a
+    cubed map, maybe between its single applications); no value repeats."""
+    orbit = [(x, y)]
+    for _ in range(stages):
+        try:
+            orbit.append(twist_eval_unchecked(cm, *orbit[-1]))
+        except Unclassifiable:
+            point = orbit[-1]
+            with suppress(Unclassifiable):  # replay the stage up to the failing application
+                while True:
+                    point = twist_eval_unchecked(cm.single(), *point)
+            return orbit if point == orbit[-1] else orbit + [point]
+    return orbit
+
+
 def render_svg(spec: RenderSpec) -> str:
     cm = spec.cell
     ticks = [Fraction(2 * i, spec.grid) - 1 for i in range(spec.grid + 1)]
     # px[i][j]: pixel string of the image of node (ticks[i], ticks[j]),
     # formatted once and reused by the cells and lines that meet there
-    px = [[_px(*twist_eval_unchecked(cm, x, y)) for y in ticks] for x in ticks]
+    px = [[_px(*_orbit(cm, x, y, 1)[-1]) for y in ticks] for x in ticks]
 
     out = []
     out.append(
@@ -91,11 +111,7 @@ def render_svg(spec: RenderSpec) -> str:
         out.append(f'<polyline points="{" ".join(line)}" fill="none" stroke="#444444" stroke-width="1"/>')
 
     if spec.trace is not None:
-        x, y = spec.trace.coord(cm.n), spec.trace.coord(cm.m)
-        orbit = [(x, y)]
-        for _ in range(spec.trace_stages):
-            x, y = twist_eval_unchecked(cm, x, y)
-            orbit.append((x, y))
+        orbit = _orbit(cm, spec.trace.coord(cm.n), spec.trace.coord(cm.m), spec.trace_stages)
         dots = [_px(u, v) for u, v in orbit]
         out.append(f'<path d="M {" L ".join(dots)}" fill="none" stroke="#c02020" stroke-width="2"/>')
         for dot in dots:

@@ -27,8 +27,10 @@ from hilbertcube import (
 )
 from hilbertcube import homogeneity, limits
 from hilbertcube.homogeneity import _inverse_plan, stage_count_limit
+from hilbertcube.interior import interior_map_inverse, lipschitz_bound
 from hilbertcube.limits import build_schedule, final_coordinates, first_sacrifice
 
+import plan_oracle
 from conftest import rand_point
 from plan_oracle import plan_eval_info_cases, plan_inverse_eval_info_cases
 from walk_oracle import final_coordinates_rewalk, plan_from_anchors
@@ -239,12 +241,11 @@ class _Cutoff(Exception):
 def test_anchor_cutoff_is_the_least_n_that_fits(monkeypatch):
     # n_cut is the least N >= 1 with 2^(1-N) <= (tau/4) / 8^i_star, i_star the
     # target stages verification unwinds at its escape budget tau/8 (0 for an
-    # interior target); solve first builds the source schedule with n_cut + 1
-    # stages
-    def first_count(p, n):
-        raise _Cutoff(n)
+    # interior target); solve reads the finalization stages up to n_cut
+    def cutoff(s, upto):
+        raise _Cutoff(upto)
 
-    monkeypatch.setattr(homogeneity, "build_schedule", first_count)
+    monkeypatch.setattr(homogeneity, "finalization_stages", cutoff)
     b_q = first_sacrifice(BND_B) - 4
     for tau in [F(k, 3**j * 2**e) for k in (1, 5, 7) for j in (0, 1, 2) for e in (0, 3, 17, 40)]:
         for q, i_star in ((INT_B, 0), (BND_B, next(i for i in count() if F(3, 8 << (b_q + i)) < tau / 8))):
@@ -253,7 +254,38 @@ def test_anchor_cutoff_is_the_least_n_that_fits(monkeypatch):
                 n_cut += 1
             with pytest.raises(_Cutoff) as exc:
                 solve(BND_A, q, tau)
-            assert exc.value.args[0] == n_cut + 1, (q, tau)
+            assert exc.value.args[0] == n_cut, (q, tau)
+
+
+def test_stage_factor_has_one_source(monkeypatch):
+    # Schedule.lipschitz is the only place the per-stage factor enters:
+    # charge 9^i instead and the reverse tail bound, solve's anchor cutoff
+    # and every evaluation's radius and Lipschitz bound follow it
+    monkeypatch.setattr(limits.Schedule, "lipschitz", lambda s, i: 9**i)
+    monkeypatch.setattr(plan_oracle, "EIGHT", F(9))  # the case oracle's factor
+    b_q = first_sacrifice(BND_B) - 4
+    s = build_schedule(BND_B, 12)
+    assert [limits.reverse_tail_bound(s, i) for i in range(13)] == [F(3 * 9**i, 8 << (b_q + 4 * i))
+                                                                     for i in range(13)]
+    rng = random.Random(9)
+    tau = F(1, 2**20)
+    for p, q, case in CASES:
+        plan = solve(p, q, tau)
+        if case != PlanCase.INTERIOR_INTERIOR:
+            budget = tau / 8 if case == PlanCase.BOUNDARY_BOUNDARY else tau / 4
+            i_star = 0 if case == PlanCase.BOUNDARY_INTERIOR else \
+                next(i for i in count() if F(3 * 9**i, 8 << (b_q + 4 * i)) < budget)
+            n_cut = next(n for n in count(1) if F(2, 2**n) <= (tau / 4) / 9**i_star)
+            assert plan.move.anchor_count == n_cut, case
+        for x in (p, q, rand_point(rng), rand_point(rng)):
+            for t in (tau, tau / 2):
+                for fn, oracle, move in ((plan_eval_info, plan_eval_info_cases, plan.move),
+                                         (plan_inverse_eval_info, plan_inverse_eval_info_cases,
+                                          interior_map_inverse(plan.move))):
+                    info = fn(plan, x, t)
+                    assert info == oracle(plan, x, t), (case, x, t)
+                    assert info.lipschitz == lipschitz_bound(move) * 9**info.point.stages_used
+                    assert (info.point.stages_used > 0) == (case != PlanCase.INTERIOR_INTERIOR)
 
 
 TAU64 = "tolerance 1/18446744073709551616"

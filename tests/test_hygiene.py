@@ -114,3 +114,16 @@ def test_every_traced_function_is_defined_by_its_module():
     missing = {f"{module}.{name}" for module, name in traced
                if module not in trees or name not in _top_level_names(trees[module])}
     assert not missing
+
+
+def test_stage_factor_is_read_only_in_limits():
+    # the per-stage Lipschitz factor has one ledger: Schedule in limits.py
+    readers = {
+        module
+        for module, tree in _trees().items() if module != "limits"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "STAGE_LIPSCHITZ")
+        or (isinstance(node, ast.Attribute) and node.attr == "STAGE_LIPSCHITZ")
+        or (isinstance(node, ast.alias) and node.name == "STAGE_LIPSCHITZ")
+    }
+    assert not readers

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from hilbertcube import CellMap, MapKind, OutOfRange, Variant, make_point
-from hilbertcube.render import RenderSpec, render_svg
+from hilbertcube import CellMap, MapKind, OutOfRange, Unclassifiable, Variant, make_point
+from hilbertcube.render import RenderSpec, _orbit, render_svg
+
+import twist_oracle
 
 F = Fraction
 
@@ -45,6 +47,24 @@ def test_trace_overlay_present():
     assert "<path" in svg and "<circle" in svg
     # overlay does not change the polyline census
     assert svg.count("<polyline") == 2 * (8 + 1)
+
+
+@pytest.mark.parametrize("kind", [MapKind.TWIST_CCW, MapKind.TWIST_CW, MapKind.TWIST_CCW_CUBED,
+                                  MapKind.TWIST_CW_CUBED])
+def test_verbatim_orbit_ends_where_no_clause_matches(kind):
+    # a verbatim image leaves the square and the next application finds no
+    # clause: the orbit ends at the last value it reached, and renders
+    cm = CellMap(kind, Variant.VERBATIM, 1, 2)
+    orbit = _orbit(cm, F(1, 2), F(1, 3), 256)
+    assert 2 < len(orbit) < 257
+    assert all(a != b for a, b in zip(orbit, orbit[1:]))  # no dot repeats
+    for a, b in zip(orbit, orbit[1:-1]):
+        assert twist_oracle.twist_eval_unchecked(cm, *a) == b
+    with pytest.raises(Unclassifiable):
+        twist_oracle.apply_once(cm.single(), *orbit[-1])
+    trace = make_point([F(1, 2), F(1, 3)], 0)
+    svg = render_svg(_spec(kind=kind, variant=Variant.VERBATIM, grid=32, trace=trace, trace_stages=256))
+    assert svg.count("<circle") == len(orbit)
 
 
 def test_grid_validation():

@@ -147,10 +147,19 @@ def reverse_tail_sum(s, i):
 
 
 def least_stage_scan(s, tau, bound_fn):
-    """First i in 0..count with bound_fn(s, i) < tau."""
+    """First i in 0..count with bound_fn(s, i) < tau.  Past the count, the
+    refusal names the first i that would do on the stage list continued by
+    m_k = b + 4k, scanned one stage longer at a time."""
     if tau <= 0:
         raise OutOfRange(f"tolerance must be positive, got {tau}")
     for i in range(s.count + 1):
         if bound_fn(s, i) < tau:
             return i
-    raise HorizonExceeded(f"tolerance {tau} needs more than the {s.count} materialized stages")
+    def continued(count):
+        return Schedule(tuple((k, s.base + 4 * k) for k in range(1, count + 1)), s.source_profile)
+
+    need = s.count + 1
+    while bound_fn(continued(need), need) >= tau:
+        need += 1
+    raise HorizonExceeded(f"tolerance {tau} needs more than the {s.count} materialized stages;"
+                          f" it needs {need} stages")
