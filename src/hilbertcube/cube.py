@@ -68,9 +68,10 @@ class PointRep:
         prefix = tuple(map(_exact, self.prefix))
         for k, c in enumerate(prefix, 1):
             _check_unit(c, k)
-        while prefix and prefix[-1] == tail:
-            prefix = prefix[:-1]
-        object.__setattr__(self, "prefix", prefix)
+        end = len(prefix)  # one slice after the last entry that differs from the tail
+        while end and prefix[end - 1] == tail:
+            end -= 1
+        object.__setattr__(self, "prefix", prefix[:end])
         object.__setattr__(self, "tail", tail)
 
     def coord(self, i: int) -> Fraction:
@@ -103,7 +104,7 @@ class PointRep:
 
 
 def make_point(prefix: Sequence[Fraction | int | str], tail: Fraction | int | str) -> PointRep:
-    return PointRep(tuple(Fraction(c) for c in prefix), Fraction(tail))
+    return PointRep(tuple(prefix), tail)  # PointRep converts each entry exactly
 
 
 ORIGIN = make_point([], 0)

@@ -5,21 +5,20 @@ is painted by the region its center lies in, then the images of the G+1
 horizontal and G+1 vertical grid lines are drawn as polylines (exactly
 2(G+1) of them).  An optional trajectory overlays the forward orbit of one
 point's (n, m) pair as a path with dot markers.  An orbit, a grid node's
-included, ends at the last value it reached once an application finds no
-clause (a verbatim image may leave the square).  All geometry is computed in
-exact rationals and formatted to fixed-point decimals, so rendering the same
-spec twice yields byte-identical output.
+included, ends at the first stage that leaves its value unchanged, or at the
+last value reached once an application finds no clause (a verbatim image may
+leave the square).  Points are the kernel's integers, the grid's over d = G,
+formatted to fixed-point decimals: the same spec renders byte-identically.
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from .cube import PointRep
 from .errors import BadIndices, OutOfRange, Unclassifiable
-from .twists import _MAX_M, CellMap, classify_region, twist_eval_unchecked
+from .twists import _MAX_M, CellMap, _lift_ints
 
 # canvas: domain [-1,1]^2 -> 560x560 viewport with a margin
 _SCALE = 240
@@ -29,11 +28,8 @@ _CENTER = 280
 _MAX_GRID = 128
 _MAX_STAGES = 256
 
-_REGION_FILL = {
-    "I": "#cfe3f7", "II": "#fbe3c9", "III": "#d6efd0", "IV": "#f2dcee",
-    "I'": "#cfe3f7", "II'": "#fbe3c9", "III'": "#d6efd0", "IV'": "#f2dcee",
-    "A1": "#cfe3f7", "A2": "#fbe3c9", "A3": "#d6efd0", "A4": "#f2dcee",
-}
+# fill of a cell by the index, in printed order, of its center's first clause
+_REGION_FILL = ("#cfe3f7", "#fbe3c9", "#d6efd0", "#f2dcee")
 
 
 @dataclass(frozen=True)
@@ -53,56 +49,56 @@ class RenderSpec:
             raise BadIndices(f"render needs m <= {_MAX_M}, got m={self.cell.m}")
 
 
-def _dec(value: Fraction) -> str:
-    """Fixed 4-place decimal of an exact rational, round half up."""
-    scaled = value * 10_000
-    units = (scaled.numerator * 2 + scaled.denominator) // (scaled.denominator * 2)
+def _dec(num: int, den: int) -> str:
+    """Fixed 4-place decimal of num/den, den > 0, round half up; unreduced is fine."""
+    units = (num * 20_000 + den) // (den * 2)
     sign = "-" if units < 0 else ""
     units = abs(units)
     return f"{sign}{units // 10_000}.{units % 10_000:04d}"
 
 
-def _px(x: Fraction, y: Fraction) -> str:
-    return f"{_dec(_CENTER + _SCALE * x)},{_dec(_CENTER - _SCALE * y)}"
+def _px(d: int, x: int, y: int) -> str:
+    return f"{_dec(_CENTER * d + _SCALE * x, d)},{_dec(_CENTER * d - _SCALE * y, d)}"
 
 
-def _orbit(cm: CellMap, x: Fraction, y: Fraction, stages: int) -> list[tuple[Fraction, Fraction]]:
-    """(x, y) and its images under 1..stages applications of the map, ended
-    at the last value reached once an application finds no clause (for a
-    cubed map, maybe between its single applications); no value repeats."""
-    orbit = [(x, y)]
-    for _ in range(stages):
+def _orbit(cm: CellMap, d: int, x: int, y: int, stages: int) -> list[tuple[int, int, int]]:
+    """(x, y)/d and its images under 1..stages applications of the map, each
+    reduced by one gcd.  It ends at the first stage that leaves its value
+    unchanged (every later stage would repeat it), or at the last value reached
+    once an application finds no clause (for a cubed map, maybe mid-stage)."""
+    orbit, stuck = [], False
+    while True:
+        g = gcd(d, x, y)
+        d, x, y = point = d // g, x // g, y // g
+        if orbit and point == orbit[-1]:
+            break
+        orbit.append(point)
+        if stuck or len(orbit) > stages:
+            break
         try:
-            orbit.append(twist_eval_unchecked(cm, *orbit[-1]))
+            for _ in range(3 if cm.is_cubed else 1):
+                d, x, y = cm.apply(d, x, y)
         except Unclassifiable:
-            point = orbit[-1]
-            with suppress(Unclassifiable):  # replay the stage up to the failing application
-                while True:
-                    point = twist_eval_unchecked(cm.single(), *point)
-            return orbit if point == orbit[-1] else orbit + [point]
+            stuck = True
     return orbit
 
 
 def render_svg(spec: RenderSpec) -> str:
-    cm = spec.cell
-    ticks = [Fraction(2 * i, spec.grid) - 1 for i in range(spec.grid + 1)]
-    # px[i][j]: pixel string of the image of node (ticks[i], ticks[j]),
+    cm, g = spec.cell, spec.grid
+    ticks = range(-g, g + 1, 2)  # node i sits at ticks[i]/G, cell centre i one step on
+    # px[i][j]: pixel string of the image of node (ticks[i], ticks[j])/G,
     # formatted once and reused by the cells and lines that meet there
-    px = [[_px(*_orbit(cm, x, y, 1)[-1]) for y in ticks] for x in ticks]
+    px = [[_px(*_orbit(cm, g, x, y, 1)[-1]) for y in ticks] for x in ticks]
 
-    out = []
-    out.append(
-        '<svg xmlns="http://www.w3.org/2000/svg" width="560" height="560" '
-        'viewBox="0 0 560 560">'
-    )
-    out.append(f"<title>{cm.label()} on grid {spec.grid}</title>")
-    out.append('<rect width="560" height="560" fill="#ffffff"/>')
+    out = [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="560" height="560" viewBox="0 0 560 560">',
+        f"<title>{cm.label()} on grid {g}</title>",
+        '<rect width="560" height="560" fill="#ffffff"/>',
+    ]
 
-    half = Fraction(1, spec.grid)
-    for i in range(spec.grid):
-        for j in range(spec.grid):
-            cx, cy = ticks[i] + half, ticks[j] + half
-            fill = _REGION_FILL.get(classify_region(cm, cx, cy), "#e8e8e8")
+    for i in range(g):
+        for j in range(g):
+            fill = _REGION_FILL[cm.hits(g, ticks[i] + 1, ticks[j] + 1)[0]]
             pts = f"{px[i][j]} {px[i + 1][j]} {px[i + 1][j + 1]} {px[i][j + 1]}"
             out.append(f'<polygon points="{pts}" fill="{fill}" stroke="none"/>')
 
@@ -111,8 +107,9 @@ def render_svg(spec: RenderSpec) -> str:
         out.append(f'<polyline points="{" ".join(line)}" fill="none" stroke="#444444" stroke-width="1"/>')
 
     if spec.trace is not None:
-        orbit = _orbit(cm, spec.trace.coord(cm.n), spec.trace.coord(cm.m), spec.trace_stages)
-        dots = [_px(u, v) for u, v in orbit]
+        u, v = spec.trace.coord(cm.n), spec.trace.coord(cm.m)
+        start = _lift_ints(*u.as_integer_ratio(), *v.as_integer_ratio())
+        dots = [_px(*point) for point in _orbit(cm, *start, spec.trace_stages)]
         out.append(f'<path d="M {" L ".join(dots)}" fill="none" stroke="#c02020" stroke-width="2"/>')
         for dot in dots:
             cx, cy = dot.split(",")

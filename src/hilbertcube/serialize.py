@@ -21,7 +21,7 @@ from .homogeneity import HomeoPlan, PlanCase, stage_count_limit
 from .interior import InteriorMapParams
 from .limits import CertifiedPoint, Schedule, build_schedule
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)  # \d alone matches any Unicode digit
 
 
 def parse_rational(text: str, where: str = "value") -> Fraction:

@@ -301,8 +301,8 @@ def twist_eval(cm: CellMap, x: Rational, y: Rational) -> tuple[Fraction, Fractio
 
 
 def twist_eval_unchecked(cm: CellMap, x: Rational, y: Rational) -> tuple[Fraction, Fraction]:
-    """Like twist_eval but lets out-of-square values pass through (render
-    draws them); raises Unclassifiable only where one matches no clause."""
+    """Like twist_eval but lets out-of-square values pass through; raises
+    Unclassifiable only where one matches no clause."""
     x, y = _exact(x), _exact(y)
     d, x, y = _lift_ints(x.numerator, x.denominator, y.numerator, y.denominator)
     for _ in range(cm._times):

@@ -127,3 +127,12 @@ def test_stage_factor_is_read_only_in_limits():
         or (isinstance(node, ast.alias) and node.name == "STAGE_LIPSCHITZ")
     }
     assert not readers
+
+
+def test_render_imports_no_public_twist_function():
+    # render runs on CellMap's integers; the Fraction entry points of twists
+    # are API, not its building blocks
+    trees = _trees()
+    functions = {node.name for node in trees["twists"].body if isinstance(node, ast.FunctionDef)}
+    imported = {name for _, module, name in _imports(trees["render"]) if module == "twists"}
+    assert not {name for name in imported & functions if not name.startswith("_")}

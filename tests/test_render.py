@@ -7,6 +7,7 @@ import pytest
 from hilbertcube import CellMap, MapKind, OutOfRange, Unclassifiable, Variant, make_point
 from hilbertcube.render import RenderSpec, _orbit, render_svg
 
+import render_oracle
 import twist_oracle
 
 F = Fraction
@@ -55,7 +56,7 @@ def test_verbatim_orbit_ends_where_no_clause_matches(kind):
     # a verbatim image leaves the square and the next application finds no
     # clause: the orbit ends at the last value it reached, and renders
     cm = CellMap(kind, Variant.VERBATIM, 1, 2)
-    orbit = _orbit(cm, F(1, 2), F(1, 3), 256)
+    orbit = [(F(x, d), F(y, d)) for d, x, y in _orbit(cm, 6, 3, 2, 256)]  # (1/2, 1/3)
     assert 2 < len(orbit) < 257
     assert all(a != b for a, b in zip(orbit, orbit[1:]))  # no dot repeats
     for a, b in zip(orbit, orbit[1:-1]):
@@ -65,6 +66,28 @@ def test_verbatim_orbit_ends_where_no_clause_matches(kind):
     trace = make_point([F(1, 2), F(1, 3)], 0)
     svg = render_svg(_spec(kind=kind, variant=Variant.VERBATIM, grid=32, trace=trace, trace_stages=256))
     assert svg.count("<circle") == len(orbit)
+
+
+def test_trace_ends_where_it_stops_moving():
+    # the origin is fixed: one dot, not one per stage
+    svg = render_svg(_spec(kind=MapKind.TWIST_CCW_CUBED, n=3, m=12, grid=8, trace=make_point([], 0),
+                           trace_stages=256))
+    assert svg.count("<circle") == 1
+    assert " L " not in svg
+
+
+TRACE = make_point([F(1, 2), F(1, 3), F(-2, 5), F(3, 7), F(-1, 9), F(5, 11), F(-7, 8), F(2, 3),
+                    F(-1, 4), F(1, 6), F(-3, 10), F(9, 10)], F(1, 7))
+
+
+@pytest.mark.parametrize("kind", list(MapKind))
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("n,m", [(1, 2), (1, 4), (2, 3), (3, 12)])
+def test_matches_fraction_render(kind, variant, n, m):
+    cm = CellMap(kind, variant, n, m)
+    assert render_svg(RenderSpec(cm, 16)) == render_oracle.render_svg(cm, 16)
+    traced = render_svg(RenderSpec(cm, 16, TRACE, 64))
+    assert traced == render_oracle.render_svg(cm, 16, TRACE, 64)
 
 
 def test_grid_validation():

@@ -1,6 +1,7 @@
 """Exact JSON round-trips for rationals, points, schedules, plans."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,15 @@ def test_point_spec_rejects_bad_json_with_position():
 def test_point_spec_rejects_unknown_fields():
     with pytest.raises(ParseError):
         point_from_obj({"prefix": [], "tail": "0", "extra": 1})
+
+
+def test_long_point_spec_parses_in_linear_time():
+    # trailing entries equal to the tail are dropped in one slice, not one by one
+    text = json.dumps({"prefix": ["1/3"] + ["0"] * 100_000, "tail": "0"})
+    start = time.perf_counter()
+    p = parse_point_spec(text)
+    assert time.perf_counter() - start < 1
+    assert p.prefix == (F(1, 3),) and p.tail == 0
 
 
 def test_point_roundtrip():
