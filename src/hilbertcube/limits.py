@@ -78,6 +78,7 @@ class Schedule:
 
     def lipschitz(self, i: int) -> int:
         """Lipschitz factor charged to stages 1..i, ccw or cw: L^i, L = STAGE_LIPSCHITZ."""
+        _require_stage_index(i)
         return STAGE_LIPSCHITZ**i
 
     def tail_bound(self, i: int, reverse: bool) -> Fraction:
@@ -86,6 +87,7 @@ class Schedule:
         Forward: the displacements 3 * 2^-m_k past i sum to 2^-(b+4i) / 5.
         Reverse: each is inflated by lipschitz(k-1), for a sum of
         3 * lipschitz(i) / ((16 - L) * 2^(b+4i)).  0 for the identity."""
+        _require_stage_index(i)
         if self.is_identity:
             return ZERO
         if reverse:
@@ -160,8 +162,14 @@ def schedule_budget_ok(s: Schedule) -> bool:
     return True
 
 
+def _require_stage_index(i: int) -> None:
+    if i < 0:
+        raise BadIndices(f"stage index must be >= 0, got {i}")
+
+
 def _require_stage_range(s: Schedule, i: int) -> None:
-    if not (0 <= i <= s.count):
+    _require_stage_index(i)
+    if i > s.count:
         raise HorizonExceeded(f"stage {i} requested but only {s.count} stages are materialized")
 
 
@@ -233,10 +241,11 @@ def _least_stage(s: Schedule, tau: Fraction, reverse: bool) -> tuple[int, Fracti
     needs."""
     if tau <= 0:
         raise OutOfRange(f"tolerance must be positive, got {tau}")
-    if s.tail_bound(s.count, reverse) >= tau:
+    i, bound = s.stages_needed(tau, reverse)
+    if i > s.count:
         raise HorizonExceeded(f"tolerance {tau} needs more than the {s.count} materialized"
-                              f" stages; it needs {s.stages_needed(tau, reverse)[0]} stages")
-    return s.stages_needed(tau, reverse)
+                              f" stages; it needs {i} stages")
+    return i, bound
 
 
 def h_eval(s: Schedule, x: PointRep, tau: Rational) -> CertifiedPoint:

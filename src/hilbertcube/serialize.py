@@ -21,21 +21,23 @@ from .homogeneity import HomeoPlan, PlanCase, stage_count_limit
 from .interior import InteriorMapParams
 from .limits import CertifiedPoint, Schedule, build_schedule
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)  # \d alone matches any Unicode digit
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)  # \d alone matches any Unicode digit
 
 
 def parse_rational(text: str, where: str = "value") -> Fraction:
     if not isinstance(text, str):
         raise ParseError(f"{where}: rational must be a string, got {type(text).__name__}")
     s = text.strip()
-    if not _RATIONAL_RE.match(s):
+    match = _RATIONAL_RE.match(s)
+    if not match:
         raise ParseError(
             f"{where}: {text!r} is not an exact rational (integer or num/den; decimals forbidden)"
         )
-    if "/" in s and s.split("/")[1].lstrip("0") == "":
+    num, den = match.groups("1")
+    if den.lstrip("0") == "":
         raise ParseError(f"{where}: zero denominator in {text!r}")
     try:
-        return Fraction(s)
+        return Fraction(int(num), int(den))
     except ValueError:  # more digits than Python converts to an int
         raise ParseError(f"{where}: rational of {len(s)} characters has too many digits") from None
 

@@ -195,40 +195,48 @@ class CellMap:
         for _ in range(self._times):
             d, x, y = self.apply(d, x, y)
             if abs(x) > d or abs(y) > d:
-                value = _fractions(d, x, y)
-                raise RangeViolation(f"{self.label()} left the square at {_fmt_pair(value)}",
-                                     value)
+                raise RangeViolation(f"{self.label()} left the square at {_fmt_pair(d, x, y)}",
+                                     _fractions(d, x, y))
         return d, x, y
 
-    def candidates(self, e: int, u: int, v: int) -> list[tuple[int, int]]:
-        """Every clause formula of the once-applied map solved for its input
-        at (u/e, v/e), all sign branches, as numerators over scale*e; not yet
-        filtered against the clause conditions.
+    def preimage(self, e: int, u: int, v: int) -> tuple[int, int]:
+        """The unique (x, y) in the square that the once-applied map sends to
+        (u/e, v/e), as numerators over scale*e.
 
-        Each clause is affine in (x, y) once sigma is fixed (the second output
-        coordinate pins x, then the first is linear in y), so inversion is
-        exact.  cw's are ccw's at R(u, v), reflected, listed in cw's order.
-        At A = 1 the two sign branches give the same candidates twice.
+        Every clause formula is solved for its input, all sign branches, and
+        a solution counts if it lies in the square and printed-order
+        evaluation maps it back.  Each clause is affine in (x, y) once sigma
+        is fixed (the second output coordinate pins x, then the first is
+        linear in y), so inversion is exact and needs no closed-form inverse
+        map.  cw's are ccw's at R(u, v), reflected, in cw's order.  Raises
+        NoPreimage / MultiplePreimages where the map fails to be a bijection
+        onto the square at this value (verbatim defect).
         """
-        if self._once == MapKind.TWIST_CW:
-            return [(x, -y) for x, y in self._ccw_candidates(e, u, -v, _CCW_OF_CW[:3])]
-        return self._ccw_candidates(e, u, v, (0, 1, 2))
-
-    def _ccw_candidates(self, e: int, u: int, v: int, order) -> list[tuple[int, int]]:
-        a = 1 << self._shift
-        t = 1 if self._corrected else -1
-        out = []
-        for s in (1, -1):
+        a, t = 1 << self._shift, 1 if self._corrected else -1
+        r, order = (-1, _CCW_OF_CW[:3]) if self._once == MapKind.TWIST_CW else (1, (0, 1, 2))
+        w = r * v  # cw solves ccw's clauses at R(u, v) = (u, w)
+        solutions = []
+        for s in (1, -1):  # at A = 1 both branches give the same solutions
             for k in order:
                 if k == 0:    # I: y + s = a(s - u), then v = a(x - u)
-                    out.append((a * u + v, a * (a * (s * e - u) - s * e)))
+                    solutions.append((a * u + w, a * (a * (s * e - u) - s * e)))
                 elif k == 1:  # II: x = u
-                    out.append((a * u, a * (v - s * e - a * (u - s * e))))
+                    solutions.append((a * u, a * (w - s * e - a * (u - s * e))))
                 else:         # III: v pins x, the shear -+b*y on top of it gives y
-                    x = s * (a - 1) * e + v
-                    out.append((x, t * a * (x - a * u)))
-        out.append((a * u + v, a * v))  # IV: u = x - b*y, v = y
-        return out
+                    x = s * (a - 1) * e + w
+                    solutions.append((x, t * a * (x - a * u)))
+        solutions.append((a * u + w, a * w))  # IV: u = x - b*y, v = y
+        d, image = a * e, (a * a * u, a * a * v)  # apply sends a*e to a*a*e
+        found: list[tuple[int, int]] = []
+        for x, y in ((x, r * y) for x, y in solutions):
+            if abs(x) <= d and abs(y) <= d and (x, y) not in found and self.apply(d, x, y)[1:] == image:
+                found.append((x, y))
+        if len(found) == 1:
+            return found[0]
+        if not found:
+            raise NoPreimage(f"{self.label()} has no preimage of {_fmt_pair(e, u, v)}")
+        raise MultiplePreimages(f"{self.label()} has {len(found)} preimages of {_fmt_pair(e, u, v)}:"
+                                f" {[_fractions(d, x, y) for x, y in found]}")
 
 
 def sigma(x: Rational) -> int:
@@ -252,26 +260,33 @@ def _square_lift(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int, int]:
     return d, x, y
 
 
+def _lift(x: Rational, y: Rational, lift=_lift_ints) -> tuple[int, int, int]:
+    """lift applied to the exact values of x and y: _lift_ints, or
+    _square_lift to refuse a point outside the square."""
+    x, y = _exact(x), _exact(y)
+    return lift(x.numerator, x.denominator, y.numerator, y.denominator)
+
+
 def _fractions(d: int, x: int, y: int) -> tuple[Fraction, Fraction]:
     return Fraction(x, d), Fraction(y, d)
+
+
+def _fmt_pair(d: int, x: int, y: int) -> str:
+    return f"({Fraction(x, d)}, {Fraction(y, d)})"
 
 
 def classify_region(cm: CellMap, x: Rational, y: Rational) -> str:
     """First matching clause tag in printed order.
 
-    Cubed kinds classify by their single application.
+    Cubed kinds classify by their single application.  The clauses cover
+    the square, and a point outside it is refused, so one always matches.
     """
-    tags = matching_regions(cm, x, y)
-    if not tags:
-        raise Unclassifiable(f"no clause matched ({_exact(x)}, {_exact(y)}) for {cm.label()}")
-    return tags[0]
+    return matching_regions(cm, x, y)[0]
 
 
 def matching_regions(cm: CellMap, x: Rational, y: Rational) -> list[str]:
     """Every clause whose condition holds (clause boundaries give several)."""
-    x, y = _exact(x), _exact(y)
-    point = _square_lift(x.numerator, x.denominator, y.numerator, y.denominator)
-    return [cm._tags[k] for k in cm.hits(*point)]
+    return [cm._tags[k] for k in cm.hits(*_lift(x, y, _square_lift))]
 
 
 def piece_value(cm: CellMap, tag: str, x: Rational, y: Rational) -> tuple[Fraction, Fraction]:
@@ -284,8 +299,7 @@ def piece_value(cm: CellMap, tag: str, x: Rational, y: Rational) -> tuple[Fracti
     """
     if tag not in cm._tags:
         raise BadIndices(f"unknown clause {tag!r} for {cm.label()}")
-    x, y = _exact(x), _exact(y)
-    d, x, y = _lift_ints(x.numerator, x.denominator, y.numerator, y.denominator)
+    d, x, y = _lift(x, y)
     return _fractions(d << cm._shift, *cm.value(cm._tags.index(tag), d, x, y))
 
 
@@ -295,19 +309,16 @@ def twist_eval(cm: CellMap, x: Rational, y: Rational) -> tuple[Fraction, Fractio
     Raises RangeViolation if any application leaves the square (possible only
     for the verbatim variant).
     """
-    x, y = _exact(x), _exact(y)
-    point = _square_lift(x.numerator, x.denominator, y.numerator, y.denominator)
-    return _fractions(*cm.image(*point))
+    return _fractions(*cm.image(*_lift(x, y, _square_lift)))
 
 
 def twist_eval_unchecked(cm: CellMap, x: Rational, y: Rational) -> tuple[Fraction, Fraction]:
     """Like twist_eval but lets out-of-square values pass through; raises
     Unclassifiable only where one matches no clause."""
-    x, y = _exact(x), _exact(y)
-    d, x, y = _lift_ints(x.numerator, x.denominator, y.numerator, y.denominator)
+    point = _lift(x, y)
     for _ in range(cm._times):
-        d, x, y = cm.apply(d, x, y)
-    return _fractions(d, x, y)
+        point = cm.apply(*point)
+    return _fractions(*point)
 
 
 def twist_cell_apply(cm: CellMap, p: PointRep) -> PointRep:
@@ -324,34 +335,12 @@ def displacement_bound(cm: CellMap) -> Fraction:
 
 
 def piece_inverse_oracle(cm: CellMap, u: Rational, v: Rational) -> tuple[Fraction, Fraction]:
-    """The unique (x, y) in the square with twist_eval(cm, x, y) == (u, v).
-
-    Works clause by clause: invert every formula exactly, keep solutions that
-    land in the square and actually map to (u, v) under printed-order
-    evaluation.  Independent of any closed-form inverse map, so it can sit in
-    judgment over one.  Raises NoPreimage / MultiplePreimages when the map
-    fails to be a bijection onto the square at this value (verbatim defect).
-    """
+    """The unique (x, y) in the square with twist_eval(cm, x, y) == (u, v),
+    found by clause inversion: see CellMap.preimage."""
     if cm.is_cubed:
         raise BadIndices("oracle inverts single applications only")
-    u, v = _exact(u), _exact(v)
-    e, uu, vv = _lift_ints(u.numerator, u.denominator, v.numerator, v.denominator)
-    d = e << cm._shift  # every candidate sits over d
-    found: list[tuple[int, int]] = []
-    for x, y in cm.candidates(e, uu, vv):
-        if abs(x) > d or abs(y) > d or (x, y) in found:
-            continue
-        dd, p, q = cm.apply(d, x, y)
-        if p * e == uu * dd and q * e == vv * dd:
-            found.append((x, y))
-    points = [_fractions(d, x, y) for x, y in found]
-    if not points:
-        raise NoPreimage(f"{cm.label()} has no preimage of ({u}, {v})")
-    if len(points) > 1:
-        raise MultiplePreimages(
-            f"{cm.label()} has {len(points)} preimages of ({u}, {v}): {points}"
-        )
-    return points[0]
+    e, u, v = _lift(u, v)
+    return _fractions(e << cm._shift, *cm.preimage(e, u, v))
 
 
 def lipschitz_sample_check(cm: CellMap, pairs: Iterable[tuple[PointRep, PointRep]]) -> Fraction:
@@ -414,10 +403,6 @@ class ErrataReport:
         ]
 
 
-def _fmt_pair(p: tuple[Fraction, Fraction]) -> str:
-    return f"({p[0]}, {p[1]})"
-
-
 def twist_diagnostics(variant: Variant, n: int, m: int, grid_step: Rational) -> ErrataReport:
     """Reconcile the scaled twist pair against its stated properties on the
     full rational grid of the square with the given step.
@@ -433,8 +418,8 @@ def twist_diagnostics(variant: Variant, n: int, m: int, grid_step: Rational) -> 
 
     One pass over the grid points (x, y)/d, d = 1/step, in the kernel's
     integers: images sit over e = a*d, a = 2^(m-n), and every check compares
-    integers.  Fractions are built only for piece_inverse_oracle's input and
-    for the text of a finding.
+    integers, clause inversion included.  Fractions are built only for the
+    text of a finding.
 
     The step is 1/2^k with 4 <= k <= 8: the finest grid, 1/256, already has
     513^2 points, and every step finer asks for four times as many.  m is at
@@ -474,16 +459,15 @@ def twist_diagnostics(variant: Variant, n: int, m: int, grid_step: Rational) -> 
                 images.append(img)
                 if abs(img[0]) > e or abs(img[1]) > e:
                     note("range-containment", cm, x, y, "image inside the square",
-                         f"{cm._tags[hits[0]]} -> {_fmt_pair(_fractions(e, *img))}")
+                         f"{cm._tags[hits[0]]} -> {_fmt_pair(e, *img)}")
                 if any(val != img for val in vals[1:]):
                     tags = [cm._tags[k] for k in hits]
                     note("piece-agreement", cm, x, y, f"clauses {tags} agree",
-                         "; ".join(f"{t}: {_fmt_pair(_fractions(e, *val))}"
-                                   for t, val in zip(tags, vals)))
+                         "; ".join(f"{t}: {_fmt_pair(e, *val)}" for t, val in zip(tags, vals)))
                 displacement(cm, 1, x, y, a, *img)
                 if y == 0 and a * abs(x) <= (a - 1) * d and img != (a * x, 0):
                     note("center-fixity", cm, x, 0, f"({Fraction(x, d)}, 0) fixed",
-                         _fmt_pair(_fractions(e, *img)))
+                         _fmt_pair(e, *img))
             if x % 4 == 0 and y % 4 == 0:  # cubed maps: every fourth row and column
                 for cm in (ccw3, cw3):
                     try:
@@ -498,22 +482,23 @@ def twist_diagnostics(variant: Variant, n: int, m: int, grid_step: Rational) -> 
                         continue
                     displacement(cm, 3, x, y, a**3, *point[1:])
             u, v = images[0]
-            w, fwd = _fractions(d, x, y), _fractions(e, u, v)
             if abs(u) > e or abs(v) > e:
                 note("inverse-roundtrip", cw, x, y, "forward image inside the square",
-                     _fmt_pair(fwd))
+                     _fmt_pair(e, u, v))
                 continue
+            home = (a * a * x, a * a * y)  # (x, y) over a*e, where both inverses land
             ee, p, q = cw.apply(e, u, v)
-            if (p, q) != (a * a * x, a * a * y):
-                note("inverse-roundtrip", cw, x, y, f"cw(ccw{_fmt_pair(w)}) == {_fmt_pair(w)}",
-                     f"{_fmt_pair(fwd)} -> {_fmt_pair(_fractions(ee, p, q))}")
+            if (p, q) != home:
+                w = _fmt_pair(d, x, y)
+                note("inverse-roundtrip", cw, x, y, f"cw(ccw{w}) == {w}",
+                     f"{_fmt_pair(e, u, v)} -> {_fmt_pair(ee, p, q)}")
             try:
-                pre = piece_inverse_oracle(ccw, *fwd)
-                if pre != w:
-                    note("oracle-roundtrip", ccw, x, y, f"unique preimage {_fmt_pair(w)}",
-                         _fmt_pair(pre))
+                pre = ccw.preimage(e, u, v)
+                if pre != home:
+                    note("oracle-roundtrip", ccw, x, y, f"unique preimage {_fmt_pair(d, x, y)}",
+                         _fmt_pair(a * e, *pre))
             except (NoPreimage, MultiplePreimages) as exc:
-                note("oracle-roundtrip", ccw, x, y, f"unique preimage of {_fmt_pair(fwd)}",
+                note("oracle-roundtrip", ccw, x, y, f"unique preimage of {_fmt_pair(e, u, v)}",
                      "no preimage" if isinstance(exc, NoPreimage) else str(exc))
 
     return ErrataReport(variant, n, m, grid_step, (2 * d + 1) ** 2, tuple(findings))

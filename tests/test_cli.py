@@ -19,7 +19,7 @@ F = Fraction
 ROOT = Path(__file__).resolve().parent.parent
 
 # every method through which a CellMap evaluates itself
-EVALUATION = ("hits", "value", "apply", "image", "candidates")
+EVALUATION = ("hits", "value", "apply", "image", "preimage")
 
 
 def run(capsys, *argv):
@@ -293,6 +293,15 @@ def test_render_with_trace(capsys, points, tmp_path):
                      "--out", out_path)
     assert code == 0
     assert "<path" in (tmp_path / "t.svg").read_text()
+
+
+def test_render_into_a_missing_directory_exits_2(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.svg"
+    code, stdout, err = run(capsys, "render", "--map", "ccw", "--n", "1", "--m", "2",
+                            "--grid", "16", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot write {out}:") and "Traceback" not in err
+    assert not out.parent.exists()
 
 
 def test_render_rejects_bad_grid(capsys, tmp_path):

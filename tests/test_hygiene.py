@@ -136,3 +136,14 @@ def test_render_imports_no_public_twist_function():
     functions = {node.name for node in trees["twists"].body if isinstance(node, ast.FunctionDef)}
     imported = {name for _, module, name in _imports(trees["render"]) if module == "twists"}
     assert not {name for name in imported & functions if not name.startswith("_")}
+
+
+def test_diagnostics_call_no_public_twist_function():
+    # twist_diagnostics runs on CellMap's integers, clause inversion included
+    tree = _trees()["twists"]
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    diagnostics = next(node for node in tree.body
+                       if isinstance(node, ast.FunctionDef) and node.name == "twist_diagnostics")
+    called = {node.func.id for node in ast.walk(diagnostics)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert not {name for name in called & functions if not name.startswith("_")}

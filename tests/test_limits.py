@@ -505,3 +505,16 @@ def test_stage_map_refuses_a_stage_outside_the_schedule(k):
             s.stage_map(k, reverse)
     with pytest.raises(BadIndices, match="stage must be in 1..0, got 1"):
         build_schedule(ORIGIN, 3).stage_map(1)
+
+
+@pytest.mark.parametrize("source", [ONES, ORIGIN])
+def test_negative_stage_index_is_a_bad_index(source):
+    # a stage index below 0 is bad input (exit 2), not a horizon exhausted
+    s = build_schedule(source, 6)
+    calls = [lambda: s.lipschitz(-1), lambda: s.tail_bound(-1, False), lambda: s.tail_bound(-1, True),
+             lambda: forward_partial_eval(s, ONES, -1), lambda: reverse_partial_eval(s, ONES, -1),
+             lambda: forward_tail_bound(s, -1), lambda: reverse_tail_bound(s, -1)]
+    for call in calls:
+        with pytest.raises(BadIndices, match="stage index must be >= 0, got -1") as info:
+            call()
+        assert info.value.exit_code == 2

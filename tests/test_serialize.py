@@ -199,3 +199,15 @@ def test_plan_beyond_horizon_plus_pad_stages_still_parses():
     plan = solve(p, q, F(1, 2**64))
     assert plan.target_schedule.count == 275
     assert parse_plan(dump_json(plan_to_obj(plan, (None, q)))) == plan
+
+
+@pytest.mark.parametrize("p, q", [
+    (make_point([F(1, 3), F(-1, 2)], F(1, 5)), make_point([F(2, 7)], F(-3, 8))),
+    (make_point([1, F(1, 2), -1], F(1, 4)), make_point([F(2, 7)], F(-3, 8))),
+    (make_point([F(1, 3), F(-1, 2)], F(1, 5)), make_point([F(-1, 3)], -1)),
+    (make_point([1, F(1, 2), -1], F(1, 4)), make_point([F(-1, 3)], -1)),
+    (make_point([], 1), make_point([], 0)),
+])
+def test_parsed_plan_reserializes_to_the_same_bytes(p, q):
+    text = dump_json(plan_to_obj(solve(p, q, F(1, 2**20)), (p, q)))
+    assert dump_json(plan_to_obj(parse_plan(text), (p, q))) == text

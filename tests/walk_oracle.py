@@ -59,7 +59,9 @@ def build_schedule_pool(p, count):
 def partial_walk(s, p, i, reverse=False):
     """Stages 1..i applied to p (cw stages i down to 1 if reverse), one
     twist_eval per stage."""
-    if not 0 <= i <= s.count:
+    if i < 0:
+        raise BadIndices(f"stage index must be >= 0, got {i}")
+    if i > s.count:
         raise HorizonExceeded(f"stage {i} requested but only {s.count} stages are materialized")
     cur = {}
     for k in range(i, 0, -1) if reverse else range(1, i + 1):
