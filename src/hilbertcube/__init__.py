@@ -12,7 +12,6 @@ from .cube import (
     PointRep,
     cell_metric,
     classify_point,
-    coord,
     epsilon,
     make_point,
     metric_d,

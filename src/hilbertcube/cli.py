@@ -40,7 +40,7 @@ from .serialize import (
     plan_to_obj,
     schedule_to_obj,
 )
-from .twists import CellMap, MapKind, Variant, twist_diagnostics
+from .twists import CellMap, MapKind, Variant, twist_cell_apply, twist_diagnostics
 
 
 def _read(path: str) -> str:
@@ -130,7 +130,8 @@ def _cmd_demo(args) -> int:
     rows = [(0, ones, other, metric_d(ones, other))]
     a, b = ones, other
     for k in range(1, args.n + 1):
-        a, b = _first_attempt_stage(a, k), _first_attempt_stage(b, k)
+        stage = _first_attempt_stage(k)
+        a, b = twist_cell_apply(stage, a), twist_cell_apply(stage, b)
         rows.append((k, a, b, metric_d(a, b)))
     width = max(len(_inline(r[1])) for r in rows)
     sys.stdout.write(f"stage  {'image of all-ones':<{width}}  image of all-{t}  distance\n")

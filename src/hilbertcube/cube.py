@@ -110,10 +110,6 @@ def make_point(prefix: Sequence[Fraction | int | str], tail: Fraction | int | st
 ORIGIN = make_point([], 0)
 
 
-def coord(p: PointRep, i: int) -> Fraction:
-    return p.coord(i)
-
-
 def metric_d(p: PointRep, q: PointRep) -> Fraction:
     """One integer sum over D, the common denominator of both points: with n
     the longer prefix, d(p, q) * D * 2^n = sum_{i <= n} |P_i - Q_i| * 2^(n-i)

@@ -158,12 +158,15 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
 
     # size the materialized schedules for every evaluation verify or a
     # roundtrip at this tolerance will ask of them, plus slack; lip_p and
-    # lip_q inflate the radius of the forward leg on p's and on q's side
-    i_inv = sched_p.stages_needed(tau / 8, True)[0]  # stages the inverse unwinds on the source side
+    # lip_q inflate the radius of the forward leg on p's and on q's side.
+    # Each leg gets the least share any of those evaluations gives it: the
+    # verifying one, at tau/2, when both escapes are present
+    share = _escape_budget(tau / 2, True)
+    i_inv = sched_p.stages_needed(share, True)[0]  # stages the inverse unwinds on the source side
     lip_p = sched_q.lipschitz(i_star) * lipschitz_bound(move)
     lip_q = sched_p.lipschitz(i_inv) * lipschitz_bound(interior_map_inverse(move))
-    need_p = sched_p.stages_needed((tau / 8) / lip_p, False)[0]
-    need_q = sched_q.stages_needed((tau / 8) / lip_q, False)[0]
+    need_p = sched_p.stages_needed(share / lip_p, False)[0]
+    need_q = sched_q.stages_needed(share / lip_q, False)[0]
     sched_p = build_schedule(p, max(n_cut + 1, need_p, i_inv) + STAGE_PAD)
     sched_q = build_schedule(q, max(n_cut + 1, need_q, i_star) + STAGE_PAD)
     # a plan stores an identity leg as no escape

@@ -19,11 +19,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 
 from .cube import BoundaryProfile, PointRep, Rational, classify_point
 from .errors import BadIndices, HorizonExceeded, OutOfRange
-from .twists import CellMap, MapKind, Variant, _square_lift, twist_cell_apply
+from .twists import CellMap, MapKind, Variant, _walk
 
 ZERO = Fraction(0)
 
@@ -198,41 +197,16 @@ class CertifiedPoint:
     stages_used: int
 
 
-def _walk(s: Schedule, p: PointRep, upto: int, reverse: bool = False) -> dict[int, Fraction]:
-    """Coordinate values changed by applying stages 1..upto (or upto..1 for
-    the reverse maps), sparse: only touched indices appear.
-
-    Each touched coordinate is held as a reduced pair (num, den): a stage
-    lifts its two pairs over the lcm of their denominators, applies its
-    map in integers and reduces each output by one gcd.  A Fraction is
-    built once per touched coordinate, at the end."""
-    maps = reversed(s._reverse_maps[:upto]) if reverse else s._forward_maps[:upto]
-    cur: dict[int, tuple[int, int]] = {}
-
-    def val(i: int) -> tuple[int, int]:
-        if i in cur:
-            return cur[i]
-        c = p.coord(i)
-        return c.numerator, c.denominator
-
-    for cm in maps:
-        d, u, v = cm.image(*_square_lift(*val(cm.n), *val(cm.m)))
-        g, h = gcd(u, d), gcd(v, d)
-        cur[cm.n] = u // g, d // g
-        cur[cm.m] = v // h, d // h
-    return {i: Fraction(num, den) for i, (num, den) in cur.items()}
-
-
 def forward_partial_eval(s: Schedule, p: PointRep, i: int) -> PointRep:
     """Stages 1..i applied to p (stage 1 first)."""
     _require_stage_range(s, i)
-    return p.with_coords(_walk(s, p, i))
+    return p.with_coords(_walk(s._forward_maps[:i], p))
 
 
 def reverse_partial_eval(s: Schedule, y: PointRep, i: int) -> PointRep:
     """Inverse of forward_partial_eval(s, ., i): cw stages i down to 1."""
     _require_stage_range(s, i)
-    return y.with_coords(_walk(s, y, i, reverse=True))
+    return y.with_coords(_walk(reversed(s._reverse_maps[:i]), y))
 
 
 def _least_stage(s: Schedule, tau: Fraction, reverse: bool) -> tuple[int, Fraction]:
@@ -286,7 +260,7 @@ def final_coordinates(s: Schedule, p: PointRep, upto: int) -> dict[int, tuple[in
     """(stage, value) of every coordinate j <= upto that finalization_stages
     finds, from one forward walk up to the last of those stages."""
     stages = finalization_stages(s, upto)
-    cur = _walk(s, p, max(stages.values(), default=0))
+    cur = _walk(s._forward_maps[:max(stages.values(), default=0)], p)
     return {j: (k, cur[j] if k else p.coord(j)) for j, k in stages.items()}
 
 
@@ -304,9 +278,9 @@ def final_coordinate(s: Schedule, p: PointRep, j: int) -> tuple[int, Fraction]:
     return found
 
 
-def _first_attempt_stage(p: PointRep, k: int) -> PointRep:
+def _first_attempt_stage(k: int) -> CellMap:
     """Stage k of the demo construction: the unit twist on cell (k, k+1)."""
-    return twist_cell_apply(CellMap(MapKind.FIRST_ATTEMPT, Variant.CORRECTED, k, k + 1), p)
+    return CellMap(MapKind.FIRST_ATTEMPT, Variant.CORRECTED, k, k + 1)
 
 
 def first_attempt_partial(p: PointRep, n: int) -> PointRep:
@@ -316,6 +290,4 @@ def first_attempt_partial(p: PointRep, n: int) -> PointRep:
     coordinate deeper, and the limit of the partials is not injective."""
     if n < 0:
         raise BadIndices(f"stage count must be >= 0, got {n}")
-    for k in range(1, n + 1):
-        p = _first_attempt_stage(p, k)
-    return p
+    return p.with_coords(_walk(map(_first_attempt_stage, range(1, n + 1)), p))

@@ -275,6 +275,30 @@ def _fmt_pair(d: int, x: int, y: int) -> str:
     return f"({Fraction(x, d)}, {Fraction(y, d)})"
 
 
+def _walk(maps: Iterable[CellMap], p: PointRep) -> dict[int, Fraction]:
+    """Coordinate values changed by applying the maps to p in order,
+    sparse: only touched indices appear.
+
+    Each touched coordinate is held as a reduced pair (num, den): a map
+    lifts its two pairs over the lcm of their denominators, applies itself
+    in integers and reduces each output by one gcd.  A Fraction is built
+    once per touched coordinate, at the end."""
+    cur: dict[int, tuple[int, int]] = {}
+
+    def val(i: int) -> tuple[int, int]:
+        if i in cur:
+            return cur[i]
+        c = p.coord(i)
+        return c.numerator, c.denominator
+
+    for cm in maps:
+        d, u, v = cm.image(*_square_lift(*val(cm.n), *val(cm.m)))
+        g, h = gcd(u, d), gcd(v, d)
+        cur[cm.n] = u // g, d // g
+        cur[cm.m] = v // h, d // h
+    return {i: Fraction(num, den) for i, (num, den) in cur.items()}
+
+
 def classify_region(cm: CellMap, x: Rational, y: Rational) -> str:
     """First matching clause tag in printed order.
 
@@ -323,8 +347,7 @@ def twist_eval_unchecked(cm: CellMap, x: Rational, y: Rational) -> tuple[Fractio
 
 def twist_cell_apply(cm: CellMap, p: PointRep) -> PointRep:
     """Apply the twist to coordinates (n, m) of a full point."""
-    u, v = twist_eval(cm, p.coord(cm.n), p.coord(cm.m))
-    return p.with_coords({cm.n: u, cm.m: v})
+    return p.with_coords(_walk((cm,), p))
 
 
 def displacement_bound(cm: CellMap) -> Fraction:

@@ -147,3 +147,24 @@ def test_diagnostics_call_no_public_twist_function():
     called = {node.func.id for node in ast.walk(diagnostics)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert not {name for name in called & functions if not name.startswith("_")}
+
+
+FRACTION_ENTRY_POINTS = {"twist_eval", "twist_eval_unchecked", "matching_regions", "classify_region",
+                         "piece_value", "piece_inverse_oracle"}
+
+
+def test_no_function_calls_a_fraction_entry_point():
+    # the package applies and inverts twists on CellMap's integers; the
+    # Fraction entry points of twists serve callers, and only classify_region
+    # builds on another of them
+    calls = set()
+    for module, tree in _trees().items():
+        exempt = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name in FRACTION_ENTRY_POINTS
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in exempt:
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in FRACTION_ENTRY_POINTS:
+                    calls.add(f"{module}: {name}")
+    assert not calls

@@ -7,7 +7,9 @@ seeded random points with large denominators, out-of-square ones included.
 The 1/32 grid meets every clause tie the 1/64 grid of criterion 3 meets, at
 a quarter of the cost of the Fraction tables.  The grid diagnostics, which
 check every point in the kernel's integers, must report exactly what the
-Fraction pass in twist_oracle.py reports.
+Fraction pass in twist_oracle.py reports.  Cell maps applied to full
+points, one map or a composition of unit twists, must agree with the same
+composition through the Fraction entry point twist_eval.
 """
 
 import random
@@ -19,12 +21,17 @@ import twist_oracle as oracle
 from hilbertcube import (
     CellMap,
     MapKind,
+    RangeViolation,
     Variant,
     classify_region,
+    first_attempt_partial,
+    make_point,
     matching_regions,
     piece_inverse_oracle,
     piece_value,
+    twist_cell_apply,
     twist_diagnostics,
+    twist_eval,
     twist_eval_unchecked,
 )
 from hilbertcube import twists
@@ -94,6 +101,44 @@ def test_random_points(cm):
     for _ in range(50):
         x, y = _rational(rng, 2), _rational(rng, 2)
         assert outcome(twist_eval_unchecked, cm, x, y) == outcome(oracle.twist_eval_unchecked, cm, x, y)
+
+
+def fraction_cell_apply(cm, p):
+    """A cell map on a full point through the Fraction entry point."""
+    u, v = twist_eval(cm, p.coord(cm.n), p.coord(cm.m))
+    return p.with_coords({cm.n: u, cm.m: v})
+
+
+def fraction_first_attempt(p, n):
+    for k in range(1, n + 1):
+        p = fraction_cell_apply(CellMap(MapKind.FIRST_ATTEMPT, Variant.CORRECTED, k, k + 1), p)
+    return p
+
+
+def _cube_points(rng, count):
+    """Seeded points, a third of their entries +-1: the edges where verbatim
+    maps leave the square."""
+    def entry():
+        return F(rng.choice((1, -1))) if rng.random() < 1 / 3 else _rational(rng, 1)
+    return [make_point([entry() for _ in range(rng.randint(0, 13))], entry()) for _ in range(count)]
+
+
+@pytest.mark.parametrize("cm", maps(ALL_KINDS), ids=lambda cm: cm.label().replace(" ", "-"))
+def test_cell_apply_matches_fraction_composition(cm):
+    outcomes = [(outcome(twist_cell_apply, cm, p), outcome(fraction_cell_apply, cm, p))
+                for p in _cube_points(random.Random(cm.label()), 40)]
+    assert all(got == want for got, want in outcomes)
+    # only a verbatim twist leaves the square, and on these points every one does
+    raised = {got[0] for got, _ in outcomes if isinstance(got, tuple)}
+    defective = cm.variant == Variant.VERBATIM and cm.kind != MapKind.FIRST_ATTEMPT
+    assert raised == ({RangeViolation} if defective else set())
+
+
+def test_first_attempt_partial_matches_fraction_composition():
+    points = _cube_points(random.Random(14), 20)
+    for n in range(12):
+        for p in points:
+            assert first_attempt_partial(p, n) == fraction_first_attempt(p, n), (n, p)
 
 
 def test_piece_value_off_region_at_vanishing_denominator():
