@@ -9,6 +9,7 @@ error, 3 horizon/budget exhaustion, 4 internal defect.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -181,6 +182,10 @@ def _cmd_render(args) -> int:
     cell = CellMap(MapKind(args.map), Variant(args.variant), args.n, args.m)
     trace = _load_point(args.trace) if args.trace else None
     spec = RenderSpec(cell, args.grid, trace, args.stages)
+    # refuse a missing directory before the render; the file is opened only after it
+    folder = os.path.dirname(args.out) or "."
+    if not os.path.isdir(folder):
+        raise ParseError(f"cannot write {args.out}: {folder} is not a directory")
     svg = render_svg(spec)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -19,9 +19,12 @@ verify_plan checks d(value, target) + radius < tau with everything rational.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from operator import neg
 
 from .cube import ORIGIN, PointRep, Rational, classify_point, metric_d
 from .errors import BadIndices, HorizonExceeded, OutOfRange
@@ -30,6 +33,7 @@ from .interior import (
     interior_map_eval,
     interior_map_inverse,
     lipschitz_bound,
+    slope_exponents,
 )
 from .limits import (
     CertifiedPoint,
@@ -39,7 +43,8 @@ from .limits import (
     final_coordinates,
     finalization_stages,
     first_sacrifice,
-    h_eval,
+    forward_partial_eval,
+    moved_tail_bounds,
     reverse_partial_eval,
 )
 
@@ -64,11 +69,23 @@ class HomeoPlan:
     source_schedule escapes the source point (present iff the source meets
     the boundary); target_schedule escapes the target.  move holds the
     interior-map anchors.  The case follows from which schedules are present.
+    The inverse plan and the source leg's error table are built once, on
+    first use; not being fields, they stay out of equality, hashing and repr.
     """
 
     move: InteriorMapParams
     source_schedule: Schedule | None
     target_schedule: Schedule | None
+
+    @cached_property
+    def _inverse(self) -> HomeoPlan:
+        return HomeoPlan(interior_map_inverse(self.move), self.target_schedule, self.source_schedule)
+
+    @cached_property
+    def _source_errors(self) -> tuple[list[int], int]:
+        """E(j) = nums[j] / den, j = 0..count: the source leg's error after
+        the move, carried coordinate by coordinate (moved_tail_bounds)."""
+        return moved_tail_bounds(self.source_schedule or NO_ESCAPE, slope_exponents(self.move))
 
     @property
     def case(self) -> PlanCase:
@@ -175,7 +192,14 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
 
 def _inverse_plan(plan: HomeoPlan) -> HomeoPlan:
     """H^-1 as a plan: the inverse move between the swapped escapes."""
-    return HomeoPlan(interior_map_inverse(plan.move), plan.target_schedule, plan.source_schedule)
+    return plan._inverse
+
+
+def _least_below(nums: list[int], den: int, limit: Fraction) -> int:
+    """Least j with nums[j] / den < limit, for non-increasing nums; len(nums)
+    if there is none.  Bisects on integers: nums[j] < ceil(limit * den), or
+    -nums[j] > -ceil(limit * den) in the increasing keys."""
+    return bisect_right(nums, limit.numerator * den // -limit.denominator, key=neg)
 
 
 def plan_eval_info(plan: HomeoPlan, x: PointRep, tau: Rational) -> EvalInfo:
@@ -187,6 +211,12 @@ def plan_eval_info(plan: HomeoPlan, x: PointRep, tau: Rational) -> EvalInfo:
     its factor tgt.lipschitz(i) inflates the source leg's radius; the
     escape budgets keep the radius at most tau/2, leaving headroom for
     verification at doubled tolerance.
+
+    After the move, the source leg's error at stage j is at most both
+    lipschitz_bound(move) * tail(j), from the move's global slope, and
+    E(j), carried coordinate by coordinate (HomeoPlan._source_errors).  The
+    leg walks to the least j where the smaller one, times the target leg's
+    factor, beats the budget, and is charged that product.
     """
     tau = Fraction(tau)
     if tau <= 0:
@@ -194,11 +224,17 @@ def plan_eval_info(plan: HomeoPlan, x: PointRep, tau: Rational) -> EvalInfo:
     src, tgt = (NO_ESCAPE if s is None else s for s in (plan.source_schedule, plan.target_schedule))
     budget = _escape_budget(tau, not (src.is_identity or tgt.is_identity))
     i, r_rev = _least_stage(tgt, budget, True)
-    outer = tgt.lipschitz(i) * lipschitz_bound(plan.move)  # Lipschitz factor of move + target leg
-    z = h_eval(src, x, budget / outer)
-    value = reverse_partial_eval(tgt, interior_map_eval(plan.move, z.value), i)
-    point = CertifiedPoint(value, outer * z.radius + r_rev, i + z.stages_used)
-    return EvalInfo(point, outer * src.lipschitz(z.stages_used))
+    lip_i = tgt.lipschitz(i)
+    outer = lip_i * lipschitz_bound(plan.move)  # Lipschitz factor of move + target leg
+    nums, den = plan._source_errors
+    j = _least_below(nums, den, budget / lip_i)
+    # the global slope's least stage comes first if its bound beats the budget
+    # before j; past the materialized stages it refuses, naming the stages it needs
+    if j > src.count or (j and outer * src.tail_bound(j - 1, False) < budget):
+        j = _least_stage(src, budget / outer, False)[0]
+    radius = min(outer * src.tail_bound(j, False), Fraction(lip_i * nums[j], den)) + r_rev
+    value = reverse_partial_eval(tgt, interior_map_eval(plan.move, forward_partial_eval(src, x, j)), i)
+    return EvalInfo(CertifiedPoint(value, radius, i + j), outer * src.lipschitz(j))
 
 
 def plan_inverse_eval_info(plan: HomeoPlan, y: PointRep, tau: Rational) -> EvalInfo:

@@ -56,7 +56,7 @@ def _knee_table(params: InteriorMapParams) -> tuple:
 
 @dataclass(frozen=True)
 class InteriorMapParams:
-    """The anchors of one interior move.  Its knee table, Lipschitz bound and
+    """The anchors of one interior move.  Its knee table, slope bounds and
     inverse are built once, on first use; not being fields, they stay out of
     equality, hashing and repr."""
 
@@ -76,14 +76,23 @@ class InteriorMapParams:
         return _knee_table(self)
 
     @cached_property
-    def _lipschitz(self) -> Fraction:
-        """max(1, every slope of every knee), compared as integer fractions."""
-        best_n, best_d = 1, 1
+    def _slope_bounds(self) -> tuple[Fraction, tuple[int, ...]]:
+        """One pass over the knees: max(1, every slope of every knee), and per
+        knee the least e >= 0 with both its slopes <= 2^e.  A slope is
+        compared with the largest so far by cross-multiplication only when
+        their exponents tie; otherwise the exponents decide."""
+        best_n, best_d, best_e, exps = 1, 1, 0, []
         for knee in self._knees:
+            e = 0
             for n, d in _slopes(knee):
-                if n * best_d > best_n * d:
-                    best_n, best_d = n, d
-        return Fraction(best_n, best_d)
+                # only a slope above 2^e moves either bound; a knee has at most one above 1
+                if n > d << e:
+                    e = n.bit_length() - d.bit_length()  # n/d lies in (2^(e-1), 2^(e+1))
+                    e += n > d << e  # now the least e with n/d <= 2^e
+                    if e > best_e or (e == best_e and n * best_d > best_n * d):
+                        best_n, best_d, best_e = n, d, e
+            exps.append(e)
+        return Fraction(best_n, best_d), tuple(exps)
 
     @cached_property
     def _inverse(self) -> InteriorMapParams:
@@ -123,4 +132,11 @@ def lipschitz_bound(params: InteriorMapParams) -> Fraction:
     coord_slopes, so |f_i(s) - f_i(t)| <= L_i |s - t| with L_i their max;
     the weighted sum then scales by max_i L_i at worst.
     """
-    return params._lipschitz
+    return params._slope_bounds[0]
+
+
+def slope_exponents(params: InteriorMapParams) -> tuple[int, ...]:
+    """Per knee (coordinates 1..anchor_count, then the tail's), the least
+    e >= 0 with both its slopes at most 2^e: each coordinate's Lipschitz
+    constant rounded up to a power of two."""
+    return params._slope_bounds[1]

@@ -18,7 +18,6 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .cube import BoundaryProfile, PointRep, Rational, classify_point
 from .errors import BadIndices, HorizonExceeded, OutOfRange
@@ -54,8 +53,9 @@ class Schedule:
     the source meets the boundary at all (every m_k re-enters the pool); it is
     empty only for a pseudo-interior source, in which case the limit map is
     the identity and all tail bounds vanish.  Stage k's budget is
-    stage_budget(k).  The stage maps are built once, on first use; not
-    being fields, they stay out of equality, hashing and repr.
+    stage_budget(k).  Each stage map is built once, when a walk first
+    reaches it; not being fields, the maps stay out of equality, hashing and
+    repr.
     """
 
     stages: tuple[tuple[int, int], ...]
@@ -109,17 +109,19 @@ class Schedule:
         """Stage k's cubed twist, cw for the reverse maps; k in 1..count."""
         if not 1 <= k <= self.count:
             raise BadIndices(f"stage must be in 1..{self.count}, got {k}")
-        return (self._reverse_maps if reverse else self._forward_maps)[k - 1]
+        return self._maps(k, reverse)[k - 1]
 
-    @cached_property
-    def _forward_maps(self) -> tuple[CellMap, ...]:
-        return tuple(CellMap(MapKind.TWIST_CCW_CUBED, Variant.CORRECTED, n, m)
-                     for n, m in self.stages)
-
-    @cached_property
-    def _reverse_maps(self) -> tuple[CellMap, ...]:
-        return tuple(CellMap(MapKind.TWIST_CW_CUBED, Variant.CORRECTED, n, m)
-                     for n, m in self.stages)
+    def _maps(self, i: int, reverse: bool) -> tuple[CellMap, ...]:
+        """The cubed twists of stages 1..i, cw for the reverse maps.  A walk
+        usually stops well short of the count, so the cached tuple grows to
+        the deepest stage walked so far, not to the count."""
+        name = "_reverse_maps" if reverse else "_forward_maps"
+        maps = self.__dict__.get(name, ())
+        if len(maps) < i:
+            kind = MapKind.TWIST_CW_CUBED if reverse else MapKind.TWIST_CCW_CUBED
+            maps += tuple(CellMap(kind, Variant.CORRECTED, n, m) for n, m in self.stages[len(maps):i])
+            self.__dict__[name] = maps
+        return maps[:i]
 
 
 def build_schedule(p: PointRep, count: int) -> Schedule:
@@ -188,6 +190,35 @@ def reverse_tail_bound(s: Schedule, i: int) -> Fraction:
     return s.tail_bound(i, True)
 
 
+def moved_tail_bounds(s: Schedule, exps: tuple[int, ...]) -> tuple[list[int], int]:
+    """E(j) for j = 0..count, as numerators over one denominator: a bound on
+    d(M(S_j x), M(S x)) for every x, S the limit map, S_j its stage-j
+    partial and M a coordinatewise map whose coordinate c has slopes at most
+    2^exps[min(c, len(exps)) - 1].  0 for the identity.
+
+    Stage k moves coordinate n_k by at most 3 * 2^(n_k - m_k) and m_k by at
+    most 3 (the displacement 3 * 2^-m_k behind tail_bound, coordinate by
+    coordinate), and no coordinate of the cube moves by more than 2.  So M
+    moves coordinate c by at most min(2^e_c * its displacement, 2), weighted
+    2^-c.  A sacrificed m_k always reaches the cap (slopes are >= 1), so the
+    m terms past j sum in closed form to 2^(1-b-4j) / 15; an n_k term counts
+    while the stage that sacrificed n_k, if any, lies at or before j.  Each n_k past the count lies past
+    n_count, which bounds its term by 3 * 2^(e - m_k), e the largest exponent
+    there: 3 * 2^(e - m_count) / 15 in all.
+    """
+    if s.is_identity:
+        return [0], 1
+    count, last, top = s.count, len(exps) - 1, s.base + 4 * s.count  # top: m_count
+    nums = [0] * count + [2 + (3 << max(exps[min(s.stages[-1][0] if count else 0, last):]))]
+    terms = {}  # n_k -> stage k's n term, over 15 * 2^top
+    for j, (n, m) in zip(range(count - 1, -1, -1), reversed(s.stages)):
+        # stage j + 1's m and n terms join; the n term of the later stage on m_{j+1} leaves
+        e = exps[n - 1] if n <= last else exps[last]
+        terms[n] = t = 30 << (top - n) if e >= m - n else 45 << (top - m + e)
+        nums[j] = nums[j + 1] + (30 << (top - m)) + t - terms.get(m, 0)
+    return nums, 15 << top
+
+
 @dataclass(frozen=True)
 class CertifiedPoint:
     """A computed value plus an exact bound on its distance to the true one."""
@@ -200,13 +231,13 @@ class CertifiedPoint:
 def forward_partial_eval(s: Schedule, p: PointRep, i: int) -> PointRep:
     """Stages 1..i applied to p (stage 1 first)."""
     _require_stage_range(s, i)
-    return p.with_coords(_walk(s._forward_maps[:i], p))
+    return p.with_coords(_walk(s._maps(i, False), p))
 
 
 def reverse_partial_eval(s: Schedule, y: PointRep, i: int) -> PointRep:
     """Inverse of forward_partial_eval(s, ., i): cw stages i down to 1."""
     _require_stage_range(s, i)
-    return y.with_coords(_walk(reversed(s._reverse_maps[:i]), y))
+    return y.with_coords(_walk(reversed(s._maps(i, True)), y))
 
 
 def _least_stage(s: Schedule, tau: Fraction, reverse: bool) -> tuple[int, Fraction]:
@@ -260,7 +291,7 @@ def final_coordinates(s: Schedule, p: PointRep, upto: int) -> dict[int, tuple[in
     """(stage, value) of every coordinate j <= upto that finalization_stages
     finds, from one forward walk up to the last of those stages."""
     stages = finalization_stages(s, upto)
-    cur = _walk(s._forward_maps[:max(stages.values(), default=0)], p)
+    cur = _walk(s._maps(max(stages.values(), default=0), False), p)
     return {j: (k, cur[j] if k else p.coord(j)) for j, k in stages.items()}
 
 

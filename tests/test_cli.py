@@ -304,6 +304,20 @@ def test_render_into_a_missing_directory_exits_2(capsys, tmp_path):
     assert not out.parent.exists()
 
 
+def test_render_refuses_a_missing_directory_before_rendering(capsys, monkeypatch, tmp_path):
+    def no_render(spec):
+        raise AssertionError("rendered before the output path was checked")
+
+    monkeypatch.setattr(cli, "render_svg", no_render)
+    for out in (tmp_path / "missing" / "x.svg", tmp_path / "file.svg" / "x.svg"):
+        (tmp_path / "file.svg").write_text("")
+        code, stdout, err = run(capsys, "render", "--map", "ccw-cubed", "--n", "1", "--m", "4",
+                                "--grid", "128", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: cannot write {out}:")
+        assert not out.exists()
+
+
 def test_render_rejects_bad_grid(capsys, tmp_path):
     code, _, err = run(capsys, "render", "--map", "ccw", "--n", "1", "--m", "2",
                        "--grid", "12", "--out", str(tmp_path / "x.svg"))

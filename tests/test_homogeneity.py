@@ -26,13 +26,19 @@ from hilbertcube import (
     verify_plan,
 )
 from hilbertcube import homogeneity, limits
-from hilbertcube.homogeneity import _inverse_plan, stage_count_limit
-from hilbertcube.interior import interior_map_inverse, lipschitz_bound
-from hilbertcube.limits import build_schedule, final_coordinates, first_sacrifice
+from hilbertcube.homogeneity import NO_ESCAPE, _escape_budget, _inverse_plan, stage_count_limit
+from hilbertcube.interior import interior_map_eval, interior_map_inverse, lipschitz_bound
+from hilbertcube.limits import (
+    _least_stage,
+    build_schedule,
+    final_coordinates,
+    first_sacrifice,
+    forward_partial_eval,
+)
 
 import plan_oracle
 from conftest import rand_point
-from plan_oracle import plan_eval_info_cases, plan_inverse_eval_info_cases
+from plan_oracle import moved_tail_oracle, plan_eval_info_cases, plan_inverse_eval_info_cases
 from walk_oracle import final_coordinates_rewalk, plan_from_anchors
 
 F = Fraction
@@ -359,6 +365,52 @@ def test_single_path_matches_case_oracle(k):
                         assert got[0] is HorizonExceeded
                     if t == 0:
                         assert got[0] is OutOfRange
+
+
+def _unit_or_edge(rng):
+    """A coordinate that is +-1 a third of the time."""
+    return F(rng.choice((1, -1))) if rng.randrange(3) == 0 else F(rng.randint(-15, 15), 16)
+
+
+@pytest.mark.parametrize("k", [10, 20])
+def test_source_leg_error_is_carried_coordinate_by_coordinate(k):
+    # the source leg's term is min(outer * tail(j), lip_i * E(j)), E with
+    # slopes rounded up to powers of two.  On these points it bounds the
+    # moved distance to the deepest partial, is no smaller than lip_i times
+    # the oracle's E(j) with unrounded slopes, and is no larger than the
+    # global slope's outer * tail(j); its j is never later than that bound's
+    rng = random.Random(1000 + k)
+    tau = F(1, 2**k)
+    shorter = 0
+    for p, q in WALK_PAIRS:
+        plan = solve(p, q, tau)
+        for pl in (plan, _inverse_plan(plan)):
+            src, tgt = (s or NO_ESCAPE for s in (pl.source_schedule, pl.target_schedule))
+            if not src.is_identity:  # the closed form matches the sum straight from E's definition
+                nums, den = pl._source_errors
+                assert [F(n, den) for n in nums] == moved_tail_oracle(src, pl.move)
+                exact = moved_tail_oracle(src, pl.move, rounded=False)
+                assert all(type(e) is F for e in exact)
+            budget = _escape_budget(tau, not (src.is_identity or tgt.is_identity))
+            i, r_rev = _least_stage(tgt, budget, True)
+            outer = tgt.lipschitz(i) * lipschitz_bound(pl.move)
+            today = src.stages_needed(budget / outer, False)[0]
+            for _ in range(6):
+                x = make_point([_unit_or_edge(rng) for _ in range(rng.randint(0, 8))], _unit_or_edge(rng))
+                info = plan_eval_info(pl, x, tau)
+                assert type(info.point.radius) is F and type(info.lipschitz) is F
+                j, term = info.point.stages_used - i, info.point.radius - r_rev
+                assert j <= today
+                shorter += j < today
+                if src.is_identity:
+                    assert (j, term) == (0, 0)
+                    continue
+                deep = interior_map_eval(pl.move, forward_partial_eval(src, x, src.count))
+                moved = metric_d(interior_map_eval(pl.move, forward_partial_eval(src, x, j)), deep)
+                assert moved <= exact[j]
+                assert tgt.lipschitz(i) * moved <= term <= outer * src.tail_bound(j, False)
+                assert term >= tgt.lipschitz(i) * exact[j]
+    assert shorter  # the coordinatewise bound saves stages somewhere
 
 
 def test_inverse_plan_swaps_escapes():
