@@ -103,6 +103,26 @@ class PointRep:
         return f"PointRep([{pre}], tail={self.tail})"
 
 
+# A point in flight, as one sparse vector of reduced pairs: v[i] = (num, den),
+# den > 0, for each coordinate i >= 1 it holds, and v[0] the tail, which every
+# coordinate it does not hold equals.  An evaluation carries one through its
+# walks and its move, in integers, and builds one PointRep at the end.
+PairVector = dict[int, tuple[int, int]]
+
+
+def _pairs(p: PointRep) -> PairVector:
+    v = {i: (c.numerator, c.denominator) for i, c in enumerate(p.prefix, 1)}
+    v[0] = p.tail.numerator, p.tail.denominator
+    return v
+
+
+def _point(v: PairVector) -> PointRep:
+    tail = v[0]
+    last = max((i for i, c in v.items() if c != tail), default=0)  # the prefix PointRep keeps
+    t = Fraction(*tail)
+    return PointRep(tuple(Fraction(*v[i]) if i in v else t for i in range(1, last + 1)), t)
+
+
 def make_point(prefix: Sequence[Fraction | int | str], tail: Fraction | int | str) -> PointRep:
     return PointRep(tuple(prefix), tail)  # PointRep converts each entry exactly
 
@@ -117,8 +137,10 @@ def metric_d(p: PointRep, q: PointRep) -> Fraction:
     n = max(len(p.prefix), len(q.prefix))
     pc = (*p.prefix, *[p.tail] * (n - len(p.prefix)), p.tail)
     qc = (*q.prefix, *[q.tail] * (n - len(q.prefix)), q.tail)
-    den = lcm(*(c.denominator for c in pc), *(c.denominator for c in qc))
-    diffs = [abs(a.numerator * (den // a.denominator) - b.numerator * (den // b.denominator))
+    dens = {c.denominator for c in (*pc, *qc)}
+    den = lcm(*dens)
+    scale = {d: den // d for d in dens}  # one quotient per distinct denominator
+    diffs = [abs(a.numerator * scale[a.denominator] - b.numerator * scale[b.denominator])
              for a, b in zip(pc, qc)]
     total = diffs[n] + sum(diff << (n - i) for i, diff in enumerate(diffs[:n], 1))
     return Fraction(total, den << n)

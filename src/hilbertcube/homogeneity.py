@@ -26,11 +26,11 @@ from fractions import Fraction
 from functools import cached_property
 from operator import neg
 
-from .cube import ORIGIN, PointRep, Rational, classify_point, metric_d
+from .cube import ORIGIN, PointRep, Rational, _pairs, _point, classify_point, metric_d
 from .errors import BadIndices, HorizonExceeded, OutOfRange
 from .interior import (
     InteriorMapParams,
-    interior_map_eval,
+    _move,
     interior_map_inverse,
     lipschitz_bound,
     slope_exponents,
@@ -39,13 +39,12 @@ from .limits import (
     CertifiedPoint,
     Schedule,
     _least_stage,
+    _partial,
     build_schedule,
     final_coordinates,
     finalization_stages,
     first_sacrifice,
-    forward_partial_eval,
     moved_tail_bounds,
-    reverse_partial_eval,
 )
 
 ZERO = Fraction(0)
@@ -233,7 +232,8 @@ def plan_eval_info(plan: HomeoPlan, x: PointRep, tau: Rational) -> EvalInfo:
     if j > src.count or (j and outer * src.tail_bound(j - 1, False) < budget):
         j = _least_stage(src, budget / outer, False)[0]
     radius = min(outer * src.tail_bound(j, False), Fraction(lip_i * nums[j], den)) + r_rev
-    value = reverse_partial_eval(tgt, interior_map_eval(plan.move, forward_partial_eval(src, x, j)), i)
+    # one pair vector through the source walk, the move and the target walk
+    value = _point(_partial(tgt, _move(plan.move, _partial(src, _pairs(x), j, False)), i, True))
     return EvalInfo(CertifiedPoint(value, radius, i + j), outer * src.lipschitz(j))
 
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
-from .cube import PointRep, Rational
+from .cube import PairVector, PointRep, Rational, _pairs, _point
 from .errors import AnchorOnBoundary, OutOfRange
 
 
@@ -28,17 +29,20 @@ def _knee(p_i: Fraction, q_i: Fraction) -> tuple[int, int, int, int]:
     return p_i.numerator, p_i.denominator, q_i.numerator, q_i.denominator
 
 
-def _coord_value(knee: tuple, t: Fraction) -> Fraction:
-    """Value at t of the two-piece map through the knee: (t+1)(q+1)/(p+1) - 1
-    for t <= p, else (t-p)(1-q)/(1-p) + q, each over one denominator."""
+def _coord_value(knee: tuple, tn: int, td: int) -> tuple[int, int]:
+    """Value at t = tn/td, td > 0, of the two-piece map through the knee, as
+    a reduced (num, den): (t+1)(q+1)/(p+1) - 1 for t <= p, else
+    (t-p)(1-q)/(1-p) + q, each over one denominator, reduced by one gcd."""
     pn, pd, qn, qd = knee
-    tn, td = t.numerator, t.denominator
     if not -td <= tn <= td:
-        raise OutOfRange(f"t = {t} outside [-1, 1]")
+        raise OutOfRange(f"t = {Fraction(tn, td)} outside [-1, 1]")
     if tn * pd <= pn * td:
         den = td * (pn + pd) * qd
-        return Fraction((tn + td) * (qn + qd) * pd - den, den)
-    return Fraction((tn * pd - pn * td) * (qd - qn) + qn * td * (pd - pn), td * (pd - pn) * qd)
+        num = (tn + td) * (qn + qd) * pd - den
+    else:
+        num, den = (tn * pd - pn * td) * (qd - qn) + qn * td * (pd - pn), td * (pd - pn) * qd
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def _slopes(knee: tuple) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -104,7 +108,7 @@ def interior_coord_map(p_i: Rational, q_i: Rational, t: Rational) -> Fraction:
     p_i, q_i, t = Fraction(p_i), Fraction(q_i), Fraction(t)
     if not (abs(p_i) < 1 and abs(q_i) < 1):
         raise AnchorOnBoundary(f"anchors ({p_i}, {q_i}) must be interior")
-    return _coord_value(_knee(p_i, q_i), t)
+    return Fraction(*_coord_value(_knee(p_i, q_i), t.numerator, t.denominator))
 
 
 def coord_slopes(p_i: Rational, q_i: Rational) -> tuple[Fraction, Fraction]:
@@ -113,12 +117,20 @@ def coord_slopes(p_i: Rational, q_i: Rational) -> tuple[Fraction, Fraction]:
     return Fraction(ln, ld), Fraction(rn, rd)
 
 
-def interior_map_eval(params: InteriorMapParams, x: PointRep) -> PointRep:
+def _move(params: InteriorMapParams, v: PairVector) -> PairVector:
+    """The move applied to the pair vector v.  Each anchored coordinate has
+    its own knee; past them every coordinate shares the tail's, so only
+    those v holds apart from its tail need a value of their own."""
     knees = params._knees
-    last = len(knees) - 1  # the tail's knee; coordinates past the anchors share it
-    n = max(last, len(x.prefix))
-    cells = tuple(_coord_value(knees[min(i, last)], x.coord(i + 1)) for i in range(n))
-    return PointRep(cells, _coord_value(knees[last], x.tail))
+    last, tail = len(knees) - 1, v[0]
+    moved = {i: _coord_value(knees[i - 1], *v.get(i, tail)) for i in range(1, last + 1)}
+    moved.update((i, _coord_value(knees[last], *c)) for i, c in v.items() if i > last and c != tail)
+    moved[0] = _coord_value(knees[last], *tail)
+    return moved
+
+
+def interior_map_eval(params: InteriorMapParams, x: PointRep) -> PointRep:
+    return _point(_move(params, _pairs(x)))
 
 
 def interior_map_inverse(params: InteriorMapParams) -> InteriorMapParams:

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cube import BoundaryProfile, PointRep, Rational, classify_point
+from .cube import BoundaryProfile, PairVector, PointRep, Rational, _pairs, _point, classify_point
 from .errors import BadIndices, HorizonExceeded, OutOfRange
 from .twists import CellMap, MapKind, Variant, _walk
 
@@ -228,16 +228,22 @@ class CertifiedPoint:
     stages_used: int
 
 
+def _partial(s: Schedule, v: PairVector, i: int, reverse: bool) -> PairVector:
+    """Stages 1..i applied to the pair vector v in place, stage 1 first, or
+    with reverse their inverses, stage i first; returns v."""
+    _require_stage_range(s, i)
+    maps = s._maps(i, reverse)
+    return _walk(reversed(maps) if reverse else maps, v)
+
+
 def forward_partial_eval(s: Schedule, p: PointRep, i: int) -> PointRep:
     """Stages 1..i applied to p (stage 1 first)."""
-    _require_stage_range(s, i)
-    return p.with_coords(_walk(s._maps(i, False), p))
+    return _point(_partial(s, _pairs(p), i, False))
 
 
 def reverse_partial_eval(s: Schedule, y: PointRep, i: int) -> PointRep:
     """Inverse of forward_partial_eval(s, ., i): cw stages i down to 1."""
-    _require_stage_range(s, i)
-    return y.with_coords(_walk(reversed(s._maps(i, True)), y))
+    return _point(_partial(s, _pairs(y), i, True))
 
 
 def _least_stage(s: Schedule, tau: Fraction, reverse: bool) -> tuple[int, Fraction]:
@@ -291,8 +297,8 @@ def final_coordinates(s: Schedule, p: PointRep, upto: int) -> dict[int, tuple[in
     """(stage, value) of every coordinate j <= upto that finalization_stages
     finds, from one forward walk up to the last of those stages."""
     stages = finalization_stages(s, upto)
-    cur = _walk(s._maps(max(stages.values(), default=0), False), p)
-    return {j: (k, cur[j] if k else p.coord(j)) for j, k in stages.items()}
+    v = _walk(s._maps(max(stages.values(), default=0), False), _pairs(p))
+    return {j: (k, Fraction(*v[j]) if k else p.coord(j)) for j, k in stages.items()}
 
 
 def final_coordinate(s: Schedule, p: PointRep, j: int) -> tuple[int, Fraction]:
@@ -321,4 +327,4 @@ def first_attempt_partial(p: PointRep, n: int) -> PointRep:
     coordinate deeper, and the limit of the partials is not injective."""
     if n < 0:
         raise BadIndices(f"stage count must be >= 0, got {n}")
-    return p.with_coords(_walk(map(_first_attempt_stage, range(1, n + 1)), p))
+    return _point(_walk(map(_first_attempt_stage, range(1, n + 1)), _pairs(p)))

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
-from .cube import PointRep, Rational, _exact, epsilon, metric_d
+from .cube import PairVector, PointRep, Rational, _exact, _pairs, _point, epsilon, metric_d
 from .errors import (
     BadIndices,
     DegeneratePair,
@@ -72,15 +72,21 @@ _SINGLE_OF = {
 #   strip  1-b <= |x| <= 1          (A-1)D <= A|X| <= D*A
 #   inner  |x| <= 1-b               A|X| <= (A-1)D
 #   line   |y| vs a(|x|-1)+1        |Y| vs L = A|X| - (A-1)D
-# and every formula an integer numerator over A*D.  With s = sigma(x) and
-# C = s(A-1)D, so that a(x-s)+s = (AX-C)/D, the ccw clauses read
+# and every formula an integer numerator over A*D.  With C = sigma(A-1)D,
+# sigma = -1 for x < 0 and +1 otherwise, so that a(x-sigma)+sigma = (AX-C)/D,
+# the ccw clauses read
 #   I    ((C - Y)/AD,  (AX - C + Y)/D)
 #   II   (AX/AD,       (AX - C + Y)/D)
 #   III  ((AX -+ Y)/AD, (AX - C)/D)      -Y corrected, +Y verbatim
 #   IV   ((AX - Y)/AD, Y/D)
+# A is a power of two, so it is never built: A*Z is Z << (m-n), and (A-1)*D is
+# (D << (m-n)) - D.  Only the signs of x and y enter the conditions, never
+# their product.
 # cw is ccw conjugated by R(x, y) = (x, -y): cw clause k at (x, y) is ccw
 # clause _CCW_OF_CW[k] at R(x, y), its value reflected by R.  That sends the
 # corrected ccw shear -b*y to cw's +b*y, and the verbatim defect along with it.
+# Since R undoes itself, repeated cw applications all run in the reflected
+# frame, entered once and left once.
 # The unit twist is corrected ccw at A = 1, where C = 0: its formulas A1-A4
 # are ccw's I-IV, and the two sign branches of ccw's inversion coincide.
 
@@ -100,8 +106,8 @@ class CellMap:
     A CellMap evaluates itself on integer points.  The constants of the
     once-applied map are set at construction; not being fields, they stay
     out of equality, hashing and repr.  The scale 2^(m-n) is kept as its
-    exponent and built only to evaluate a point: a map is built before any
-    size bound checks m, and 2^m need not fit in memory.
+    exponent, the shift every product with it becomes: a map is built before
+    any size bound checks m, and 2^m need not fit in memory.
     """
 
     kind: MapKind
@@ -115,13 +121,16 @@ class CellMap:
         if not (1 <= self.n < self.m):
             raise BadIndices(f"need m > n >= 1, got n={self.n}, m={self.m}")
         once = _SINGLE_OF.get(self.kind, self.kind)
-        unit = once == MapKind.FIRST_ATTEMPT
+        unit, cw = once == MapKind.FIRST_ATTEMPT, once == MapKind.TWIST_CW
         set_constant = object.__setattr__  # the way a frozen dataclass sets its fields
         set_constant(self, "_once", once)
         set_constant(self, "_times", 1 if once is self.kind else 3)
         set_constant(self, "_shift", 0 if unit else self.m - self.n)
         set_constant(self, "_corrected", unit or self.variant == Variant.CORRECTED)
         set_constant(self, "_tags", _TAGS[once])
+        set_constant(self, "_unit", unit)
+        set_constant(self, "_reflected", cw)  # evaluated as ccw at R(x, y)
+        set_constant(self, "_order", _CCW_OF_CW if cw else range(4))  # ccw's index of each clause
 
     @property
     def is_cubed(self) -> bool:
@@ -136,68 +145,79 @@ class CellMap:
 
     def hits(self, d: int, x: int, y: int) -> list[int]:
         """Indices, in printed order, of the clauses whose condition holds."""
-        return [k for k, cond in enumerate(self._conditions(d, x, y)) if cond]
+        conditions = self._unit_conditions if self._unit else self._ccw_conditions
+        held = conditions(d, x, -y if self._reflected else y)
+        return [k for k, c in enumerate(self._order) if held[c]]
 
-    def _conditions(self, d: int, x: int, y: int) -> tuple[bool, bool, bool, bool]:
-        if self._once == MapKind.TWIST_CW:
-            i, ii, iii, iv = self._ccw_conditions(d, x, -y)
-            return iii, ii, i, iv
-        if self._once == MapKind.FIRST_ATTEMPT:
-            # the unit twist keeps its own regions: on the axes they differ
-            # from ccw's at A = 1, which match I and IV at (0, 1/2), where
-            # these match A4 alone, and II and III at (1/2, 0), where A3 alone
-            ax, ay, neg = abs(x), abs(y), x * y < 0
-            return ax <= ay and neg, ax >= ay and neg, ax >= ay and not neg, ax <= ay and not neg
-        return self._ccw_conditions(d, x, y)
+    def _unit_conditions(self, d: int, x: int, y: int) -> tuple[bool, bool, bool, bool]:
+        # the unit twist keeps its own regions: on the axes they differ
+        # from ccw's at A = 1, which match I and IV at (0, 1/2), where
+        # these match A4 alone, and II and III at (1/2, 0), where A3 alone
+        ax, ay, neg = abs(x), abs(y), x * y < 0
+        return ax <= ay and neg, ax >= ay and neg, ax >= ay and not neg, ax <= ay and not neg
 
     def _ccw_conditions(self, d: int, x: int, y: int) -> tuple[bool, bool, bool, bool]:
-        ax, ay, xy = abs(x), abs(y), x * y
-        a = 1 << self._shift
-        edge, far = (a - 1) * d, a * ax
+        s, ax, ay = self._shift, abs(x), abs(y)
+        edge, far = (d << s) - d, ax << s
         line = far - edge
         strip = edge <= far and ax <= d
         high = strip and line <= ay <= d
         low = strip and ay <= line
+        xy = ((x > 0) - (x < 0)) * ((y > 0) - (y < 0))  # the sign of x*y
         return xy <= 0 and high, xy <= 0 and low, xy >= 0 and low, (xy >= 0 and high) or far <= edge
 
     def value(self, k: int, d: int, x: int, y: int) -> tuple[int, int]:
         """Numerators over scale*d of clause k's formula at (x/d, y/d)."""
-        if self._once == MapKind.TWIST_CW:
+        if self._reflected:
             u, v = self._ccw_value(_CCW_OF_CW[k], d, x, -y)
             return u, -v
         return self._ccw_value(k, d, x, y)
 
     def _ccw_value(self, k: int, d: int, x: int, y: int) -> tuple[int, int]:
-        a = 1 << self._shift
-        ax = a * x
-        w = ax - sigma(x) * (a - 1) * d
+        s = self._shift
+        ax = x << s
+        if k == 3:
+            return ax - y, y << s
+        c = (d << s) - d if x >= 0 else d - (d << s)  # C
         if k == 0:
-            return ax - w - y, a * (w + y)
+            return c - y, (ax - c + y) << s
         if k == 1:
-            return ax, a * (w + y)
-        if k == 2:
-            return (ax - y if self._corrected else ax + y), a * w
-        return ax - y, a * y
+            return ax, (ax - c + y) << s
+        return (ax - y if self._corrected else ax + y), (ax - c) << s
+
+    def _applied(self, times: int, d: int, x: int, y: int, check: bool) -> tuple[int, int, int]:
+        """The first matching clause applied `times` times: (scale^times*d,
+        u, v), not reduced.  With check, an application that leaves the
+        square raises RangeViolation.  cw runs in the reflected frame."""
+        s, order, r = self._shift, self._order, self._reflected
+        conditions = self._unit_conditions if self._unit else self._ccw_conditions
+        if r:
+            y = -y
+        for _ in range(times):
+            held = conditions(d, x, y)
+            for k in order:
+                if held[k]:
+                    break
+            else:
+                raise Unclassifiable(f"no clause matched {_fmt_pair(d, x, -y if r else y)}"
+                                     f" for {self.single().label()}")
+            x, y = self._ccw_value(k, d, x, y)
+            d <<= s
+            if check and (abs(x) > d or abs(y) > d):
+                point = (d, x, -y if r else y)
+                raise RangeViolation(f"{self.label()} left the square at {_fmt_pair(*point)}",
+                                     _fractions(*point))
+        return d, x, -y if r else y
 
     def apply(self, d: int, x: int, y: int) -> tuple[int, int, int]:
         """The first matching clause applied once: (scale*d, u, v), not reduced."""
-        for k, cond in enumerate(self._conditions(d, x, y)):
-            if cond:
-                return (d << self._shift, *self.value(k, d, x, y))
-        raise Unclassifiable(
-            f"no clause matched ({Fraction(x, d)}, {Fraction(y, d)}) for {self.single().label()}"
-        )
+        return self._applied(1, d, x, y, False)
 
     def image(self, d: int, x: int, y: int) -> tuple[int, int, int]:
         """The map applied to (x/d, y/d), three times if cubed: (D, U, V),
         not reduced.  Raises RangeViolation if any application leaves the
         square (possible only for the verbatim variant)."""
-        for _ in range(self._times):
-            d, x, y = self.apply(d, x, y)
-            if abs(x) > d or abs(y) > d:
-                raise RangeViolation(f"{self.label()} left the square at {_fmt_pair(d, x, y)}",
-                                     _fractions(d, x, y))
-        return d, x, y
+        return self._applied(self._times, d, x, y, True)
 
     def preimage(self, e: int, u: int, v: int) -> tuple[int, int]:
         """The unique (x, y) in the square that the once-applied map sends to
@@ -213,7 +233,7 @@ class CellMap:
         onto the square at this value (verbatim defect).
         """
         a, t = 1 << self._shift, 1 if self._corrected else -1
-        r, order = (-1, _CCW_OF_CW[:3]) if self._once == MapKind.TWIST_CW else (1, (0, 1, 2))
+        r, order = (-1, _CCW_OF_CW[:3]) if self._reflected else (1, (0, 1, 2))
         w = r * v  # cw solves ccw's clauses at R(u, v) = (u, w)
         solutions = []
         for s in (1, -1):  # at A = 1 both branches give the same solutions
@@ -237,11 +257,6 @@ class CellMap:
             raise NoPreimage(f"{self.label()} has no preimage of {_fmt_pair(e, u, v)}")
         raise MultiplePreimages(f"{self.label()} has {len(found)} preimages of {_fmt_pair(e, u, v)}:"
                                 f" {[_fractions(d, x, y) for x, y in found]}")
-
-
-def sigma(x: Rational) -> int:
-    """Sign convention used by the scaled twists: sigma(0) = +1."""
-    return 1 if x >= 0 else -1
 
 
 def _lift_ints(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int, int]:
@@ -275,28 +290,18 @@ def _fmt_pair(d: int, x: int, y: int) -> str:
     return f"({Fraction(x, d)}, {Fraction(y, d)})"
 
 
-def _walk(maps: Iterable[CellMap], p: PointRep) -> dict[int, Fraction]:
-    """Coordinate values changed by applying the maps to p in order,
-    sparse: only touched indices appear.
+def _walk(maps: Iterable[CellMap], v: PairVector) -> PairVector:
+    """The maps applied in order to the pair vector v, in place; returns v.
 
-    Each touched coordinate is held as a reduced pair (num, den): a map
-    lifts its two pairs over the lcm of their denominators, applies itself
-    in integers and reduces each output by one gcd.  A Fraction is built
-    once per touched coordinate, at the end."""
-    cur: dict[int, tuple[int, int]] = {}
-
-    def val(i: int) -> tuple[int, int]:
-        if i in cur:
-            return cur[i]
-        c = p.coord(i)
-        return c.numerator, c.denominator
-
+    A map lifts its two pairs over the lcm of their denominators, applies
+    itself in integers and reduces each output by one gcd."""
+    tail = v[0]
     for cm in maps:
-        d, u, v = cm.image(*_square_lift(*val(cm.n), *val(cm.m)))
-        g, h = gcd(u, d), gcd(v, d)
-        cur[cm.n] = u // g, d // g
-        cur[cm.m] = v // h, d // h
-    return {i: Fraction(num, den) for i, (num, den) in cur.items()}
+        d, u, w = cm.image(*_square_lift(*v.get(cm.n, tail), *v.get(cm.m, tail)))
+        g, h = gcd(u, d), gcd(w, d)
+        v[cm.n] = u // g, d // g
+        v[cm.m] = w // h, d // h
+    return v
 
 
 def classify_region(cm: CellMap, x: Rational, y: Rational) -> str:
@@ -339,15 +344,12 @@ def twist_eval(cm: CellMap, x: Rational, y: Rational) -> tuple[Fraction, Fractio
 def twist_eval_unchecked(cm: CellMap, x: Rational, y: Rational) -> tuple[Fraction, Fraction]:
     """Like twist_eval but lets out-of-square values pass through; raises
     Unclassifiable only where one matches no clause."""
-    point = _lift(x, y)
-    for _ in range(cm._times):
-        point = cm.apply(*point)
-    return _fractions(*point)
+    return _fractions(*cm._applied(cm._times, *_lift(x, y), False))
 
 
 def twist_cell_apply(cm: CellMap, p: PointRep) -> PointRep:
     """Apply the twist to coordinates (n, m) of a full point."""
-    return p.with_coords(_walk((cm,), p))
+    return _point(_walk((cm,), _pairs(p)))
 
 
 def displacement_bound(cm: CellMap) -> Fraction:

@@ -22,6 +22,7 @@ from hilbertcube import (
     plan_eval_info,
     plan_inverse_eval,
     plan_inverse_eval_info,
+    plan_report,
     solve,
     verify_plan,
 )
@@ -29,6 +30,7 @@ from hilbertcube import homogeneity, limits
 from hilbertcube.homogeneity import NO_ESCAPE, _escape_budget, _inverse_plan, stage_count_limit
 from hilbertcube.interior import interior_map_eval, interior_map_inverse, lipschitz_bound
 from hilbertcube.limits import (
+    CertifiedPoint,
     _least_stage,
     build_schedule,
     final_coordinates,
@@ -93,6 +95,23 @@ def test_verify_wrong_target_fails():
     far = make_point([F(-9, 10)], F(1, 2))
     assert metric_d(INT_B, far) > 2 * tau
     assert not verify_plan(plan, BND_A, far, tau)
+
+
+def test_verify_refuses_a_bound_equal_to_tau(monkeypatch):
+    # verification is strict: a certificate whose distance bound is exactly
+    # tau does not verify
+    tau = F(1, 2**10)
+    plan = solve(BND_A, INT_B, tau)
+    value = make_point([F(1, 3)], F(-1, 3))
+
+    def tied(pl, x, t):
+        return CertifiedPoint(value, tau - metric_d(value, INT_B), 7)
+
+    monkeypatch.setattr(homogeneity, "plan_eval", tied)
+    report = plan_report(plan, BND_A, INT_B, tau)
+    assert report["distance_bound"] == tau
+    assert report["verified"] is False
+    assert not verify_plan(plan, BND_A, INT_B, tau)
 
 
 def test_eval_radius_meets_budget(rng):

@@ -3,8 +3,10 @@ every module-level constant or private helper it defines is used by it or
 imported from it by another module of the package.  Every public function
 or class is used in the package, exported by it, traced by the benchmark or
 installed as a console script.  Every function the benchmark tracer wraps
-is still defined where the tracer looks for it.  Read with ast, so nothing
-is imported or run."""
+is still defined where the tracer looks for it.  The twist kernel's
+clause helpers shift by the scale 2^(m-n) and never multiply by it.  Read
+with ast, so nothing is imported or run; the last test runs evaluations, to
+count the points they build."""
 
 import ast
 import tomllib
@@ -168,3 +170,58 @@ def test_no_function_calls_a_fraction_entry_point():
                 if name in FRACTION_ENTRY_POINTS:
                     calls.add(f"{module}: {name}")
     assert not calls
+
+
+def _scale_products(fn) -> list[str]:
+    """Products in fn with a 1 << ... operand, directly or through a name
+    bound to one."""
+    def is_scale(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift) \
+            and isinstance(node.left, ast.Constant) and node.left.value == 1
+    scales = {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign) and is_scale(node.value)
+              for t in node.targets if isinstance(t, ast.Name)}
+    return [ast.unparse(node) for node in ast.walk(fn)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and any(is_scale(sub) or (isinstance(sub, ast.Name) and sub.id in scales)
+                    for side in (node.left, node.right) for sub in ast.walk(side))]
+
+
+def test_cell_map_image_shifts_by_the_scale():
+    # image and every CellMap method it reaches through self, the clause
+    # helpers among them, multiply by no power of two
+    cell_map = next(node for node in _trees()["twists"].body
+                    if isinstance(node, ast.ClassDef) and node.name == "CellMap")
+    methods = {node.name: node for node in cell_map.body if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["image"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        todo += [node.attr for node in ast.walk(methods[name]) if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id == "self" and node.attr in methods]
+    assert {"_ccw_conditions", "_ccw_value"} <= reached
+    assert {name: _scale_products(methods[name]) for name in reached if _scale_products(methods[name])} == {}
+
+
+def test_an_evaluation_builds_one_point(monkeypatch):
+    # plan_eval_info carries one pair vector through both walks and the
+    # move, and builds the PointRep of its value once, at the end
+    from fractions import Fraction as F
+
+    from hilbertcube import PlanCase, make_point, plan_eval_info, plan_inverse_eval_info, solve
+    from hilbertcube.cube import PointRep
+
+    int_a, int_b = make_point([F(1, 3), F(-1, 2)], F(1, 5)), make_point([F(2, 7)], F(-3, 8))
+    bnd_a, bnd_b = make_point([1, F(1, 2), -1], F(1, 4)), make_point([F(-1, 3)], -1)
+    tau = F(1, 2**20)
+    plans = [(p, solve(p, q, tau)) for p, q in ((int_a, int_b), (bnd_a, int_b), (int_a, bnd_b), (bnd_a, bnd_b))]
+    assert {plan.case for _, plan in plans} == set(PlanCase)
+    built = []
+    check = PointRep.__post_init__
+    monkeypatch.setattr(PointRep, "__post_init__", lambda point: built.append(1) or check(point))
+    for p, plan in plans:
+        for fn in (plan_eval_info, plan_inverse_eval_info):
+            built.clear()
+            fn(plan, p, tau)
+            assert len(built) == 1, (plan.case, fn.__name__)

@@ -3,7 +3,8 @@
 twist_oracle.py holds those tables, every formula as printed.  Tags, values,
 images and inverse-oracle outcomes (exception type and message included)
 must agree exactly: on the full 1/32 grid of the criterion-3 cells, and on
-seeded random points with large denominators, out-of-square ones included.
+seeded random points with large denominators, out-of-square ones included;
+cubed images also at the 300-1,400-bit denominators a deep walk feeds them.
 The 1/32 grid meets every clause tie the 1/64 grid of criterion 3 meets, at
 a quarter of the cost of the Fraction tables.  The grid diagnostics, which
 check every point in the kernel's integers, must report exactly what the
@@ -14,6 +15,7 @@ composition through the Fraction entry point twist_eval.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import twist_oracle as oracle
@@ -101,6 +103,47 @@ def test_random_points(cm):
     for _ in range(50):
         x, y = _rational(rng, 2), _rational(rng, 2)
         assert outcome(twist_eval_unchecked, cm, x, y) == outcome(oracle.twist_eval_unchecked, cm, x, y)
+
+
+def _walk_sized(rng, bound):
+    """A rational in [-bound, bound] over a denominator of 300-1,400 bits,
+    the sizes a deep walk feeds its stage maps; +-1 a fifth of the time."""
+    if rng.random() < 0.2:
+        return F(rng.choice((1, -1)))
+    bits = rng.randint(300, 1400)
+    den = rng.choice((1 << bits, 3 << bits, rng.randrange(1 << (bits - 1), 1 << bits)))
+    return F(rng.randint(-bound * den, bound * den), den)
+
+
+def witnessed(fn, *args):
+    """fn's result, or the type, text and witness of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "value", None)
+
+
+def lifted_image(cm, x, y):
+    """cm.image at (x, y) lifted over the lcm of the denominators."""
+    d = lcm(x.denominator, y.denominator)
+    e, u, v = cm.image(d, x.numerator * (d // x.denominator), y.numerator * (d // y.denominator))
+    return F(u, e), F(v, e)
+
+
+WALK_CELLS = CELLS + ((9, 40), (60, 236))
+
+
+@pytest.mark.parametrize("cm", [CellMap(kind, variant, n, m) for n, m in WALK_CELLS for variant in Variant
+                                for kind in (MapKind.TWIST_CCW_CUBED, MapKind.TWIST_CW_CUBED)],
+                         ids=lambda cm: cm.label().replace(" ", "-"))
+def test_cubed_images_at_walk_sized_denominators(cm):
+    rng = random.Random(cm.label() + " walk")
+    points = [(_walk_sized(rng, 1), _walk_sized(rng, 1)) for _ in range(30)]
+    points += [(_walk_sized(rng, 2), _walk_sized(rng, 2)) for _ in range(15)]  # out of the square too
+    got = [witnessed(lifted_image, cm, x, y) for x, y in points]
+    assert got == [witnessed(oracle.image, cm, x, y) for x, y in points]
+    # images and refusals both occur, so neither half of the comparison is empty
+    assert {type(out[0]) for out in got} == {F, type}
 
 
 def fraction_cell_apply(cm, p):

@@ -33,7 +33,7 @@ from hilbertcube import (
     twist_eval_unchecked,
 )
 from hilbertcube.cube import cell_metric
-from hilbertcube.twists import sigma
+from twist_oracle import sigma
 
 F = Fraction
 

@@ -21,15 +21,20 @@ from hilbertcube import (
     MapKind,
     MultiplePreimages,
     NoPreimage,
+    RangeViolation,
     Unclassifiable,
     Variant,
     cell_metric,
     epsilon,
 )
 from hilbertcube import twists as lib
-from hilbertcube.twists import sigma
 
 ZERO = Fraction(0)
+
+
+def sigma(x):
+    """Sign convention used by the scaled twists: sigma(0) = +1."""
+    return 1 if x >= 0 else -1
 
 
 @lru_cache(maxsize=None)
@@ -118,6 +123,16 @@ def twist_eval_unchecked(cm, x, y):
     single = cm.single()
     for _ in range(3 if cm.is_cubed else 1):
         _, (x, y) = apply_once(single, x, y)
+    return x, y
+
+
+def image(cm, x, y):
+    """CellMap.image in Fractions: every application must stay in the square."""
+    x, y = Fraction(x), Fraction(y)
+    for _ in range(3 if cm.is_cubed else 1):
+        _, (x, y) = apply_once(cm.single(), x, y)
+        if abs(x) > 1 or abs(y) > 1:
+            raise RangeViolation(f"{cm.label()} left the square at ({x}, {y})", (x, y))
     return x, y
 
 
