@@ -4,7 +4,9 @@ twist_oracle.py holds those tables, every formula as printed.  Tags, values,
 images and inverse-oracle outcomes (exception type and message included)
 must agree exactly: on the full 1/32 grid of the criterion-3 cells, and on
 seeded random points with large denominators, out-of-square ones included;
-cubed images also at the 300-1,400-bit denominators a deep walk feeds them.
+cubed images also at the 300-1,400-bit denominators a deep walk feeds them,
+and inverse-oracle outcomes also at the scales 2^31 and 2^176 of cells
+(9,40) and (60,236), on the clause seams.
 The 1/32 grid meets every clause tie the 1/64 grid of criterion 3 meets, at
 a quarter of the cost of the Fraction tables.  The grid diagnostics, which
 check every point in the kernel's integers, must report exactly what the
@@ -23,6 +25,8 @@ import twist_oracle as oracle
 from hilbertcube import (
     CellMap,
     MapKind,
+    MultiplePreimages,
+    NoPreimage,
     RangeViolation,
     Variant,
     classify_region,
@@ -223,3 +227,39 @@ def test_diagnostics_match_fraction_pass_when_the_centre_moves(monkeypatch):
     got, want = twist_diagnostics(*case), oracle.twist_diagnostics(*case)
     assert got.counts_by_check()["center-fixity"] == 2 * 29  # |x| <= 7/8 on both maps
     assert got.to_records() == want.to_records()
+
+
+def _seam_points(rng, n, m):
+    """Points on the clause seams of cell (n, m): the strip edges x = +-(1-b),
+    the lines |y| = a(|x|-1)+1 across the strip, the axes and the square's
+    edges, with b = 2^(n-m)."""
+    b = F(1, 2 ** (m - n))
+    points = []
+    for _ in range(6):
+        t, z = F(rng.randint(0, 64), 64), _rational(rng, 1)
+        for sx in (1, -1):
+            for sy in (1, -1):
+                points += [(sx * (1 - b * t), sy * (1 - t)), (sx * (1 - b), z), (sx * (1 - b * t), 0),
+                           (0, sy * z), (sx, z), (z, sy)]
+    return points
+
+
+@pytest.mark.parametrize("cm", [CellMap(kind, variant, n, m) for n, m in ((9, 40), (60, 236))
+                                for variant in Variant for kind in SINGLE],
+                         ids=lambda cm: cm.label().replace(" ", "-"))
+def test_inverse_oracle_at_large_scales(cm):
+    # scales 2^31 and 2^176, where every candidate is built by shifts: the
+    # seam points as queries and as preimages, images of seeded points, and
+    # points outside the square, which no map reaches
+    rng = random.Random(cm.label() + " inverse")
+    seams = _seam_points(rng, cm.n, cm.m)
+    queries = seams + [oracle.twist_eval_unchecked(cm, x, y) for x, y in seams]
+    points = [(_rational(rng, 1), _rational(rng, 1)) for _ in range(20)]
+    queries += [oracle.twist_eval_unchecked(cm, x, y) for x, y in points]
+    queries += [(_rational(rng, 2), _rational(rng, 2)) for _ in range(10)]
+    got = [outcome(piece_inverse_oracle, cm, u, v) for u, v in queries]
+    assert got == [outcome(oracle.piece_inverse_oracle, cm, u, v) for u, v in queries]
+    # unique preimages occur, and failures: verbatim seams have several preimages
+    assert any(type(out[0]) is F for out in got)
+    failures = {out[0] for out in got if type(out[0]) is not F}
+    assert failures == ({NoPreimage, MultiplePreimages} if cm.variant == Variant.VERBATIM else {NoPreimage})
