@@ -228,29 +228,38 @@ class CellMap:
         evaluation maps it back.  Each clause is affine in (x, y) once sigma
         is fixed (the second output coordinate pins x, then the first is
         linear in y), so inversion is exact and needs no closed-form inverse
-        map.  cw's are ccw's at R(u, v), reflected, in cw's order.  Raises
-        NoPreimage / MultiplePreimages where the map fails to be a bijection
-        onto the square at this value (verbatim defect).
+        map.  cw's are ccw's at R(u, v), in cw's order, each candidate
+        checked against ccw's clause table there and reflected once found.
+        Raises NoPreimage / MultiplePreimages where the map fails to be a
+        bijection onto the square at this value (verbatim defect).
         """
-        a, t = 1 << self._shift, 1 if self._corrected else -1
-        r, order = (-1, _CCW_OF_CW[:3]) if self._reflected else (1, (0, 1, 2))
-        w = r * v  # cw solves ccw's clauses at R(u, v) = (u, w)
+        s, order = self._shift, self._order
+        w = -v if self._reflected else v  # cw solves ccw's clauses at R(u, v) = (u, w)
+        au, d = u << s, e << s  # over d = a*e, where a = 2^(m-n)
         solutions = []
-        for s in (1, -1):  # at A = 1 both branches give the same solutions
-            for k in order:
-                if k == 0:    # I: y + s = a(s - u), then v = a(x - u)
-                    solutions.append((a * u + w, a * (a * (s * e - u) - s * e)))
+        for c in (d - e, e - d):  # C = sigma(a-1)e; at A = 1 both branches give the same solutions
+            for k in order[:3]:
+                if k == 0:    # I: y + sigma = a(sigma - u), then v = a(x - u)
+                    solutions.append((au + w, (c - au) << s))
                 elif k == 1:  # II: x = u
-                    solutions.append((a * u, a * (w - s * e - a * (u - s * e))))
+                    solutions.append((au, (w - au + c) << s))
                 else:         # III: v pins x, the shear -+b*y on top of it gives y
-                    x = s * (a - 1) * e + w
-                    solutions.append((x, t * a * (x - a * u)))
-        solutions.append((a * u + w, a * w))  # IV: u = x - b*y, v = y
-        d, image = a * e, (a * a * u, a * a * v)  # apply sends a*e to a*a*e
+                    x = c + w
+                    solutions.append((x, (x - au if self._corrected else au - x) << s))
+        solutions.append((au + w, w << s))  # IV: u = x - b*y, v = y
+        conditions = self._unit_conditions if self._unit else self._ccw_conditions
+        image = (u << 2 * s, w << 2 * s)  # a clause sends d to a*d
         found: list[tuple[int, int]] = []
-        for x, y in ((x, r * y) for x, y in solutions):
-            if abs(x) <= d and abs(y) <= d and (x, y) not in found and self.apply(d, x, y)[1:] == image:
-                found.append((x, y))
+        for x, y in solutions:
+            if abs(x) <= d and abs(y) <= d and (x, y) not in found:
+                held = conditions(d, x, y)
+                for k in order:  # the clauses cover the square: one holds
+                    if held[k]:
+                        break
+                if self._ccw_value(k, d, x, y) == image:
+                    found.append((x, y))
+        if self._reflected:
+            found = [(x, -y) for x, y in found]
         if len(found) == 1:
             return found[0]
         if not found:
@@ -443,8 +452,11 @@ def twist_diagnostics(variant: Variant, n: int, m: int, grid_step: Rational) -> 
 
     One pass over the grid points (x, y)/d, d = 1/step, in the kernel's
     integers: images sit over e = a*d, a = 2^(m-n), and every check compares
-    integers, clause inversion included.  Fractions are built only for the
-    text of a finding.
+    integers, clause inversion included.  Each single map reads its
+    conditions and its values once per point, straight from the clause
+    table (cw at R(x, y)); every product with a is a shift, and those that
+    depend on x alone are made once per row.  Fractions are built only for
+    the text of a finding.
 
     The step is 1/2^k with 4 <= k <= 8: the finest grid, 1/256, already has
     513^2 points, and every step finer asks for four times as many.  m is at
@@ -458,61 +470,65 @@ def twist_diagnostics(variant: Variant, n: int, m: int, grid_step: Rational) -> 
     ccw, cw, ccw3, cw3 = (CellMap(kind, variant, n, m) for kind in kinds)
     if m > _MAX_M:
         raise BadIndices(f"diagnostics need m <= {_MAX_M}, got m={m}")
-    d, a = grid_step.denominator, 1 << (m - n)
-    e = a * d
+    d, s = grid_step.denominator, m - n
+    e, edge = d << s, (d << s) - d  # images sit over e = a*d; |x| <= 1-b reads |ax| <= edge
+    cubed_e = d << 3 * s  # a cubed image sits over a^3*d
     eps_m = epsilon(m)
     findings: list[Finding] = []
 
     def note(check, cm, x, y, expected, observed):
         findings.append(Finding(check, cm.label(), _fractions(d, x, y), expected, observed))
 
-    def displacement(cm, times, x, y, f, u, v):
-        # 2^m * f*d times the cell metric from (x, y)/d to (u, v)/(f*d)
-        far = a * abs(f * x - u) + abs(f * y - v)
-        if far > times * f * d:
-            note("displacement", cm, x, y, f"cell displacement <= {times * eps_m}",
-                 str(Fraction(far, 2**m * f * d)))
+    def moved_too_far(cm, times, x, y, far, over):
+        # far is 2^m * over times the cell metric from (x, y)/d to the image
+        note("displacement", cm, x, y, f"cell displacement <= {times * eps_m}", str(Fraction(far, over << m)))
 
     for x in range(-d, d + 1):
+        ax, home_x, cubed_x = x << s, x << 2 * s, x << 3 * s  # x over e, a*e and a^2*e
+        centre = abs(ax) <= edge
         for y in range(-d, d + 1):
             images = []
-            for cm in (ccw, cw):
+            for cm, r in ((ccw, 1), (cw, -1)):  # cw is ccw at R(x, y), its value reflected
                 # the first matching clause is the one applied
-                hits = cm.hits(d, x, y)
-                vals = [cm.value(k, d, x, y) for k in hits]
-                img = vals[0]
+                order, yr = cm._order, r * y
+                held = cm._ccw_conditions(d, x, yr)
+                hits = [k for k, c in enumerate(order) if held[c]]
+                p, q = img = cm._ccw_value(order[hits[0]], d, x, yr)
                 images.append(img)
-                if abs(img[0]) > e or abs(img[1]) > e:
+                if abs(p) > e or abs(q) > e:
                     note("range-containment", cm, x, y, "image inside the square",
-                         f"{cm._tags[hits[0]]} -> {_fmt_pair(e, *img)}")
-                if any(val != img for val in vals[1:]):
-                    tags = [cm._tags[k] for k in hits]
-                    note("piece-agreement", cm, x, y, f"clauses {tags} agree",
-                         "; ".join(f"{t}: {_fmt_pair(e, *val)}" for t, val in zip(tags, vals)))
-                displacement(cm, 1, x, y, a, *img)
-                if y == 0 and a * abs(x) <= (a - 1) * d and img != (a * x, 0):
-                    note("center-fixity", cm, x, 0, f"({Fraction(x, d)}, 0) fixed",
-                         _fmt_pair(e, *img))
+                         f"{cm._tags[hits[0]]} -> {_fmt_pair(e, p, r * q)}")
+                if len(hits) > 1:
+                    vals = [img] + [cm._ccw_value(order[k], d, x, yr) for k in hits[1:]]
+                    if any(val != img for val in vals):
+                        tags = [cm._tags[k] for k in hits]
+                        note("piece-agreement", cm, x, y, f"clauses {tags} agree",
+                             "; ".join(f"{t}: {_fmt_pair(e, u, r * v)}"
+                                       for t, (u, v) in zip(tags, vals)))
+                far = (abs(ax - p) << s) + abs((yr << s) - q)
+                if far > e:
+                    moved_too_far(cm, 1, x, y, far, e)
+                if y == 0 and centre and img != (ax, 0):
+                    note("center-fixity", cm, x, 0, f"({Fraction(x, d)}, 0) fixed", _fmt_pair(e, p, r * q))
             if x % 4 == 0 and y % 4 == 0:  # cubed maps: every fourth row and column
                 for cm in (ccw3, cw3):
                     try:
-                        point = (d, x, y)
-                        for _ in range(3):
-                            point = cm.apply(*point)
+                        _, p, q = cm._applied(3, d, x, y, False)
                     except Unclassifiable as exc:
                         # an earlier application already left the square, so
                         # the orbit has no defined continuation to measure
-                        note("displacement", cm, x, y, f"cell displacement <= {3 * eps_m}",
-                             str(exc))
+                        note("displacement", cm, x, y, f"cell displacement <= {3 * eps_m}", str(exc))
                         continue
-                    displacement(cm, 3, x, y, a**3, *point[1:])
+                    far = (abs(cubed_x - p) << s) + abs((y << 3 * s) - q)
+                    if far > 3 * cubed_e:
+                        moved_too_far(cm, 3, x, y, far, cubed_e)
             u, v = images[0]
             if abs(u) > e or abs(v) > e:
                 note("inverse-roundtrip", cw, x, y, "forward image inside the square",
                      _fmt_pair(e, u, v))
                 continue
-            home = (a * a * x, a * a * y)  # (x, y) over a*e, where both inverses land
-            ee, p, q = cw.apply(e, u, v)
+            home = (home_x, y << 2 * s)  # (x, y) over a*e, where both inverses land
+            ee, p, q = cw._applied(1, e, u, v, False)
             if (p, q) != home:
                 w = _fmt_pair(d, x, y)
                 note("inverse-roundtrip", cw, x, y, f"cw(ccw{w}) == {w}",
@@ -521,7 +537,7 @@ def twist_diagnostics(variant: Variant, n: int, m: int, grid_step: Rational) -> 
                 pre = ccw.preimage(e, u, v)
                 if pre != home:
                     note("oracle-roundtrip", ccw, x, y, f"unique preimage {_fmt_pair(d, x, y)}",
-                         _fmt_pair(a * e, *pre))
+                         _fmt_pair(e << s, *pre))
             except (NoPreimage, MultiplePreimages) as exc:
                 note("oracle-roundtrip", ccw, x, y, f"unique preimage of {_fmt_pair(e, u, v)}",
                      "no preimage" if isinstance(exc, NoPreimage) else str(exc))

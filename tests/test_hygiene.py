@@ -178,8 +178,13 @@ def _scale_products(fn) -> list[str]:
     def is_scale(node):
         return isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift) \
             and isinstance(node.left, ast.Constant) and node.left.value == 1
-    scales = {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign) and is_scale(node.value)
-              for t in node.targets if isinstance(t, ast.Name)}
+    def bound(target, value):
+        # (name, value) pairs of an assignment, tuple unpacking included
+        if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple) and len(target.elts) == len(value.elts):
+            return [pair for t, v in zip(target.elts, value.elts) for pair in bound(t, v)]
+        return [(target.id, value)] if isinstance(target, ast.Name) else []
+    scales = {name for node in ast.walk(fn) if isinstance(node, ast.Assign)
+              for target in node.targets for name, value in bound(target, node.value) if is_scale(value)}
     return [ast.unparse(node) for node in ast.walk(fn)
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
             and any(is_scale(sub) or (isinstance(sub, ast.Name) and sub.id in scales)
@@ -187,12 +192,12 @@ def _scale_products(fn) -> list[str]:
 
 
 def test_cell_map_image_shifts_by_the_scale():
-    # image and every CellMap method it reaches through self, the clause
-    # helpers among them, multiply by no power of two
+    # image, preimage and every CellMap method they reach through self, the
+    # clause helpers among them, multiply by no power of two
     cell_map = next(node for node in _trees()["twists"].body
                     if isinstance(node, ast.ClassDef) and node.name == "CellMap")
     methods = {node.name: node for node in cell_map.body if isinstance(node, ast.FunctionDef)}
-    reached, todo = set(), ["image"]
+    reached, todo = set(), ["image", "preimage"]
     while todo:
         name = todo.pop()
         if name in reached:
