@@ -8,7 +8,6 @@ affine twist maps the construction is built from.
 from .cube import (
     ORIGIN,
     BoundaryProfile,
-    CoordinateWeight,
     PointRep,
     cell_metric,
     classify_point,

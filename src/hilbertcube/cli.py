@@ -66,19 +66,24 @@ def _profile_obj(p) -> dict:
     }
 
 
-def _cmd_solve(args) -> int:
-    p, q = _load_point(args.p), _load_point(args.q)
-    tau = parse_rational(args.tau, "--tau")
-    plan = solve(p, q, tau, horizon=args.horizon)
+def _report_obj(plan, p, q, tau) -> dict:
+    """plan_report as JSON: solve's summary; verify's output drops stages_used."""
     report = plan_report(plan, p, q, tau)
-    obj = plan_to_obj(plan, (p, q))
-    obj["summary"] = {
+    return {
         "case": report["case"],
         "tau": format_rational(tau),
         "stages_used": report["stages_used"],
         "certified_distance_bound": format_rational(report["distance_bound"]),
         "verified": report["verified"],
     }
+
+
+def _cmd_solve(args) -> int:
+    p, q = _load_point(args.p), _load_point(args.q)
+    tau = parse_rational(args.tau, "--tau")
+    plan = solve(p, q, tau, horizon=args.horizon)
+    obj = plan_to_obj(plan, (p, q))
+    obj["summary"] = _report_obj(plan, p, q, tau)
     sys.stdout.write(dump_json(obj))
     return 0
 
@@ -96,17 +101,9 @@ def _cmd_verify(args) -> int:
     plan = parse_plan(_read(args.plan))
     p, q = _load_point(args.p), _load_point(args.q)
     tau = parse_rational(args.tau, "--tau")
-    report = plan_report(plan, p, q, tau)
-    sys.stdout.write(
-        dump_json(
-            {
-                "case": report["case"],
-                "tau": format_rational(tau),
-                "certified_distance_bound": format_rational(report["distance_bound"]),
-                "verified": report["verified"],
-            }
-        )
-    )
+    report = _report_obj(plan, p, q, tau)
+    del report["stages_used"]
+    sys.stdout.write(dump_json(report))
     return 0 if report["verified"] else 1
 
 
@@ -182,10 +179,12 @@ def _cmd_render(args) -> int:
     cell = CellMap(MapKind(args.map), Variant(args.variant), args.n, args.m)
     trace = _load_point(args.trace) if args.trace else None
     spec = RenderSpec(cell, args.grid, trace, args.stages)
-    # refuse a missing directory before the render; the file is opened only after it
+    # refuse a missing directory, or a directory named as the file, before the render
     folder = os.path.dirname(args.out) or "."
     if not os.path.isdir(folder):
         raise ParseError(f"cannot write {args.out}: {folder} is not a directory")
+    if os.path.isdir(args.out):
+        raise ParseError(f"cannot write {args.out}: it is a directory")
     svg = render_svg(spec)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -31,16 +31,6 @@ def epsilon(j: int) -> Fraction:
     return Fraction(1, 2**j)
 
 
-@dataclass(frozen=True)
-class CoordinateWeight:
-    j: int
-    epsilon_j: Fraction
-
-    @classmethod
-    def of(cls, j: int) -> "CoordinateWeight":
-        return cls(j, epsilon(j))
-
-
 def _exact(value) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
@@ -80,10 +70,6 @@ class PointRep:
         if i <= len(self.prefix):
             return self.prefix[i - 1]
         return self.tail
-
-    def with_coord(self, i: int, value: Fraction) -> "PointRep":
-        """Copy with coordinate i replaced (prefix widened as needed)."""
-        return self.with_coords({i: value})
 
     def with_coords(self, values: dict[int, Fraction]) -> "PointRep":
         """Copy with coordinate i replaced by values[i] for each key i: the

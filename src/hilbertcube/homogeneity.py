@@ -27,7 +27,7 @@ from functools import cached_property
 from operator import neg
 
 from .cube import ORIGIN, PointRep, Rational, _pairs, _point, classify_point, metric_d
-from .errors import BadIndices, HorizonExceeded, OutOfRange
+from .errors import BadIndices, HorizonExceeded
 from .interior import (
     InteriorMapParams,
     _move,
@@ -40,6 +40,7 @@ from .limits import (
     Schedule,
     _least_stage,
     _partial,
+    _tolerance,
     build_schedule,
     final_coordinates,
     finalization_stages,
@@ -78,6 +79,7 @@ class HomeoPlan:
 
     @cached_property
     def _inverse(self) -> HomeoPlan:
+        """H^-1 as a plan: the inverse move between the swapped escapes."""
         return HomeoPlan(interior_map_inverse(self.move), self.target_schedule, self.source_schedule)
 
     @cached_property
@@ -132,9 +134,7 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
     """
     if not 1 <= horizon <= DEFAULT_HORIZON:
         raise BadIndices(f"horizon must be in 1..{DEFAULT_HORIZON}, got {horizon}")
-    tau = Fraction(tau)
-    if tau <= 0:
-        raise OutOfRange(f"tolerance must be positive, got {tau}")
+    tau = _tolerance(tau)
     p_prof, q_prof = classify_point(p), classify_point(q)
     if p_prof.is_pseudo_interior and q_prof.is_pseudo_interior:
         return HomeoPlan(InteriorMapParams(p, q), None, None)
@@ -189,11 +189,6 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
     return HomeoPlan(move, *(None if s.is_identity else s for s in (sched_p, sched_q)))
 
 
-def _inverse_plan(plan: HomeoPlan) -> HomeoPlan:
-    """H^-1 as a plan: the inverse move between the swapped escapes."""
-    return plan._inverse
-
-
 def _least_below(nums: list[int], den: int, limit: Fraction) -> int:
     """Least j with nums[j] / den < limit, for non-increasing nums; len(nums)
     if there is none.  Bisects on integers: nums[j] < ceil(limit * den), or
@@ -217,9 +212,7 @@ def plan_eval_info(plan: HomeoPlan, x: PointRep, tau: Rational) -> EvalInfo:
     leg walks to the least j where the smaller one, times the target leg's
     factor, beats the budget, and is charged that product.
     """
-    tau = Fraction(tau)
-    if tau <= 0:
-        raise OutOfRange(f"tolerance must be positive, got {tau}")
+    tau = _tolerance(tau)
     src, tgt = (NO_ESCAPE if s is None else s for s in (plan.source_schedule, plan.target_schedule))
     budget = _escape_budget(tau, not (src.is_identity or tgt.is_identity))
     i, r_rev = _least_stage(tgt, budget, True)
@@ -239,7 +232,7 @@ def plan_eval_info(plan: HomeoPlan, x: PointRep, tau: Rational) -> EvalInfo:
 
 def plan_inverse_eval_info(plan: HomeoPlan, y: PointRep, tau: Rational) -> EvalInfo:
     """Certified H^-1(y) within tau: the forward path on the inverse plan."""
-    return plan_eval_info(_inverse_plan(plan), y, tau)
+    return plan_eval_info(plan._inverse, y, tau)
 
 
 def plan_eval(plan: HomeoPlan, x: PointRep, tau: Rational) -> CertifiedPoint:
@@ -258,9 +251,7 @@ def verify_plan(plan: HomeoPlan, p: PointRep, q: PointRep, tau: Rational) -> boo
 
 def plan_report(plan: HomeoPlan, p: PointRep, q: PointRep, tau: Rational) -> dict:
     """verify_plan plus the numbers behind it, all exact Fractions."""
-    tau = Fraction(tau)
-    if tau <= 0:
-        raise OutOfRange(f"tolerance must be positive, got {tau}")
+    tau = _tolerance(tau)
     cp = plan_eval(plan, p, tau / 2)
     bound = metric_d(cp.value, q) + cp.radius
     return {

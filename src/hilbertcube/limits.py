@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cube import BoundaryProfile, PairVector, PointRep, Rational, _pairs, _point, classify_point
+from .cube import BoundaryProfile, PairVector, PointRep, Rational, _exact, _pairs, _point, classify_point
 from .errors import BadIndices, HorizonExceeded, OutOfRange
 from .twists import CellMap, MapKind, Variant, _walk
 
@@ -246,12 +246,19 @@ def reverse_partial_eval(s: Schedule, y: PointRep, i: int) -> PointRep:
     return _point(_partial(s, _pairs(y), i, True))
 
 
-def _least_stage(s: Schedule, tau: Fraction, reverse: bool) -> tuple[int, Fraction]:
+def _tolerance(tau: Rational) -> Fraction:
+    """tau as an exact Fraction; a tau <= 0 is refused."""
+    tau = _exact(tau)
+    if tau <= 0:
+        raise OutOfRange(f"tolerance must be positive, got {tau}")
+    return tau
+
+
+def _least_stage(s: Schedule, tau: Rational, reverse: bool) -> tuple[int, Fraction]:
     """Least i whose forward (or reverse) tail bound is < tau, with that
     bound.  A tau past the materialized stages is refused with the count it
     needs."""
-    if tau <= 0:
-        raise OutOfRange(f"tolerance must be positive, got {tau}")
+    tau = _tolerance(tau)
     i, bound = s.stages_needed(tau, reverse)
     if i > s.count:
         raise HorizonExceeded(f"tolerance {tau} needs more than the {s.count} materialized"
@@ -262,13 +269,13 @@ def _least_stage(s: Schedule, tau: Fraction, reverse: bool) -> tuple[int, Fracti
 def h_eval(s: Schedule, x: PointRep, tau: Rational) -> CertifiedPoint:
     """Certified value of the limit map: the least-stage partial whose
     forward tail bound beats tau."""
-    i, bound = _least_stage(s, Fraction(tau), False)
+    i, bound = _least_stage(s, tau, False)
     return CertifiedPoint(forward_partial_eval(s, x, i), bound, i)
 
 
 def h_inverse_eval(s: Schedule, y: PointRep, tau: Rational) -> CertifiedPoint:
     """Certified value of the inverse limit map."""
-    i, bound = _least_stage(s, Fraction(tau), True)
+    i, bound = _least_stage(s, tau, True)
     return CertifiedPoint(reverse_partial_eval(s, y, i), bound, i)
 
 

@@ -25,10 +25,11 @@ its own printed order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable
 
 from .cube import PairVector, PointRep, Rational, _exact, _pairs, _point, epsilon, metric_d
@@ -417,14 +418,14 @@ class ErrataReport:
         return not self.findings
 
     def counts_by_check(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for f in self.findings:
-            out[f.check] = out.get(f.check, 0) + 1
-        return dict(sorted(out.items()))
+        return dict(sorted(Counter(f.check for f in self.findings).items()))
 
     def to_records(self) -> list[dict]:
-        """Canonically ordered plain records (sorted, rationals as strings)."""
-        ordered = sorted(self.findings, key=lambda f: (f.check, f.map_label, *f.witness))
+        """Canonically ordered plain records (sorted, rationals as strings);
+        witnesses sort as numerators over the lcm of all their denominators."""
+        den = lcm(self.grid_step.denominator, *{w.denominator for f in self.findings for w in f.witness})
+        ordered = sorted(self.findings, key=lambda f: (f.check, f.map_label,
+                                                       *[w.numerator * (den // w.denominator) for w in f.witness]))
         return [
             {
                 "check": f.check,
@@ -453,10 +454,9 @@ def twist_diagnostics(variant: Variant, n: int, m: int, grid_step: Rational) -> 
     One pass over the grid points (x, y)/d, d = 1/step, in the kernel's
     integers: images sit over e = a*d, a = 2^(m-n), and every check compares
     integers, clause inversion included.  Each single map reads its
-    conditions and its values once per point, straight from the clause
-    table (cw at R(x, y)); every product with a is a shift, and those that
-    depend on x alone are made once per row.  Fractions are built only for
-    the text of a finding.
+    conditions and its values once per point, through hits and value;
+    every product with a is a shift, and those that depend on x alone are
+    made once per row.  Fractions are built only for the text of a finding.
 
     The step is 1/2^k with 4 <= k <= 8: the finest grid, 1/256, already has
     513^2 points, and every step finer asks for four times as many.  m is at
@@ -487,29 +487,26 @@ def twist_diagnostics(variant: Variant, n: int, m: int, grid_step: Rational) -> 
         ax, home_x, cubed_x = x << s, x << 2 * s, x << 3 * s  # x over e, a*e and a^2*e
         centre = abs(ax) <= edge
         for y in range(-d, d + 1):
-            images = []
-            for cm, r in ((ccw, 1), (cw, -1)):  # cw is ccw at R(x, y), its value reflected
+            for cm in (ccw, cw):
                 # the first matching clause is the one applied
-                order, yr = cm._order, r * y
-                held = cm._ccw_conditions(d, x, yr)
-                hits = [k for k, c in enumerate(order) if held[c]]
-                p, q = img = cm._ccw_value(order[hits[0]], d, x, yr)
-                images.append(img)
+                hits = cm.hits(d, x, y)
+                p, q = img = cm.value(hits[0], d, x, y)
+                if cm is ccw:
+                    u, v = img  # the forward image both roundtrips start from
                 if abs(p) > e or abs(q) > e:
                     note("range-containment", cm, x, y, "image inside the square",
-                         f"{cm._tags[hits[0]]} -> {_fmt_pair(e, p, r * q)}")
+                         f"{cm._tags[hits[0]]} -> {_fmt_pair(e, p, q)}")
                 if len(hits) > 1:
-                    vals = [img] + [cm._ccw_value(order[k], d, x, yr) for k in hits[1:]]
+                    vals = [img] + [cm.value(k, d, x, y) for k in hits[1:]]
                     if any(val != img for val in vals):
                         tags = [cm._tags[k] for k in hits]
                         note("piece-agreement", cm, x, y, f"clauses {tags} agree",
-                             "; ".join(f"{t}: {_fmt_pair(e, u, r * v)}"
-                                       for t, (u, v) in zip(tags, vals)))
-                far = (abs(ax - p) << s) + abs((yr << s) - q)
+                             "; ".join(f"{t}: {_fmt_pair(e, *val)}" for t, val in zip(tags, vals)))
+                far = (abs(ax - p) << s) + abs((y << s) - q)
                 if far > e:
                     moved_too_far(cm, 1, x, y, far, e)
                 if y == 0 and centre and img != (ax, 0):
-                    note("center-fixity", cm, x, 0, f"({Fraction(x, d)}, 0) fixed", _fmt_pair(e, p, r * q))
+                    note("center-fixity", cm, x, 0, f"({Fraction(x, d)}, 0) fixed", _fmt_pair(e, p, q))
             if x % 4 == 0 and y % 4 == 0:  # cubed maps: every fourth row and column
                 for cm in (ccw3, cw3):
                     try:
@@ -522,13 +519,12 @@ def twist_diagnostics(variant: Variant, n: int, m: int, grid_step: Rational) -> 
                     far = (abs(cubed_x - p) << s) + abs((y << 3 * s) - q)
                     if far > 3 * cubed_e:
                         moved_too_far(cm, 3, x, y, far, cubed_e)
-            u, v = images[0]
             if abs(u) > e or abs(v) > e:
                 note("inverse-roundtrip", cw, x, y, "forward image inside the square",
                      _fmt_pair(e, u, v))
                 continue
             home = (home_x, y << 2 * s)  # (x, y) over a*e, where both inverses land
-            ee, p, q = cw._applied(1, e, u, v, False)
+            ee, p, q = cw.apply(e, u, v)
             if (p, q) != home:
                 w = _fmt_pair(d, x, y)
                 note("inverse-roundtrip", cw, x, y, f"cw(ccw{w}) == {w}",

@@ -309,13 +309,16 @@ def test_render_refuses_a_missing_directory_before_rendering(capsys, monkeypatch
         raise AssertionError("rendered before the output path was checked")
 
     monkeypatch.setattr(cli, "render_svg", no_render)
-    for out in (tmp_path / "missing" / "x.svg", tmp_path / "file.svg" / "x.svg"):
+    folder = tmp_path / "folder"  # an existing directory named as the file is refused too
+    folder.mkdir()
+    for out in (tmp_path / "missing" / "x.svg", tmp_path / "file.svg" / "x.svg", folder):
         (tmp_path / "file.svg").write_text("")
         code, stdout, err = run(capsys, "render", "--map", "ccw-cubed", "--n", "1", "--m", "4",
                                 "--grid", "128", "--out", str(out))
         assert (code, stdout) == (2, "")
         assert err.startswith(f"error: cannot write {out}:")
-        assert not out.exists()
+        assert out == folder or not out.exists()
+    assert list(folder.iterdir()) == []
 
 
 def test_render_rejects_bad_grid(capsys, tmp_path):

@@ -11,7 +11,6 @@ from hilbertcube import (
     ORIGIN,
     BadIndices,
     CellMap,
-    CoordinateWeight,
     EmptySampleSet,
     MapKind,
     OutOfRange,
@@ -71,7 +70,7 @@ def test_coord_index_validation():
 
 
 def test_with_coord_widens_prefix():
-    p = ORIGIN.with_coord(3, Fraction(1, 2))
+    p = ORIGIN.with_coords({3: Fraction(1, 2)})
     assert p.coord(3) == Fraction(1, 2)
     assert p.coord(2) == 0
     assert p.coord(4) == 0
@@ -80,7 +79,6 @@ def test_with_coord_widens_prefix():
 def test_epsilon_values_and_validation():
     assert epsilon(1) == Fraction(1, 2)
     assert epsilon(5) == Fraction(1, 32)
-    assert CoordinateWeight.of(3).epsilon_j == Fraction(1, 8)
     with pytest.raises(BadIndices):
         epsilon(0)
 
@@ -182,8 +180,8 @@ def test_cell_metric_matches_full_metric(rng):
     for _ in range(50):
         p = rand_point(rng)
         n, m = sorted(rng.sample(range(1, 9), 2))
-        q = p.with_coord(n, Fraction(rng.randint(-8, 8), 8))
-        q = q.with_coord(m, Fraction(rng.randint(-8, 8), 8))
+        q = p.with_coords({n: Fraction(rng.randint(-8, 8), 8)})
+        q = q.with_coords({m: Fraction(rng.randint(-8, 8), 8)})
         assert metric_d(p, q) == cell_metric(
             n, m, (p.coord(n), p.coord(m)), (q.coord(n), q.coord(m))
         )
@@ -245,7 +243,7 @@ def test_zeta_sampled_identity_and_lower_bound(rng):
 
     def inv(p):
         x, y = piece_inverse_oracle(cm, p.coord(1), p.coord(2))
-        return p.with_coord(1, x).with_coord(2, y)
+        return p.with_coords({1: x, 2: y})
 
     samples = [rand_point(rng) for _ in range(20)]
     ident = lambda p: p

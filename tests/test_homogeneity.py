@@ -27,7 +27,7 @@ from hilbertcube import (
     verify_plan,
 )
 from hilbertcube import homogeneity, limits
-from hilbertcube.homogeneity import NO_ESCAPE, _escape_budget, _inverse_plan, stage_count_limit
+from hilbertcube.homogeneity import NO_ESCAPE, _escape_budget, stage_count_limit
 from hilbertcube.interior import interior_map_eval, interior_map_inverse, lipschitz_bound
 from hilbertcube.limits import (
     CertifiedPoint,
@@ -403,7 +403,7 @@ def test_source_leg_error_is_carried_coordinate_by_coordinate(k):
     shorter = 0
     for p, q in WALK_PAIRS:
         plan = solve(p, q, tau)
-        for pl in (plan, _inverse_plan(plan)):
+        for pl in (plan, plan._inverse):
             src, tgt = (s or NO_ESCAPE for s in (pl.source_schedule, pl.target_schedule))
             if not src.is_identity:  # the closed form matches the sum straight from E's definition
                 nums, den = pl._source_errors
@@ -435,10 +435,10 @@ def test_source_leg_error_is_carried_coordinate_by_coordinate(k):
 def test_inverse_plan_swaps_escapes():
     for p, q in ORACLE_PAIRS:
         plan = solve(p, q, F(1, 2**10))
-        inv = _inverse_plan(plan)
+        inv = plan._inverse
         assert (inv.source_schedule, inv.target_schedule) == (plan.target_schedule, plan.source_schedule)
         assert (inv.move.source, inv.move.target) == (plan.move.target, plan.move.source)
-        assert _inverse_plan(inv) == plan
+        assert inv._inverse == plan
     plan = solve(BND_A, INT_B, F(1, 2**10))
     assert plan.case == PlanCase.BOUNDARY_INTERIOR
-    assert _inverse_plan(plan).case == PlanCase.INTERIOR_BOUNDARY
+    assert plan._inverse.case == PlanCase.INTERIOR_BOUNDARY

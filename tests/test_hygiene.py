@@ -4,9 +4,10 @@ imported from it by another module of the package.  Every public function
 or class is used in the package, exported by it, traced by the benchmark or
 installed as a console script.  Every function the benchmark tracer wraps
 is still defined where the tracer looks for it.  The twist kernel's
-clause helpers shift by the scale 2^(m-n) and never multiply by it.  Read
-with ast, so nothing is imported or run; the last test runs evaluations, to
-count the points they build."""
+clause helpers shift by the scale 2^(m-n) and never multiply by it, and
+only CellMap's methods see cw's reflected frame.  Read with ast, so nothing
+is imported or run; the last test runs evaluations, to count the points
+they build."""
 
 import ast
 import tomllib
@@ -207,6 +208,19 @@ def test_cell_map_image_shifts_by_the_scale():
                  and isinstance(node.value, ast.Name) and node.value.id == "self" and node.attr in methods]
     assert {"_ccw_conditions", "_ccw_value"} <= reached
     assert {name: _scale_products(methods[name]) for name in reached if _scale_products(methods[name])} == {}
+
+
+def test_cw_frame_stays_inside_cell_map():
+    # cw is evaluated as ccw in the reflected frame; outside CellMap's own
+    # methods, code reads a map's clauses through hits and value only
+    frame = {"_ccw_conditions", "_unit_conditions", "_ccw_value", "_order", "_reflected"}
+    trees = _trees()
+    cell_map = next(node for node in trees["twists"].body
+                    if isinstance(node, ast.ClassDef) and node.name == "CellMap")
+    inside = {id(node) for fn in cell_map.body if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+    reads = [f"{module}: {ast.unparse(node)}" for module, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in frame and id(node) not in inside]
+    assert not reads
 
 
 def test_an_evaluation_builds_one_point(monkeypatch):

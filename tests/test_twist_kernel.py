@@ -16,6 +16,7 @@ composition through the Fraction entry point twist_eval.
 """
 
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -227,6 +228,22 @@ def test_diagnostics_match_fraction_pass_when_the_centre_moves(monkeypatch):
     got, want = twist_diagnostics(*case), oracle.twist_diagnostics(*case)
     assert got.counts_by_check()["center-fixity"] == 2 * 29  # |x| <= 7/8 on both maps
     assert got.to_records() == want.to_records()
+
+    # nor does a cubed map move a point further than its bound, so the
+    # cubed displacement check never fires; make every clause move x right
+    # by b, so that cubed orbits drift past 3 * eps(m)
+    def shifted(self, k, d, x, y):
+        u, v = value(self, k, d, x, y)
+        return u + d, v  # u sits over a*d
+
+    monkeypatch.setattr(twists.CellMap, "_ccw_value", shifted)
+    got, want = twist_diagnostics(*case), oracle.twist_diagnostics(*case)
+    records = got.to_records()
+    cubed = [r["observed"] for r in records if r["check"] == "displacement" and "cubed" in r["map"]]
+    # an orbit that leaves the square is noted by its error text; others by the distance measured
+    measured = [F(observed) for observed in cubed if re.fullmatch(r"\d+/\d+", observed)]
+    assert len(measured) == 68 and min(measured) > 3 * F(1, 2**4)  # 68 of 92 cubed findings
+    assert records == want.to_records()
 
 
 def _seam_points(rng, n, m):
