@@ -23,11 +23,15 @@ from .errors import BadIndices, EmptySampleSet, OutOfRange
 Rational = Fraction
 
 
+def _check_index(j: int) -> None:
+    if j < 1:
+        raise BadIndices(f"coordinate index must be >= 1, got {j}")
+
+
 def epsilon(j: int) -> Fraction:
     """Weight of coordinate j: 2^(-j). The segment [-1,1] in coordinate j
     has d-length exactly 2 * epsilon(j)."""
-    if j < 1:
-        raise BadIndices(f"coordinate index must be >= 1, got {j}")
+    _check_index(j)
     return Fraction(1, 2**j)
 
 
@@ -65,8 +69,7 @@ class PointRep:
         object.__setattr__(self, "tail", tail)
 
     def coord(self, i: int) -> Fraction:
-        if i < 1:
-            raise BadIndices(f"coordinate index must be >= 1, got {i}")
+        _check_index(i)
         if i <= len(self.prefix):
             return self.prefix[i - 1]
         return self.tail
@@ -76,8 +79,7 @@ class PointRep:
         prefix padded with the tail as far as needed, one point built."""
         if not values:
             return self
-        if min(values) < 1:
-            raise BadIndices(f"coordinate index must be >= 1, got {min(values)}")
+        _check_index(min(values))
         cells = list(self.prefix)
         cells.extend([self.tail] * (max(values) - len(cells)))
         for i, value in values.items():

@@ -120,7 +120,8 @@ def stage_count_limit(p: PointRep, horizon: int = DEFAULT_HORIZON) -> int:
     index m_1 + 4t finalizes at stage t + 2 or later, so the anchor cutoff
     stays below m_1 + 4(horizon - 1), plus the cutoff stage and the pad
     (m_1 = 0 for an interior p)."""
-    m1 = first_sacrifice(p) if classify_point(p).is_boundary else 0
+    prof = classify_point(p)
+    m1 = first_sacrifice(prof) if prof.is_boundary else 0
     return 4 * (horizon - 1) + m1 + STAGE_PAD
 
 

@@ -19,7 +19,17 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cube import BoundaryProfile, PairVector, PointRep, Rational, _exact, _pairs, _point, classify_point
+from .cube import (
+    BoundaryProfile,
+    PairVector,
+    PointRep,
+    Rational,
+    _check_index,
+    _exact,
+    _pairs,
+    _point,
+    classify_point,
+)
 from .errors import BadIndices, HorizonExceeded, OutOfRange
 from .twists import CellMap, MapKind, Variant, _walk
 
@@ -312,8 +322,7 @@ def final_coordinate(s: Schedule, p: PointRep, j: int) -> tuple[int, Fraction]:
     """(stage, value) once coordinate j stops moving; see finalization_stages.
     Touched but not finalized within the materialized stages raises
     HorizonExceeded."""
-    if j < 1:
-        raise BadIndices(f"coordinate index must be >= 1, got {j}")
+    _check_index(j)
     found = final_coordinates(s, p, j).get(j)
     if found is None:
         raise HorizonExceeded(
