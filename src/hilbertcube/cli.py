@@ -1,9 +1,11 @@
 """Command-line surface.
 
-Thin shell over the library: parse arguments, read point/plan files, call one
-library function, print its result (JSON for machine consumption, a plain
-table for the demo).  Exit codes: 0 success, 1 failed verification, 2 input
-error, 3 horizon/budget exhaustion, 4 internal defect.
+Thin shell over the library.  main parses the arguments, then every point
+or plan file and every rational option, once; each command takes those
+values, calls one library function and returns its exit code and output
+(JSON for machine consumption, a plain table for the demo), which main
+writes.  Exit codes: 0 success, 1 failed verification, 2 input error,
+3 horizon/budget exhaustion, 4 internal defect.
 """
 
 from __future__ import annotations
@@ -52,10 +54,6 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {e}") from e
 
 
-def _load_point(path: str):
-    return parse_point_spec(_read(path))
-
-
 def _profile_obj(p) -> dict:
     prof = classify_point(p)
     return {
@@ -78,33 +76,22 @@ def _report_obj(plan, p, q, tau) -> dict:
     }
 
 
-def _cmd_solve(args) -> int:
-    p, q = _load_point(args.p), _load_point(args.q)
-    tau = parse_rational(args.tau, "--tau")
-    plan = solve(p, q, tau, horizon=args.horizon)
-    obj = plan_to_obj(plan, (p, q))
-    obj["summary"] = _report_obj(plan, p, q, tau)
-    sys.stdout.write(dump_json(obj))
-    return 0
+def _cmd_solve(args) -> tuple[int, str]:
+    plan = solve(args.p, args.q, args.tau, horizon=args.horizon)
+    obj = plan_to_obj(plan, (args.p, args.q))
+    obj["summary"] = _report_obj(plan, args.p, args.q, args.tau)
+    return 0, dump_json(obj)
 
 
-def _cmd_eval(args, inverse: bool) -> int:
-    plan = parse_plan(_read(args.plan))
-    x = _load_point(args.x)
-    tau = parse_rational(args.tau, "--tau")
-    cp = (plan_inverse_eval if inverse else plan_eval)(plan, x, tau)
-    sys.stdout.write(dump_json(certified_to_obj(cp)))
-    return 0
+def _cmd_eval(args) -> tuple[int, str]:
+    evaluate = plan_inverse_eval if args.command == "inverse-eval" else plan_eval
+    return 0, dump_json(certified_to_obj(evaluate(args.plan, args.x, args.tau)))
 
 
-def _cmd_verify(args) -> int:
-    plan = parse_plan(_read(args.plan))
-    p, q = _load_point(args.p), _load_point(args.q)
-    tau = parse_rational(args.tau, "--tau")
-    report = _report_obj(plan, p, q, tau)
+def _cmd_verify(args) -> tuple[int, str]:
+    report = _report_obj(args.plan, args.p, args.q, args.tau)
     del report["stages_used"]
-    sys.stdout.write(dump_json(report))
-    return 0 if report["verified"] else 1
+    return 0 if report["verified"] else 1, dump_json(report)
 
 
 def _inline(p) -> str:
@@ -117,14 +104,13 @@ def _inline(p) -> str:
 _DEMO_STAGES = 64
 
 
-def _cmd_demo(args) -> int:
+def _cmd_demo(args) -> tuple[int, str]:
     if args.n < 0:
         raise BadIndices(f"--n: stage count must be >= 0, got {args.n}")
     if args.n > _DEMO_STAGES:
         raise BadIndices(f"--n: {args.n} exceeds the limit of {_DEMO_STAGES} stages")
-    t = parse_rational(args.t, "--t")
     ones = make_point([], Fraction(1))
-    other = make_point([], t)
+    other = make_point([], args.t)
     rows = [(0, ones, other, metric_d(ones, other))]
     a, b = ones, other
     for k in range(1, args.n + 1):
@@ -132,53 +118,41 @@ def _cmd_demo(args) -> int:
         a, b = twist_cell_apply(stage, a), twist_cell_apply(stage, b)
         rows.append((k, a, b, metric_d(a, b)))
     width = max(len(_inline(r[1])) for r in rows)
-    sys.stdout.write(f"stage  {'image of all-ones':<{width}}  image of all-{t}  distance\n")
-    for k, a, b, dist in rows:
-        sys.stdout.write(
-            f"{k:>5}  {_inline(a):<{width}}  {_inline(b)}  {format_rational(dist)}\n"
-        )
-    return 0
+    lines = [f"stage  {'image of all-ones':<{width}}  image of all-{args.t}  distance\n"]
+    lines += [f"{k:>5}  {_inline(a):<{width}}  {_inline(b)}  {format_rational(dist)}\n"
+              for k, a, b, dist in rows]
+    return 0, "".join(lines)
 
 
-def _cmd_diagnose(args) -> int:
-    variant = Variant(args.variant)
-    step = parse_rational(args.grid, "--grid")
-    report = twist_diagnostics(variant, args.n, args.m, step)
-    sys.stdout.write(
-        dump_json(
-            {
-                "variant": report.variant.value,
-                "n": report.n,
-                "m": report.m,
-                "grid_step": format_rational(report.grid_step),
-                "points_checked": report.points_checked,
-                "ok": report.ok,
-                "counts": report.counts_by_check(),
-                "findings": report.to_records(),
-            }
-        )
+def _cmd_diagnose(args) -> tuple[int, str]:
+    report = twist_diagnostics(Variant(args.variant), args.n, args.m, args.step)
+    return 0, dump_json(
+        {
+            "variant": report.variant.value,
+            "n": report.n,
+            "m": report.m,
+            "grid_step": format_rational(report.grid_step),
+            "points_checked": report.points_checked,
+            "ok": report.ok,
+            "counts": report.counts_by_check(),
+            "findings": report.to_records(),
+        }
     )
-    return 0
 
 
-def _cmd_metrics(args) -> int:
-    p, q = _load_point(args.p), _load_point(args.q)
-    sys.stdout.write(
-        dump_json(
-            {
-                "distance": format_rational(metric_d(p, q)),
-                "p_profile": _profile_obj(p),
-                "q_profile": _profile_obj(q),
-            }
-        )
+def _cmd_metrics(args) -> tuple[int, str]:
+    return 0, dump_json(
+        {
+            "distance": format_rational(metric_d(args.p, args.q)),
+            "p_profile": _profile_obj(args.p),
+            "q_profile": _profile_obj(args.q),
+        }
     )
-    return 0
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(args) -> tuple[int, str]:
     cell = CellMap(MapKind(args.map), Variant(args.variant), args.n, args.m)
-    trace = _load_point(args.trace) if args.trace else None
-    spec = RenderSpec(cell, args.grid, trace, args.stages)
+    spec = RenderSpec(cell, args.grid, args.trace or None, args.stages)
     # refuse a missing directory, or a directory named as the file, before the render
     folder = os.path.dirname(args.out) or "."
     if not os.path.isdir(folder):
@@ -191,21 +165,19 @@ def _cmd_render(args) -> int:
             fh.write(svg)
     except OSError as e:
         raise ParseError(f"cannot write {args.out}: {e}") from e
-    return 0
+    return 0, ""
 
 
-def _cmd_schedule(args) -> int:
-    p = _load_point(args.p)
-    limit = stage_count_limit(p)
+def _cmd_schedule(args) -> tuple[int, str]:
+    limit = stage_count_limit(args.p)
     if args.count > limit:
         raise BadIndices(f"--count: {args.count} exceeds the limit of {limit} stages")
-    s = build_schedule(p, args.count)
-    obj = schedule_to_obj(s, p)
+    s = build_schedule(args.p, args.count)
+    obj = schedule_to_obj(s, args.p)
     obj["budget_ok"] = schedule_budget_ok(s)
     obj["forward_tail_bound"] = format_rational(forward_tail_bound(s, 0))
     obj["reverse_tail_bound"] = format_rational(reverse_tail_bound(s, 0))
-    sys.stdout.write(dump_json(obj))
-    return 0
+    return 0, dump_json(obj)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -220,6 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--q", required=True, metavar="FILE")
     s.add_argument("--tau", required=True, metavar="RAT")
     s.add_argument("--horizon", type=int, default=DEFAULT_HORIZON, metavar="N")
+    s.set_defaults(run=_cmd_solve)
 
     for name, help_text in (
         ("eval", "evaluate a plan at a point with certified radius"),
@@ -229,26 +202,31 @@ def _build_parser() -> argparse.ArgumentParser:
         e.add_argument("--plan", required=True, metavar="FILE")
         e.add_argument("--x", required=True, metavar="FILE")
         e.add_argument("--tau", required=True, metavar="RAT")
+        e.set_defaults(run=_cmd_eval)
 
     v = sub.add_parser("verify", help="re-check a plan's certificate (exit 1 on failure)")
     v.add_argument("--plan", required=True, metavar="FILE")
     v.add_argument("--p", required=True, metavar="FILE")
     v.add_argument("--q", required=True, metavar="FILE")
     v.add_argument("--tau", required=True, metavar="RAT")
+    v.set_defaults(run=_cmd_verify)
 
     d = sub.add_parser("demo-first-attempt", help="stagewise collapse of the naive twist limit")
     d.add_argument("--t", required=True, metavar="RAT")
     d.add_argument("--n", required=True, type=int, metavar="N")
+    d.set_defaults(run=_cmd_demo)
 
     g = sub.add_parser("diagnose", help="grid diagnostics of one twist cell")
     g.add_argument("--variant", required=True, choices=[v.value for v in Variant])
     g.add_argument("--n", required=True, type=int)
     g.add_argument("--m", required=True, type=int)
-    g.add_argument("--grid", required=True, metavar="STEP", help="grid step, e.g. 1/64")
+    g.add_argument("--grid", required=True, dest="step", metavar="STEP", help="grid step, e.g. 1/64")
+    g.set_defaults(run=_cmd_diagnose)
 
     m = sub.add_parser("metrics", help="distance and boundary profiles of two points")
     m.add_argument("--p", required=True, metavar="FILE")
     m.add_argument("--q", required=True, metavar="FILE")
+    m.set_defaults(run=_cmd_metrics)
 
     r = sub.add_parser("render", help="SVG picture of a twist cell")
     r.add_argument("--map", required=True, choices=[k.value for k in MapKind])
@@ -259,10 +237,12 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--trace", metavar="FILE")
     r.add_argument("--stages", type=int, default=0, metavar="K")
     r.add_argument("--out", required=True, metavar="FILE")
+    r.set_defaults(run=_cmd_render)
 
     c = sub.add_parser("schedule", help="materialize a point's twist schedule")
     c.add_argument("--p", required=True, metavar="FILE")
     c.add_argument("--count", required=True, type=int, metavar="K")
+    c.set_defaults(run=_cmd_schedule)
 
     return ap
 
@@ -275,22 +255,24 @@ def main(argv: list[str] | None = None) -> int:
         if argv[i - 1].startswith("--") and argv[i][:1] == "-" and argv[i][1:2].isdigit():
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "solve": _cmd_solve,
-        "eval": lambda a: _cmd_eval(a, inverse=False),
-        "inverse-eval": lambda a: _cmd_eval(a, inverse=True),
-        "verify": _cmd_verify,
-        "demo-first-attempt": _cmd_demo,
-        "diagnose": _cmd_diagnose,
-        "metrics": _cmd_metrics,
-        "render": _cmd_render,
-        "schedule": _cmd_schedule,
-    }
     try:
-        return handlers[args.command](args)
+        # every input is parsed here, once, in this order, before the
+        # command runs: the files, then the rationals
+        for name in ("plan", "p", "q", "x", "trace"):
+            path = getattr(args, name, None)
+            if path is None or name == "trace" and not path:  # an empty --trace draws no trace
+                continue
+            text = _read(path)
+            setattr(args, name, parse_plan(text) if name == "plan" else parse_point_spec(text))
+        for name, option in (("tau", "--tau"), ("t", "--t"), ("step", "--grid")):
+            if hasattr(args, name):
+                setattr(args, name, parse_rational(getattr(args, name), option))
+        code, out = args.run(args)
     except CubeError as e:
         sys.stderr.write(f"error: {e}\n")
         return e.exit_code
+    sys.stdout.write(out)
+    return code
 
 
 if __name__ == "__main__":

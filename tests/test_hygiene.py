@@ -5,7 +5,8 @@ or class is used in the package, exported by it, traced by the benchmark or
 installed as a console script.  Every function the benchmark tracer wraps
 is still defined where the tracer looks for it.  The twist kernel's
 clause helpers shift by the scale 2^(m-n) and never multiply by it, and
-only CellMap's methods see cw's reflected frame.  Read with ast, so nothing
+only CellMap's methods see cw's reflected frame.  The command-line
+handlers neither parse input nor write stdout: main does both.  Read with ast, so nothing
 is imported or run; the last test runs evaluations, to count the points
 they build."""
 
@@ -221,6 +222,18 @@ def test_cw_frame_stays_inside_cell_map():
     reads = [f"{module}: {ast.unparse(node)}" for module, tree in trees.items() for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in frame and id(node) not in inside]
     assert not reads
+
+
+def test_cli_commands_neither_parse_input_nor_write_stdout():
+    # main reads every file and rational once, before the command runs, and
+    # writes the text the command returns
+    parsers = {"_read", "parse_point_spec", "parse_plan", "parse_rational"}
+    found = [f"{fn.name}: {ast.unparse(node)}" for fn in _trees()["cli"].body
+             if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_")
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in parsers
+             or isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout"]
+    assert not found
 
 
 def test_an_evaluation_builds_one_point(monkeypatch):
