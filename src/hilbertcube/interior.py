@@ -52,10 +52,11 @@ def _slopes(knee: tuple) -> tuple[tuple[int, int], tuple[int, int]]:
 
 
 def _knee_table(params: InteriorMapParams) -> tuple:
-    """Knees of coordinates 1..anchor_count, then the tail's, used past them."""
-    src, tgt = params.source, params.target
-    pairs = [(src.coord(i), tgt.coord(i)) for i in range(1, params.anchor_count + 1)]
-    return tuple(_knee(p, q) for p, q in pairs + [(src.tail, tgt.tail)])
+    """Knees of coordinates 1..anchor_count, then the tail's, used past them:
+    each anchor's prefix padded with its tail to anchor_count + 1 entries."""
+    size = params.anchor_count + 1
+    src, tgt = ((*p.prefix, *[p.tail] * (size - len(p.prefix))) for p in (params.source, params.target))
+    return tuple(map(_knee, src, tgt))
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,11 @@ class InteriorMapParams:
 
     @cached_property
     def _inverse(self) -> InteriorMapParams:
-        return InteriorMapParams(self.target, self.source)
+        """The move with anchors swapped: its knees are these, each (p, q)
+        read as (q, p)."""
+        inv = InteriorMapParams(self.target, self.source)
+        inv.__dict__["_knees"] = tuple((qn, qd, pn, pd) for pn, pd, qn, qd in self._knees)
+        return inv
 
 
 def interior_coord_map(p_i: Rational, q_i: Rational, t: Rational) -> Fraction:

@@ -302,10 +302,11 @@ def finalization_stages(s: Schedule, upto: int) -> dict[int, int]:
     for k, (n, _) in enumerate(s.stages, 1):
         if n <= upto:
             stages.setdefault(n, k)
+    identity, base, touched = s.is_identity, s.base, s.source_profile.contains
     for j in range(1, upto + 1):
         # the sacrificed m's, materialized or not, are the multiples of 4 above b
-        sacrificed = not s.is_identity and j % 4 == 0 and j > s.base
-        if not (s.source_profile.contains(j) or sacrificed):
+        sacrificed = not identity and j % 4 == 0 and j > base
+        if not (touched(j) or sacrificed):
             stages.setdefault(j, 0)
     return stages
 

@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
-from .cube import PointRep, make_point
+from .cube import PointRep, _exact, make_point
 from .errors import ParseError
 from .homogeneity import HomeoPlan, PlanCase, stage_count_limit
 from .interior import InteriorMapParams
@@ -43,7 +46,14 @@ def parse_rational(text: str, where: str = "value") -> Fraction:
 
 
 def format_rational(x) -> str:
-    return str(Fraction(x))
+    """x as parse_rational reads it back; one with more digits than Python
+    converts to a string (so more than the parser reads) is refused."""
+    x = _exact(x)
+    try:
+        return str(x)
+    except ValueError:
+        raise ParseError(f"a rational of more than {sys.get_int_max_str_digits()} digits"
+                         " cannot be written") from None
 
 
 def point_from_obj(obj, where: str = "point") -> PointRep:
@@ -170,4 +180,48 @@ def parse_plan(text: str) -> HomeoPlan:
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+    """obj as json.dumps(obj, indent=2) writes it, plus a newline.  Written
+    here, since indent sends json.dumps to its pure-Python encoder.  Takes
+    what the commands write: dicts with str keys, lists, str, int, bool and
+    None; any other type, float or tuple or a subclass of str among them, is
+    a TypeError."""
+    return _text(obj, "\n") + "\n"
+
+
+# the text of a value with no parts, by its type
+_SCALARS = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+            type(None): lambda _: "null"}
+
+
+def _one_scalar(items):
+    """The encoder of the one type in _SCALARS that every item has, or None."""
+    kinds = set(map(type, items))
+    return _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+
+
+def _text(obj, newline: str) -> str:
+    """obj's text; newline is a line break plus obj's indent."""
+    encode = _SCALARS.get(type(obj))
+    if encode is not None:
+        return encode(obj)
+    inner = newline + "  "
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        # a list of one scalar type, such as an anchor's prefix, is one join,
+        # and a list of such lists, such as a schedule's stages, one per list
+        if encode := _one_scalar(obj):
+            items = map(encode, obj)
+        elif all(type(x) is list and x for x in obj) and (encode := _one_scalar(chain.from_iterable(obj))):
+            deeper = inner + "  "
+            items = ["[" + deeper + ("," + deeper).join(map(encode, x)) + inner + "]" for x in obj]
+        else:
+            items = [_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # _quote refuses a key that is not a str
+        items = [_quote(key) + ": " + _text(value, inner) for key, value in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"{type(obj).__name__} is not written as JSON")

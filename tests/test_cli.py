@@ -112,6 +112,18 @@ def test_exit_2_on_malformed_point(capsys, points, tmp_path):
         assert err.startswith("error:")
 
 
+def test_exit_2_on_an_output_past_the_digit_limit(capsys, points, tmp_path):
+    # d(p, origin) for 15,000 coordinates 1/2 has a denominator of 15,001
+    # bits, past the 4,300 digits Python writes and the parser reads back
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"prefix": ["1/2"] * 15000, "tail": "0"}))
+    code, out, err = run(capsys, "metrics", "--p", str(wide), "--q", points["origin"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "4300 digits" in err
+    assert "Traceback" not in err
+
+
 def test_exit_2_on_decimal_tolerance(capsys, points):
     code, _, err = run(capsys, "solve", "--p", points["int_a"], "--q", points["int_b"],
                        "--tau", "0.01")

@@ -6,7 +6,8 @@ installed as a console script.  Every function the benchmark tracer wraps
 is still defined where the tracer looks for it.  The twist kernel's
 clause helpers shift by the scale 2^(m-n) and never multiply by it, and
 only CellMap's methods see cw's reflected frame.  The command-line
-handlers neither parse input nor write stdout: main does both.  Read with ast, so nothing
+handlers neither parse input nor write stdout: main does both.  No module
+calls json.dumps: dump_json writes JSON.  Read with ast, so nothing
 is imported or run; the last test runs evaluations, to count the points
 they build."""
 
@@ -118,6 +119,15 @@ def test_every_traced_function_is_defined_by_its_module():
     missing = {f"{module}.{name}" for module, name in traced
                if module not in trees or name not in _top_level_names(trees[module])}
     assert not missing
+
+
+def test_src_writes_json_through_dump_json_alone():
+    # serialize.dump_json writes every JSON text; json.dumps, its reference,
+    # stays in the tests
+    calls = [f"{module}: {ast.unparse(node)}" for module, tree in _trees().items() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "dumps"
+             or isinstance(node, ast.alias) and node.name == "dumps"]
+    assert not calls
 
 
 def test_stage_factor_is_read_only_in_limits():

@@ -5,8 +5,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hilbertcube import ParseError, make_point, parse_plan, parse_point_spec, solve
+from hilbertcube import ParseError, PlanCase, make_point, parse_plan, parse_point_spec, solve
 from hilbertcube.serialize import (
     dump_json,
     format_rational,
@@ -170,6 +172,38 @@ def test_dump_json_has_no_floats():
     # every numeric payload is a rational string or a plain integer
     assert "." not in text
     assert "e-" not in text
+
+
+# what dump_json writes: escapes, non-ASCII and surrogates in text, ints past
+# 64 bits, empty containers, and lists of one scalar type and lists of such
+# lists, which it writes with one join per list
+texts = st.text() | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é", "\u2028", "\U0001f600", "\ud800"])
+ints = st.integers() | st.integers(-(2**200), 2**200)
+json_values = st.recursive(
+    st.none() | st.booleans() | ints | texts,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(texts, inner, max_size=5)
+    | st.lists(texts) | st.lists(ints) | st.lists(st.booleans()) | st.lists(st.lists(ints, max_size=3), max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_values)
+def test_dump_json_writes_what_json_dumps_writes(obj):
+    assert dump_json(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [0.5, {1: "x"}, [1, 2.0], {"a": {"b": [float("nan")]}}, {"x"}, (1, 2),
+                                 PlanCase.INTERIOR_INTERIOR])
+def test_dump_json_refuses_what_a_command_never_writes(obj):
+    with pytest.raises(TypeError):
+        dump_json(obj)
+
+
+def test_format_rational_refuses_more_digits_than_the_parser_reads():
+    assert parse_rational(format_rational(F(1, 10**4299))) == F(1, 10**4299)
+    with pytest.raises(ParseError, match="more than 4300 digits"):
+        format_rational(F(1, 2**15000))
 
 
 @pytest.mark.parametrize("count", [True, False, "3", 2.0, -1])
