@@ -13,7 +13,8 @@ class CubeError(Exception):
 
 
 class ParseError(CubeError):
-    """Malformed textual input (rational strings, point specs, plans)."""
+    """Text that cannot be read or written: malformed input (rational strings,
+    point specs, plans), or a rational with more digits than Python converts."""
     exit_code = 2
 
 

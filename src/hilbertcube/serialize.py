@@ -15,7 +15,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from .cube import PointRep, _exact, make_point
@@ -208,13 +207,9 @@ def _text(obj, newline: str) -> str:
     if isinstance(obj, list):
         if not obj:
             return "[]"
-        # a list of one scalar type, such as an anchor's prefix, is one join,
-        # and a list of such lists, such as a schedule's stages, one per list
+        # a list of one scalar type, such as an anchor's prefix, is one join
         if encode := _one_scalar(obj):
             items = map(encode, obj)
-        elif all(type(x) is list and x for x in obj) and (encode := _one_scalar(chain.from_iterable(obj))):
-            deeper = inner + "  "
-            items = ["[" + deeper + ("," + deeper).join(map(encode, x)) + inner + "]" for x in obj]
         else:
             items = [_text(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"

@@ -175,8 +175,8 @@ def test_dump_json_has_no_floats():
 
 
 # what dump_json writes: escapes, non-ASCII and surrogates in text, ints past
-# 64 bits, empty containers, and lists of one scalar type and lists of such
-# lists, which it writes with one join per list
+# 64 bits, empty containers, lists of one scalar type, which it writes with
+# one join, and lists of such lists
 texts = st.text() | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é", "\u2028", "\U0001f600", "\ud800"])
 ints = st.integers() | st.integers(-(2**200), 2**200)
 json_values = st.recursive(
