@@ -14,8 +14,6 @@ from .cube import (
     epsilon,
     make_point,
     metric_d,
-    rho_sampled,
-    zeta_sampled,
 )
 from .errors import (
     AnchorOnBoundary,
@@ -46,8 +44,6 @@ from .homogeneity import (
 )
 from .interior import (
     InteriorMapParams,
-    coord_slopes,
-    interior_coord_map,
     interior_map_eval,
     interior_map_inverse,
     lipschitz_bound,
@@ -55,7 +51,6 @@ from .interior import (
 from .limits import (
     CertifiedPoint,
     Schedule,
-    boundary_index_sequence,
     build_schedule,
     final_coordinate,
     first_attempt_partial,
@@ -66,7 +61,6 @@ from .limits import (
     reverse_partial_eval,
     reverse_tail_bound,
     schedule_budget_ok,
-    stage_budget,
 )
 from .render import RenderSpec, render_svg
 from .serialize import parse_plan, parse_point_spec, parse_rational
@@ -76,8 +70,6 @@ from .twists import (
     Finding,
     MapKind,
     Variant,
-    classify_region,
-    displacement_bound,
     lipschitz_sample_check,
     matching_regions,
     piece_inverse_oracle,

@@ -152,7 +152,7 @@ def _cmd_metrics(args) -> tuple[int, str]:
 
 def _cmd_render(args) -> tuple[int, str]:
     cell = CellMap(MapKind(args.map), Variant(args.variant), args.n, args.m)
-    spec = RenderSpec(cell, args.grid, args.trace or None, args.stages)
+    spec = RenderSpec(cell, args.grid, args.trace, args.stages)
     # refuse a missing directory, or a directory named as the file, before the render
     folder = os.path.dirname(args.out) or "."
     if not os.path.isdir(folder):
@@ -260,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
         # command runs: the files, then the rationals
         for name in ("plan", "p", "q", "x", "trace"):
             path = getattr(args, name, None)
-            if path is None or name == "trace" and not path:  # an empty --trace draws no trace
+            if path is None:
                 continue
             text = _read(path)
             setattr(args, name, parse_plan(text) if name == "plan" else parse_point_spec(text))

@@ -16,9 +16,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .errors import BadIndices, EmptySampleSet, OutOfRange
+from .errors import BadIndices, OutOfRange
 
 Rational = Fraction
 
@@ -190,33 +190,3 @@ def classify_point(p: PointRep) -> BoundaryProfile:
         tail_is_boundary=abs(p.tail) == 1,
         tail_start=len(p.prefix) + 1,
     )
-
-
-PointMap = Callable[[PointRep], PointRep]
-
-
-def rho_sampled(a: PointMap, b: PointMap, samples: Iterable[PointRep]) -> Fraction:
-    """Largest observed pointwise distance between two maps.
-
-    A sampled lower bound for the uniform distance; exact on the samples.
-    """
-    best = None
-    for s in samples:
-        dist = metric_d(a(s), b(s))
-        if best is None or dist > best:
-            best = dist
-    if best is None:
-        raise EmptySampleSet("rho_sampled needs at least one sample")
-    return best
-
-
-def zeta_sampled(
-    a: PointMap,
-    a_inv: PointMap,
-    b: PointMap,
-    b_inv: PointMap,
-    samples: Iterable[PointRep],
-) -> Fraction:
-    """Sampled two-sided gap: rho(a, b) + rho(a_inv, b_inv)."""
-    samples = list(samples)
-    return rho_sampled(a, b, samples) + rho_sampled(a_inv, b_inv, samples)

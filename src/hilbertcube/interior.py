@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .cube import PairVector, PointRep, Rational, _pairs, _point
+from .cube import PairVector, PointRep, _pairs, _point
 from .errors import AnchorOnBoundary, OutOfRange
 
 
@@ -108,20 +108,6 @@ class InteriorMapParams:
         return inv
 
 
-def interior_coord_map(p_i: Rational, q_i: Rational, t: Rational) -> Fraction:
-    """Value at t of the two-piece map with knee (p_i, q_i)."""
-    p_i, q_i, t = Fraction(p_i), Fraction(q_i), Fraction(t)
-    if not (abs(p_i) < 1 and abs(q_i) < 1):
-        raise AnchorOnBoundary(f"anchors ({p_i}, {q_i}) must be interior")
-    return Fraction(*_coord_value(_knee(p_i, q_i), t.numerator, t.denominator))
-
-
-def coord_slopes(p_i: Rational, q_i: Rational) -> tuple[Fraction, Fraction]:
-    """The two linear slopes of the coordinate map, (left, right)."""
-    (ln, ld), (rn, rd) = _slopes(_knee(Fraction(p_i), Fraction(q_i)))
-    return Fraction(ln, ld), Fraction(rn, rd)
-
-
 def _move(params: InteriorMapParams, v: PairVector) -> PairVector:
     """The move applied to the pair vector v.  Each anchored coordinate has
     its own knee; past them every coordinate shares the tail's, so only
@@ -145,9 +131,9 @@ def interior_map_inverse(params: InteriorMapParams) -> InteriorMapParams:
 def lipschitz_bound(params: InteriorMapParams) -> Fraction:
     """Exact bound on d(f(x), f(y)) / d(x, y): the largest coordinate slope.
 
-    Each coordinate map is piecewise linear with the two slopes from
-    coord_slopes, so |f_i(s) - f_i(t)| <= L_i |s - t| with L_i their max;
-    the weighted sum then scales by max_i L_i at worst.
+    Each coordinate map is piecewise linear with its knee's two slopes,
+    (q+1)/(p+1) and (1-q)/(1-p), so |f_i(s) - f_i(t)| <= L_i |s - t| with
+    L_i their max; the weighted sum then scales by max_i L_i at worst.
     """
     return params._slope_bounds[0]
 

@@ -39,20 +39,10 @@ ZERO = Fraction(0)
 STAGE_LIPSCHITZ = 8
 
 
-def boundary_index_sequence(p: PointRep | BoundaryProfile) -> BoundaryProfile:
-    """Boundary indices of a point, in increasing order: its profile."""
-    return p if isinstance(p, BoundaryProfile) else classify_point(p)
-
-
-def first_sacrifice(p: PointRep | BoundaryProfile) -> int:
+def first_sacrifice(profile: BoundaryProfile) -> int:
     """m_1 of a boundary point's schedule: the least multiple of 4 above its
     first boundary index."""
-    return 4 * (boundary_index_sequence(p).first() // 4) + 4
-
-
-def stage_budget(k: int) -> Fraction:
-    """Two-sided gap allowance spent when stage k+1 is appended."""
-    return Fraction(3, 2 ** (k + 3))
+    return 4 * (profile.first() // 4) + 4
 
 
 @dataclass(frozen=True)
@@ -63,7 +53,7 @@ class Schedule:
     the source meets the boundary at all (every m_k re-enters the pool); it is
     empty only for a pseudo-interior source, in which case the limit map is
     the identity and all tail bounds vanish.  Stage k's budget is
-    stage_budget(k).  Each stage map is built once, when a walk first
+    eps_k = 3 * 2^-(k+3).  Each stage map is built once, when a walk first
     reaches it; not being fields, the maps stay out of equality, hashing and
     repr.
     """
@@ -115,12 +105,6 @@ class Schedule:
             lo, hi = (mid, hi) if self.tail_bound(mid, reverse) >= tau else (lo, mid)
         return hi, self.tail_bound(hi, reverse)
 
-    def stage_map(self, k: int, reverse: bool = False) -> CellMap:
-        """Stage k's cubed twist, cw for the reverse maps; k in 1..count."""
-        if not 1 <= k <= self.count:
-            raise BadIndices(f"stage must be in 1..{self.count}, got {k}")
-        return self._maps(k, reverse)[k - 1]
-
     def _maps(self, i: int, reverse: bool) -> tuple[CellMap, ...]:
         """The cubed twists of stages 1..i, cw for the reverse maps.  A walk
         usually stops well short of the count, so the cached tuple grows to
@@ -160,8 +144,8 @@ def build_schedule(p: PointRep, count: int) -> Schedule:
 def schedule_budget_ok(s: Schedule) -> bool:
     """Check the stage list against the geometric budget.
 
-    Stage k must satisfy the paper's m_k >= log2(3 / eps_{k-1}) + 3(k-1) + 1
-    with eps_{k-1} = stage_budget(k-1) = 3 * 2^-(k+2): the log is k + 2, so
+    Stage k must satisfy the paper's m_k >= log2(3 / eps_{k-1}) + 3(k-1) + 1,
+    where eps_k = 3 * 2^-(k+3) is stage k's budget: the log is k + 2, so
     the inequality is m_k >= 4k.  Also checks: n and m strictly increasing,
     m_k > n_k and every m_k a multiple of 4.
     """

@@ -314,15 +314,6 @@ def _walk(maps: Iterable[CellMap], v: PairVector) -> PairVector:
     return v
 
 
-def classify_region(cm: CellMap, x: Rational, y: Rational) -> str:
-    """First matching clause tag in printed order.
-
-    Cubed kinds classify by their single application.  The clauses cover
-    the square, and a point outside it is refused, so one always matches.
-    """
-    return matching_regions(cm, x, y)[0]
-
-
 def matching_regions(cm: CellMap, x: Rational, y: Rational) -> list[str]:
     """Every clause whose condition holds (clause boundaries give several)."""
     return [cm._tags[k] for k in cm.hits(*_lift(x, y, _square_lift))]
@@ -360,13 +351,6 @@ def twist_eval_unchecked(cm: CellMap, x: Rational, y: Rational) -> tuple[Fractio
 def twist_cell_apply(cm: CellMap, p: PointRep) -> PointRep:
     """Apply the twist to coordinates (n, m) of a full point."""
     return _point(_walk((cm,), _pairs(p)))
-
-
-def displacement_bound(cm: CellMap) -> Fraction:
-    """Exact d-displacement bound: how far the twist can move any point."""
-    if cm.kind == MapKind.FIRST_ATTEMPT:
-        return 2 * epsilon(cm.n) + 2 * epsilon(cm.m)
-    return cm._times * epsilon(cm.m)
 
 
 def piece_inverse_oracle(cm: CellMap, u: Rational, v: Rational) -> tuple[Fraction, Fraction]:
@@ -448,8 +432,8 @@ def twist_diagnostics(variant: Variant, n: int, m: int, grid_step: Rational) -> 
       inverse-roundtrip   cw(ccw(x, y)) == (x, y)
       oracle-roundtrip    clause inversion of the ccw image returns (x, y)
       center-fixity       the segment y = 0, |x| <= 1 - eps(m)/eps(n) is fixed
-      displacement        cell displacement <= displacement_bound (cubed maps
-                          checked on a stride-4 subgrid)
+      displacement        cell displacement <= eps(m), or 3*eps(m) for the
+                          cubed maps (checked on a stride-4 subgrid)
 
     One pass over the grid points (x, y)/d, d = 1/step, in the kernel's
     integers: images sit over e = a*d, a = 2^(m-n), and every check compares

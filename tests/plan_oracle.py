@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from hilbertcube import OutOfRange
 from hilbertcube.homogeneity import EvalInfo, PlanCase
-from hilbertcube.interior import coord_slopes, interior_map_eval, interior_map_inverse, lipschitz_bound
+from hilbertcube.interior import interior_map_eval, interior_map_inverse, lipschitz_bound
 from hilbertcube.limits import (
     CertifiedPoint,
     _least_stage,
@@ -20,6 +20,8 @@ from hilbertcube.limits import (
     reverse_partial_eval,
     reverse_tail_bound,
 )
+
+from interior_oracle import coord_slopes
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

@@ -138,6 +138,16 @@ def test_exit_2_on_missing_file(capsys, points):
     assert "cannot read" in err
 
 
+def test_empty_trace_path_exits_2(capsys, tmp_path):
+    # an empty --trace names no file, like any other empty file option
+    out = tmp_path / "cell.svg"
+    code, stdout, err = run(capsys, "render", "--map", "ccw", "--n", "1", "--m", "2",
+                            "--grid", "8", "--trace", "", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: cannot read")
+    assert not out.exists()
+
+
 def test_exit_3_on_horizon(capsys, points):
     code, _, err = run(capsys, "solve", "--p", points["ones"], "--q", points["int_b"],
                        "--tau", "1/1099511627776", "--horizon", "3")

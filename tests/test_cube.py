@@ -10,22 +10,13 @@ from hypothesis import strategies as st
 from hilbertcube import (
     ORIGIN,
     BadIndices,
-    CellMap,
-    EmptySampleSet,
-    MapKind,
     OutOfRange,
-    PointRep,
-    Variant,
     cell_metric,
     classify_point,
     epsilon,
     make_point,
     metric_d,
-    rho_sampled,
-    twist_cell_apply,
-    zeta_sampled,
 )
-from hilbertcube.twists import piece_inverse_oracle
 
 from conftest import rand_point
 from walk_oracle import metric_d_sum
@@ -209,45 +200,3 @@ def test_classify_explicit_indices():
     assert prof.explicit_indices == (1,)
     assert not prof.tail_is_boundary
 
-
-# --- sampled function-space metrics ---------------------------------------
-
-
-def _first_attempt_12():
-    return CellMap(MapKind.FIRST_ATTEMPT, Variant.CORRECTED, 1, 2)
-
-
-def test_rho_sampled_identity():
-    samples = [ORIGIN, make_point([1], 0)]
-    assert rho_sampled(lambda p: p, lambda p: p, samples) == 0
-
-
-def test_rho_sampled_first_attempt_vs_identity():
-    # the twist moves (1,1) to (0,1): only coordinate 1 changes, weight 1/2
-    cm = _first_attempt_12()
-    one = make_point([], 1)
-    dist = rho_sampled(lambda p: twist_cell_apply(cm, p), lambda p: p, [one])
-    assert dist == Fraction(1, 2)
-
-
-def test_rho_sampled_empty():
-    with pytest.raises(EmptySampleSet):
-        rho_sampled(lambda p: p, lambda p: p, [])
-
-
-def test_zeta_sampled_identity_and_lower_bound(rng):
-    cm = _first_attempt_12()
-
-    def fwd(p):
-        return twist_cell_apply(cm, p)
-
-    def inv(p):
-        x, y = piece_inverse_oracle(cm, p.coord(1), p.coord(2))
-        return p.with_coords({1: x, 2: y})
-
-    samples = [rand_point(rng) for _ in range(20)]
-    ident = lambda p: p
-    z = zeta_sampled(fwd, inv, ident, ident, samples)
-    r = rho_sampled(fwd, ident, samples)
-    assert z >= r
-    assert zeta_sampled(ident, ident, ident, ident, samples) == 0

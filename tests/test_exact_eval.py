@@ -3,12 +3,14 @@
 interior_oracle.py holds the Fraction interior move; walk_oracle.py sums
 every tail bound from scratch.  The integer interior move, its slopes and
 its Lipschitz bound, the closed-form tail bounds and the PointRep check
-must give exactly the same Fractions, and raise the same error type with
-the same message: on seeded moves with denominators up to 2^600, at t = -1, 1, the
-knee itself and out of range, and on schedules as long as a plan file may
-hold.  A counter also pins that a plan builds its move's knee table once,
-for the forward move alone, and each Lipschitz bound once, however often it
-is evaluated.
+must give exactly the same Fractions, and raise the same error type: on
+seeded moves with denominators up to 2^600, at t = -1, 1, the knee itself
+and out of range, and on schedules as long as a plan file may hold.  The
+messages must match too, except a one-knee move's, which names its anchor
+or its point where the oracle names a coordinate map's arguments.  A
+counter also pins that a plan builds its move's knee table once, for the
+forward move alone, and each Lipschitz bound once, however often it is
+evaluated.
 """
 
 import random
@@ -16,6 +18,7 @@ from fractions import Fraction
 
 import interior_oracle as oracle
 import pytest
+from conftest import coord_map
 from walk_oracle import forward_tail_sum, reverse_tail_sum
 
 from hilbertcube import (
@@ -24,8 +27,6 @@ from hilbertcube import (
     InteriorMapParams,
     OutOfRange,
     PointRep,
-    coord_slopes,
-    interior_coord_map,
     interior_map_eval,
     interior_map_inverse,
     lipschitz_bound,
@@ -37,6 +38,7 @@ from hilbertcube import (
 )
 from hilbertcube import interior
 from hilbertcube.homogeneity import stage_count_limit
+from hilbertcube.interior import slope_exponents
 from hilbertcube.limits import _least_stage, build_schedule, forward_tail_bound, reverse_tail_bound
 
 F = Fraction
@@ -59,6 +61,14 @@ def rand_point(rng, width, interior_only=True):
     return make_point([rand_unit(rng, interior_only) for _ in range(width)], rand_unit(rng, interior_only))
 
 
+def same_outcome(p, q, t):
+    """coord_map and the oracle give the same value, or fail with the same
+    error type; the messages differ, each naming what it checks."""
+    got, want = outcome(coord_map, p, q, t), outcome(oracle.interior_coord_map, p, q, t)
+    assert got == want or type(got) is type(want) is tuple and got[0] is want[0], (p, q, t, got, want)
+    return got
+
+
 def test_coord_map_matches_oracle_at_ends_knee_and_out_of_range():
     rng = random.Random(600)
     one = F(1)
@@ -67,18 +77,21 @@ def test_coord_map_matches_oracle_at_ends_knee_and_out_of_range():
         ts = [-one, one, p, q, rand_unit(rng, False), rand_unit(rng, False, 8)]
         ts += [F(rng.choice((-1, 1)) * (t.denominator + rng.randint(1, 9)), t.denominator) for t in ts[4:]]
         for t in ts:
-            assert outcome(interior_coord_map, p, q, t) == outcome(oracle.interior_coord_map, p, q, t)
-        assert coord_slopes(p, q) == oracle.coord_slopes(p, q)
+            same_outcome(p, q, t)
+        # a one-knee move's slopes: the knee's, and 1 for the tail's knee (0, 0)
+        move = InteriorMapParams(make_point([p], 0), make_point([q], 0))
+        slope = max(oracle.coord_slopes(p, q))
+        assert lipschitz_bound(move) == max(slope, 1)
+        e = slope_exponents(move)[0]
+        assert 2**e >= slope and (e == 0 or 2 ** (e - 1) < slope)
     # boundary anchors fail before t is looked at, out-of-range t after them
     for p, q, t in ((1, 0, 0), (0, -1, 2), (F(1, 2), F(-1, 3), F(3, 2)), (0, 0, -2), (-1, 1, 0)):
-        got = outcome(interior_coord_map, p, q, t)
-        assert got == outcome(oracle.interior_coord_map, p, q, t)
-        assert got[0] in (AnchorOnBoundary, OutOfRange)
+        assert same_outcome(p, q, t)[0] in (AnchorOnBoundary, OutOfRange)
 
 
 def test_coord_map_accepts_int_and_str():
     for args in ((0, 0, 1), ("1/3", "-1/2", "1/3"), (F(1, 3), "-1/2", -1), ("2/3", 0, "5/4")):
-        assert outcome(interior_coord_map, *args) == outcome(oracle.interior_coord_map, *args)
+        same_outcome(*args)
 
 
 def test_move_and_lipschitz_match_oracle():

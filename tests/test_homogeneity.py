@@ -271,7 +271,7 @@ def test_anchor_cutoff_is_the_least_n_that_fits(monkeypatch):
         raise _Cutoff(upto)
 
     monkeypatch.setattr(homogeneity, "finalization_stages", cutoff)
-    b_q = first_sacrifice(BND_B) - 4
+    b_q = first_sacrifice(classify_point(BND_B)) - 4
     for tau in [F(k, 3**j * 2**e) for k in (1, 5, 7) for j in (0, 1, 2) for e in (0, 3, 17, 40)]:
         for q, i_star in ((INT_B, 0), (BND_B, next(i for i in count() if F(3, 8 << (b_q + i)) < tau / 8))):
             n_cut = 1
@@ -288,7 +288,7 @@ def test_stage_factor_has_one_source(monkeypatch):
     # and every evaluation's radius and Lipschitz bound follow it
     monkeypatch.setattr(limits.Schedule, "lipschitz", lambda s, i: 9**i)
     monkeypatch.setattr(plan_oracle, "EIGHT", F(9))  # the case oracle's factor
-    b_q = first_sacrifice(BND_B) - 4
+    b_q = first_sacrifice(classify_point(BND_B)) - 4
     s = build_schedule(BND_B, 12)
     assert [limits.reverse_tail_bound(s, i) for i in range(13)] == [F(3 * 9**i, 8 << (b_q + 4 * i))
                                                                      for i in range(13)]

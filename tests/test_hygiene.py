@@ -1,8 +1,10 @@
 """No dead names in the library: every import a module makes is used, and
 every module-level constant or private helper it defines is used by it or
 imported from it by another module of the package.  Every public function
-or class is used in the package, exported by it, traced by the benchmark or
-installed as a console script.  Every function the benchmark tracer wraps
+or class is used in the package, traced by the benchmark, installed as a
+console script, or imported by the acceptance criteria, the soundness
+check or README's quick start; exporting it does not count.  README's
+Layout lists every module.  Every function the benchmark tracer wraps
 is still defined where the tracer looks for it.  The twist kernel's
 clause helpers shift by the scale 2^(m-n) and never multiply by it, and
 only CellMap's methods see cw's reflected frame.  The command-line
@@ -12,6 +14,7 @@ is imported or run; the last test runs evaluations, to count the points
 they build."""
 
 import ast
+import re
 import tomllib
 from pathlib import Path
 
@@ -97,19 +100,45 @@ def _traced() -> dict[tuple[str, str], str]:
                 and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets))
 
 
+# outside the package, these alone count as users of a public name: the
+# acceptance criteria, the soundness check and README's quick start
+USERS = (ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "test_soundness.py")
+
+
+def _quick_start() -> ast.Module:
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    return ast.parse(section.split("```python\n", 1)[1].split("```", 1)[0])
+
+
 def test_every_public_function_and_class_is_used():
+    # exporting a name from __init__ does not use it
     trees = _trees()
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
-    used = {(src, name) for tree in trees.values() for _, src, name in _imports(tree)}
+    used = {(src, name) for module, tree in trees.items() if module != "__init__"
+            for _, src, name in _imports(tree)}
     used |= set(_traced()) | {tuple(entry.removeprefix("hilbertcube.").split(":")) for entry in scripts.values()}
+    outside = {alias.name for tree in (*(ast.parse(path.read_text()) for path in USERS), _quick_start())
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hilbertcube")
+               for alias in node.names}
+    assert {"solve", "verify_plan"} <= outside
     dead = {
         f"{module}: {node.name}"
         for module, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-        and (module, node.name) not in used and node.name not in _used_names(tree)
+        and (module, node.name) not in used and node.name not in _used_names(tree) and node.name not in outside
     }
     assert not dead
+
+
+def test_readme_layout_lists_every_module():
+    # one line per module of the package, __init__ aside, and no other
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Layout", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    listed = re.findall(r"^\s+(\w+\.py)\s", block, re.M)
+    assert sorted(listed) == sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
 def test_every_traced_function_is_defined_by_its_module():
@@ -163,24 +192,16 @@ def test_diagnostics_call_no_public_twist_function():
     assert not {name for name in called & functions if not name.startswith("_")}
 
 
-FRACTION_ENTRY_POINTS = {"twist_eval", "twist_eval_unchecked", "matching_regions", "classify_region",
-                         "piece_value", "piece_inverse_oracle"}
+FRACTION_ENTRY_POINTS = {"twist_eval", "twist_eval_unchecked", "matching_regions", "piece_value",
+                         "piece_inverse_oracle"}
 
 
 def test_no_function_calls_a_fraction_entry_point():
     # the package applies and inverts twists on CellMap's integers; the
-    # Fraction entry points of twists serve callers, and only classify_region
-    # builds on another of them
-    calls = set()
-    for module, tree in _trees().items():
-        exempt = {id(node) for fn in ast.walk(tree)
-                  if isinstance(fn, ast.FunctionDef) and fn.name in FRACTION_ENTRY_POINTS
-                  for node in ast.walk(fn)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and id(node) not in exempt:
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if name in FRACTION_ENTRY_POINTS:
-                    calls.add(f"{module}: {name}")
+    # Fraction entry points of twists serve callers, none of them another
+    calls = {f"{module}: {name}" for module, tree in _trees().items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and (name := getattr(node.func, "id", getattr(node.func, "attr", None))) in FRACTION_ENTRY_POINTS}
     assert not calls
 
 

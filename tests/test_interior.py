@@ -11,14 +11,15 @@ from hilbertcube import (
     AnchorOnBoundary,
     InteriorMapParams,
     OutOfRange,
-    coord_slopes,
-    interior_coord_map,
     interior_map_eval,
     interior_map_inverse,
     lipschitz_bound,
     make_point,
     metric_d,
 )
+from hilbertcube.interior import slope_exponents
+
+from conftest import coord_map
 
 interior_rationals = st.fractions(
     min_value=Fraction(-63, 64), max_value=Fraction(63, 64), max_denominator=64
@@ -27,48 +28,53 @@ unit_rationals = st.fractions(min_value=-1, max_value=1, max_denominator=64)
 
 
 def test_coord_map_hits_anchor():
-    assert interior_coord_map(Fraction(1, 3), Fraction(-1, 2), Fraction(1, 3)) == Fraction(-1, 2)
+    assert coord_map(Fraction(1, 3), Fraction(-1, 2), Fraction(1, 3)) == Fraction(-1, 2)
 
 
 def test_coord_map_fixes_endpoints():
     p_i, q_i = Fraction(1, 3), Fraction(-1, 2)
-    assert interior_coord_map(p_i, q_i, Fraction(-1)) == -1
-    assert interior_coord_map(p_i, q_i, Fraction(1)) == 1
+    assert coord_map(p_i, q_i, Fraction(-1)) == -1
+    assert coord_map(p_i, q_i, Fraction(1)) == 1
 
 
 def test_coord_map_identity_when_anchors_equal():
     for t in (Fraction(-1), Fraction(-2, 7), Fraction(0), Fraction(9, 11), Fraction(1)):
-        assert interior_coord_map(Fraction(1, 5), Fraction(1, 5), t) == t
+        assert coord_map(Fraction(1, 5), Fraction(1, 5), t) == t
 
 
 def test_coord_map_rejects_boundary_anchor():
     with pytest.raises(AnchorOnBoundary):
-        interior_coord_map(Fraction(1), Fraction(0), Fraction(0))
+        coord_map(Fraction(1), Fraction(0), Fraction(0))
     with pytest.raises(OutOfRange):
-        interior_coord_map(Fraction(0), Fraction(0), Fraction(3, 2))
+        coord_map(Fraction(0), Fraction(0), Fraction(3, 2))
 
 
 @given(interior_rationals, interior_rationals, unit_rationals)
 def test_coord_map_stays_in_interval(p_i, q_i, t):
-    assert -1 <= interior_coord_map(p_i, q_i, t) <= 1
+    assert -1 <= coord_map(p_i, q_i, t) <= 1
 
 
 @given(interior_rationals, interior_rationals, unit_rationals)
 def test_coord_map_roundtrip(p_i, q_i, t):
     # swapping anchors gives the exact inverse
-    assert interior_coord_map(q_i, p_i, interior_coord_map(p_i, q_i, t)) == t
+    assert coord_map(q_i, p_i, coord_map(p_i, q_i, t)) == t
 
 
 @given(interior_rationals, interior_rationals, unit_rationals, unit_rationals)
 def test_coord_map_strictly_increasing(p_i, q_i, s, t):
     if s < t:
-        assert interior_coord_map(p_i, q_i, s) < interior_coord_map(p_i, q_i, t)
+        assert coord_map(p_i, q_i, s) < coord_map(p_i, q_i, t)
 
 
 def test_slopes():
-    left, right = coord_slopes(Fraction(1, 2), Fraction(-1, 2))
-    assert left == Fraction(1, 3)
-    assert right == 3
+    # slopes 1/3 and 3 at the knee (1/2, -1/2): 3 <= 2^2; the tail's knee is (0, 0)
+    half = Fraction(1, 2)
+    assert coord_map(half, -half, 0) - coord_map(half, -half, -1) == Fraction(1, 3)
+    assert coord_map(half, -half, 1) - coord_map(half, -half, Fraction(3, 4)) == Fraction(3, 4)
+    move = InteriorMapParams(make_point([half], 0), make_point([-half], 0))
+    assert lipschitz_bound(move) == 3
+    assert slope_exponents(move) == (2, 0)
+    assert slope_exponents(interior_map_inverse(move)) == (2, 0)
 
 
 def test_params_reject_boundary_anchor_point():

@@ -17,7 +17,6 @@ from hilbertcube import (
     MapKind,
     OutOfRange,
     Variant,
-    boundary_index_sequence,
     build_schedule,
     final_coordinate,
     first_attempt_partial,
@@ -31,7 +30,6 @@ from hilbertcube import (
     reverse_partial_eval,
     reverse_tail_bound,
     schedule_budget_ok,
-    stage_budget,
 )
 from hilbertcube.cube import classify_point
 from hilbertcube.homogeneity import stage_count_limit
@@ -59,20 +57,20 @@ ONES = make_point([], 1)
 
 
 def test_boundary_index_sequence_const_one():
-    stream = boundary_index_sequence(ONES)
+    stream = classify_point(ONES)
     assert list(islice(stream, 5)) == [1, 2, 3, 4, 5]
     assert stream.contains(999)
-    assert list(islice(boundary_index_sequence(make_point([1, 0, -1, 0], 1)), 4)) == [1, 3, 5, 6]
+    assert list(islice(classify_point(make_point([1, 0, -1, 0], 1)), 4)) == [1, 3, 5, 6]
 
 
 def test_boundary_index_sequence_single():
-    stream = boundary_index_sequence(make_point([F(1, 2), F(1, 2), 1], 0))
+    stream = classify_point(make_point([F(1, 2), F(1, 2), 1], 0))
     assert list(stream) == [3]
     assert not stream.contains(4)
 
 
 def test_boundary_index_sequence_interior():
-    assert list(boundary_index_sequence(ORIGIN)) == []
+    assert list(classify_point(ORIGIN)) == []
     with pytest.raises(BadIndices):
         classify_point(ORIGIN).first()
 
@@ -92,11 +90,6 @@ def test_build_schedule_interior_empty():
     s = build_schedule(ORIGIN, 10)
     assert s.stages == ()
     assert s.is_identity
-
-
-def test_budget_values():
-    assert stage_budget(1) == F(3, 16)
-    assert stage_budget(4) == F(3, 128)
 
 
 def test_schedule_budget_ok_default():
@@ -149,7 +142,7 @@ def test_canonical_closed_forms_match():
     # m_k = b + 4k: the forward tail is 2^-(b+4i) / 5, the reverse 3 * 2^-(b+i) / 8
     for p, b in ((ONES, 0), (make_point([0, 0, 0, 0, F(1, 2), 0, -1], 0), 4)):
         s = build_schedule(p, 12)
-        assert s.base == b == first_sacrifice(p) - 4
+        assert s.base == b == first_sacrifice(classify_point(p)) - 4
         for i in range(13):
             assert forward_tail_bound(s, i) == F(1, 5 * 2 ** (b + 4 * i)) == forward_tail_sum(s, i)
             assert reverse_tail_bound(s, i) == F(3, 8 * 2 ** (b + i)) == reverse_tail_sum(s, i)
@@ -201,7 +194,7 @@ def test_merged_schedule_matches_pool_reference():
         for count in (0, 1, 7, 40, stage_count_limit(p)):
             s = build_schedule(p, count)
             assert s == build_schedule_pool(p, count)
-            m1 = first_sacrifice(p)
+            m1 = first_sacrifice(classify_point(p))
             assert [m for _, m in s.stages] == [m1 + 4 * (k - 1) for k in range(1, count + 1)]
     assert build_schedule(ORIGIN, 7) == build_schedule_pool(ORIGIN, 7)
 
@@ -491,20 +484,8 @@ def test_stage_kernels_are_built_once_and_stay_out_of_equality():
     assert s._forward_maps is maps[0] and s._reverse_maps is maps[1]
     assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
     assert "_forward_maps" not in vars(fresh) and "_reverse_maps" not in vars(fresh)
-    for kind, built, reverse in ((MapKind.TWIST_CCW_CUBED, maps[0], False),
-                                 (MapKind.TWIST_CW_CUBED, maps[1], True)):
+    for kind, built in ((MapKind.TWIST_CCW_CUBED, maps[0]), (MapKind.TWIST_CW_CUBED, maps[1])):
         assert built == tuple(CellMap(kind, Variant.CORRECTED, n, m) for n, m in s.stages)
-        assert all(s.stage_map(k, reverse) is built[k - 1] for k in range(1, 7))
-
-
-@pytest.mark.parametrize("k", [0, -1, 7])
-def test_stage_map_refuses_a_stage_outside_the_schedule(k):
-    s = build_schedule(ONES, 6)
-    for reverse in (False, True):
-        with pytest.raises(BadIndices, match=f"stage must be in 1..6, got {k}"):
-            s.stage_map(k, reverse)
-    with pytest.raises(BadIndices, match="stage must be in 1..0, got 1"):
-        build_schedule(ORIGIN, 3).stage_map(1)
 
 
 @pytest.mark.parametrize("source", [ONES, ORIGIN])

@@ -19,8 +19,6 @@ from hilbertcube import (
     MultiplePreimages,
     RangeViolation,
     Variant,
-    classify_region,
-    displacement_bound,
     epsilon,
     lipschitz_sample_check,
     make_point,
@@ -62,18 +60,17 @@ def test_sigma():
 
 
 def test_classify_region_examples():
-    assert classify_region(CCW12, F(3, 4), F(-1, 4)) == "II"
-    assert classify_region(CCW12, F(1), F(-1)) == "I"
-    assert classify_region(CCW12, F(0), F(0)) == "IV"
+    assert matching_regions(CCW12, F(3, 4), F(-1, 4))[0] == "II"
+    assert matching_regions(CCW12, F(1), F(-1))[0] == "I"
+    assert matching_regions(CCW12, F(0), F(0))[0] == "IV"
 
 
 def test_classify_region_cw():
     # (1, 1) lies on the II'/III' dividing line; printed order picks II'
     # and the piece values agree there anyway
-    assert classify_region(CW12, F(1), F(1)) == "II'"
-    assert set(matching_regions(CW12, F(1), F(1))) == {"II'", "III'"}
+    assert matching_regions(CW12, F(1), F(1)) == ["II'", "III'"]
     assert piece_value(CW12, "II'", F(1), F(1)) == piece_value(CW12, "III'", F(1), F(1))
-    assert classify_region(CW12, F(0), F(0)) == "IV'"
+    assert matching_regions(CW12, F(0), F(0))[0] == "IV'"
 
 
 def test_twist_eval_values():
@@ -222,12 +219,6 @@ def test_cell_apply_const_one_point():
 
 
 # --- displacement and expansion ---------------------------------------------
-
-
-def test_displacement_bounds():
-    assert displacement_bound(CCW12) == F(1, 4)
-    assert displacement_bound(CellMap(MapKind.TWIST_CCW_CUBED, Variant.CORRECTED, 1, 4)) == F(3, 16)
-    assert displacement_bound(FA12) == F(3, 2)
 
 
 def test_single_displacement_sampled(rng):

@@ -13,11 +13,11 @@ a time.
 import heapq
 from fractions import Fraction
 
-from hilbertcube import BadIndices, HorizonExceeded, OutOfRange, twist_eval
+from hilbertcube import BadIndices, CellMap, HorizonExceeded, MapKind, OutOfRange, Variant, twist_eval
 from hilbertcube.cube import PointRep, classify_point
 from hilbertcube.homogeneity import HomeoPlan
 from hilbertcube.interior import InteriorMapParams
-from hilbertcube.limits import Schedule, boundary_index_sequence
+from hilbertcube.limits import Schedule
 
 ZERO = Fraction(0)
 
@@ -30,7 +30,6 @@ def build_schedule_pool(p, count):
     if count < 0:
         raise BadIndices(f"stage count must be >= 0, got {count}")
     profile = classify_point(p)
-    stream = boundary_index_sequence(profile)
     if profile.is_pseudo_interior:
         return Schedule((), profile)
     pool, in_pool, pulled_upto = [], set(), 0
@@ -38,14 +37,14 @@ def build_schedule_pool(p, count):
     def pull(bound):
         nonlocal pulled_upto
         for j in range(pulled_upto + 1, bound + 1):
-            if stream.contains(j) and j not in in_pool:
+            if profile.contains(j) and j not in in_pool:
                 heapq.heappush(pool, j)
                 in_pool.add(j)
         pulled_upto = max(pulled_upto, bound)
 
     stages, m_prev = [], 0
     for k in range(1, count + 1):
-        pull(stream.first() if k == 1 else m_prev)
+        pull(profile.first() if k == 1 else m_prev)
         n = heapq.heappop(pool)
         in_pool.discard(n)
         m = max(m_prev + 4, 4 * k, 4 * (n // 4) + 4)
@@ -63,10 +62,11 @@ def partial_walk(s, p, i, reverse=False):
         raise BadIndices(f"stage index must be >= 0, got {i}")
     if i > s.count:
         raise HorizonExceeded(f"stage {i} requested but only {s.count} stages are materialized")
+    kind = MapKind.TWIST_CW_CUBED if reverse else MapKind.TWIST_CCW_CUBED
     cur = {}
     for k in range(i, 0, -1) if reverse else range(1, i + 1):
         n, m = s.stages[k - 1]
-        cur[n], cur[m] = twist_eval(s.stage_map(k, reverse=reverse),
+        cur[n], cur[m] = twist_eval(CellMap(kind, Variant.CORRECTED, n, m),
                                     cur.get(n, p.coord(n)), cur.get(m, p.coord(m)))
     if not cur:
         return p
@@ -92,7 +92,7 @@ def final_coordinate_rewalk(s, p, j):
     if j in ns:
         k = ns.index(j) + 1
         return k, partial_walk(s, p, k).coord(j)
-    touched = boundary_index_sequence(p).contains(j) or j in ms
+    touched = classify_point(p).contains(j) or j in ms
     if not touched and not s.is_identity:
         if ms and all(ms[k] == ms[0] + 4 * k for k in range(len(ms))):
             touched = j >= ms[0] and (j - ms[0]) % 4 == 0
