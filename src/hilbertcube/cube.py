@@ -104,11 +104,34 @@ def _pairs(p: PointRep) -> PairVector:
     return v
 
 
+def _coprime(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for coprime n and d > 0, built without its gcd: what
+    Fraction._from_coprime_ints does on Python 3.12 and later."""
+    f = object.__new__(Fraction)  # Fraction.__new__ would normalize
+    f._numerator, f._denominator = n, d
+    return f
+
+
+def _entry(pair: tuple[int, int], index: int) -> Fraction:
+    """The coordinate (index 0: the tail) of a reduced pair, checked on its
+    integers with the text PointRep's own check gives."""
+    n, d = pair
+    if not -d <= n <= d:
+        _check_unit(_coprime(n, d), index)
+    return _coprime(n, d)
+
+
 def _point(v: PairVector) -> PointRep:
+    """The PointRep of a pair vector of reduced pairs: each coordinate
+    checked once on its integers, its Fraction built without a gcd, and the
+    prefix handed over already stripped, so __post_init__ does not run."""
     tail = v[0]
     last = max((i for i, c in v.items() if c != tail), default=0)  # the prefix PointRep keeps
-    t = Fraction(*tail)
-    return PointRep(tuple(Fraction(*v[i]) if i in v else t for i in range(1, last + 1)), t)
+    t = _entry(tail, 0)
+    point = object.__new__(PointRep)
+    object.__setattr__(point, "prefix", tuple(_entry(v[i], i) if i in v else t for i in range(1, last + 1)))
+    object.__setattr__(point, "tail", t)
+    return point
 
 
 def make_point(prefix: Sequence[Fraction | int | str], tail: Fraction | int | str) -> PointRep:
@@ -118,10 +141,29 @@ def make_point(prefix: Sequence[Fraction | int | str], tail: Fraction | int | st
 ORIGIN = make_point([], 0)
 
 
+def _binary_sum(terms: list[int]) -> int:
+    """sum_i terms[i] * 2^(len - 1 - i), combined pairwise: adjacent blocks
+    of one width w become (left << w) + right, in O(log len) rounds of
+    linear work.  A round of odd length gets one trailing block of zeros,
+    which pads the terms to a power of two; the factor 2^pad those zeros
+    add is shifted out once at the end."""
+    pad = (1 << (len(terms) - 1).bit_length()) - len(terms)
+    level, width = terms or [0], 1
+    while len(level) > 1:
+        if len(level) & 1:
+            level = [*level, 0]
+        pairs = iter(level)
+        level = [(left << width) + right for left, right in zip(pairs, pairs)]
+        width <<= 1
+    return level[0] >> pad
+
+
 def metric_d(p: PointRep, q: PointRep) -> Fraction:
     """One integer sum over D, the common denominator of both points: with n
     the longer prefix, d(p, q) * D * 2^n = sum_{i <= n} |P_i - Q_i| * 2^(n-i)
-    + |P_tail - Q_tail|, the tail's weight because sum_{i>n} 2^-i = 2^-n."""
+    + |P_tail - Q_tail|, the tail's weight because sum_{i>n} 2^-i = 2^-n.
+    The sum over i <= n is taken pairwise, so it costs O(M(n) log n), not
+    O(n^2), bit operations."""
     n = max(len(p.prefix), len(q.prefix))
     pc = (*p.prefix, *[p.tail] * (n - len(p.prefix)), p.tail)
     qc = (*q.prefix, *[q.tail] * (n - len(q.prefix)), q.tail)
@@ -130,7 +172,7 @@ def metric_d(p: PointRep, q: PointRep) -> Fraction:
     scale = {d: den // d for d in dens}  # one quotient per distinct denominator
     diffs = [abs(a.numerator * scale[a.denominator] - b.numerator * scale[b.denominator])
              for a, b in zip(pc, qc)]
-    total = diffs[n] + sum(diff << (n - i) for i, diff in enumerate(diffs[:n], 1))
+    total = diffs[n] + _binary_sum(diffs[:n])
     return Fraction(total, den << n)
 
 

@@ -32,7 +32,9 @@ def _knee(p_i: Fraction, q_i: Fraction) -> tuple[int, int, int, int]:
 def _coord_value(knee: tuple, tn: int, td: int) -> tuple[int, int]:
     """Value at t = tn/td, td > 0, of the two-piece map through the knee, as
     a reduced (num, den): (t+1)(q+1)/(p+1) - 1 for t <= p, else
-    (t-p)(1-q)/(1-p) + q, each over one denominator, reduced by one gcd."""
+    (t-p)(1-q)/(1-p) + q, each over one denominator, reduced by one gcd.
+    The range check on t is the move's own guard: _move takes pair vectors,
+    and one that came from no PointRep was checked by nothing else."""
     pn, pd, qn, qd = knee
     if not -td <= tn <= td:
         raise OutOfRange(f"t = {Fraction(tn, td)} outside [-1, 1]")

@@ -25,6 +25,7 @@ from .cube import (
     PointRep,
     Rational,
     _check_index,
+    _coprime,
     _exact,
     _pairs,
     _point,
@@ -300,7 +301,7 @@ def final_coordinates(s: Schedule, p: PointRep, upto: int) -> dict[int, tuple[in
     finds, from one forward walk up to the last of those stages."""
     stages = finalization_stages(s, upto)
     v = _walk(s._maps(max(stages.values(), default=0), False), _pairs(p))
-    return {j: (k, Fraction(*v[j]) if k else p.coord(j)) for j, k in stages.items()}
+    return {j: (k, _coprime(*v[j]) if k else p.coord(j)) for j, k in stages.items()}
 
 
 def final_coordinate(s: Schedule, p: PointRep, j: int) -> tuple[int, Fraction]:

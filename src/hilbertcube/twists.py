@@ -189,21 +189,28 @@ class CellMap:
     def _applied(self, times: int, d: int, x: int, y: int, check: bool) -> tuple[int, int, int]:
         """The first matching clause applied `times` times: (scale^times*d,
         u, v), not reduced.  With check, an application that leaves the
-        square raises RangeViolation.  cw runs in the reflected frame."""
+        square raises RangeViolation.  cw runs in the reflected frame.
+        Strictly inside |x| < 1-b only clause IV holds, so one comparison
+        decides it there; elsewhere the conditions are read in printed
+        order.  The unit twist's edge is 0, so it always reads its own."""
         s, order, r = self._shift, self._order, self._reflected
         conditions = self._unit_conditions if self._unit else self._ccw_conditions
         if r:
             y = -y
         for _ in range(times):
-            held = conditions(d, x, y)
-            for k in order:
-                if held[k]:
-                    break
+            e = d << s
+            if (abs(x) << s) < e - d:  # far < edge of _ccw_conditions
+                k = 3
             else:
-                raise Unclassifiable(f"no clause matched {_fmt_pair(d, x, -y if r else y)}"
-                                     f" for {self.single().label()}")
+                held = conditions(d, x, y)
+                for k in order:
+                    if held[k]:
+                        break
+                else:
+                    raise Unclassifiable(f"no clause matched {_fmt_pair(d, x, -y if r else y)}"
+                                         f" for {self.single().label()}")
             x, y = self._ccw_value(k, d, x, y)
-            d <<= s
+            d = e
             if check and (abs(x) > d or abs(y) > d):
                 point = (d, x, -y if r else y)
                 raise RangeViolation(f"{self.label()} left the square at {_fmt_pair(*point)}",

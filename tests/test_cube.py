@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hilbertcube import (
@@ -17,6 +18,9 @@ from hilbertcube import (
     make_point,
     metric_d,
 )
+from hilbertcube.cube import _coprime, _pairs, _point
+from hilbertcube.interior import InteriorMapParams, _move
+from hilbertcube.limits import _partial, build_schedule
 
 from conftest import rand_point
 from walk_oracle import metric_d_sum
@@ -131,6 +135,22 @@ def test_metric_integer_sum_matches_fraction_sum():
     assert max(c.denominator for p, _ in pairs for c in p.prefix).bit_length() > 600
 
 
+def test_metric_matches_fraction_sum_at_every_width():
+    # the pairwise sum gives each round of odd length a block of zeros:
+    # every width from 0 to 33, so every pattern of odd rounds up to 32
+    # entries, and one long prefix
+    rng = random.Random(601)
+
+    def rational():
+        den = rng.choice((1, 3, 64, 10007)) << rng.randint(0, 80)
+        return Fraction(rng.randint(-den, den), den)
+
+    for n in [*range(34), 1000]:
+        p = make_point([rational() for _ in range(n)], rational())
+        q = make_point([rational() for _ in range(rng.randint(0, n))], rng.choice((Fraction(1), rational())))
+        assert metric_d(p, q) == metric_d_sum(p, q), n
+
+
 @given(points, points)
 def test_metric_symmetry(p, q):
     assert metric_d(p, q) == metric_d(q, p)
@@ -200,3 +220,75 @@ def test_classify_explicit_indices():
     assert prof.explicit_indices == (1,)
     assert not prof.tail_is_boundary
 
+
+# --- the trusted constructor -------------------------------------------
+
+
+def test_fraction_keeps_two_slots():
+    # _coprime sets exactly these two; an interpreter that adds or renames
+    # one must fail here, not build half a Fraction
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+
+BIG = 2**600
+coprime_pairs = st.tuples(st.integers(-BIG, BIG), st.integers(1, BIG)).map(
+    lambda pair: (pair[0] // gcd(*pair), pair[1] // gcd(*pair)))
+
+
+@given(coprime_pairs)
+@example((0, 1))
+@example((1, 1))
+@example((-1, 1))
+@example((-(BIG - 1), BIG))
+@example((BIG + 1, BIG))
+def test_coprime_builds_the_fraction_a_gcd_would(pair):
+    n, d = pair
+    got, want = _coprime(n, d), Fraction(n, d)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got == want and hash(got) == hash(want) and str(got) == str(want)
+    assert got + Fraction(1, 3) == want + Fraction(1, 3)
+    assert got * got == want * want
+
+
+@pytest.mark.parametrize("pairs", [
+    {0: (5, 4)},
+    {0: (1, 3), 2: (-7, 6)},
+    {0: (1, 3), 1: (3, 2), 3: (1, 3), 4: (2, 1)},
+    {0: (-9, 8), 1: (3, 2)},
+], ids=["tail", "coordinate", "first-of-two", "tail-first"])
+def test_point_refuses_a_pair_out_of_range_as_make_point_does(pairs):
+    last = max(pairs)
+    tail = Fraction(*pairs[0])
+    prefix = [Fraction(*pairs[i]) if i in pairs else tail for i in range(1, last + 1)]
+    with pytest.raises(OutOfRange) as want:
+        make_point(prefix, tail)
+    with pytest.raises(OutOfRange) as got:
+        _point(pairs)
+    assert str(got.value) == str(want.value)
+
+
+def _reduced(v):
+    return all(d > 0 and gcd(n, d) == 1 for n, d in v.values())
+
+
+boundary_points = st.builds(
+    lambda prefix, at, sign, tail: make_point([*prefix[:at], sign, *prefix[at:]], tail),
+    st.lists(rationals, max_size=5), st.integers(0, 5), st.sampled_from((1, -1)), rationals)
+
+
+@given(boundary_points, points, st.integers(0, 6), st.booleans())
+def test_a_walk_returns_reduced_pairs(p, x, i, reverse):
+    # _point builds each Fraction from its pair without a gcd: every pair a
+    # walk hands it must already be reduced, with a positive denominator
+    s = build_schedule(p, 6)
+    assert _reduced(_partial(s, _pairs(x), i, reverse))
+
+
+interior = st.fractions(min_value=-1, max_value=1, max_denominator=64).filter(lambda c: abs(c) < 1)
+interior_points = st.builds(make_point, st.lists(interior, max_size=6), interior)
+
+
+@given(interior_points, interior_points, points)
+def test_the_move_returns_reduced_pairs(a, b, x):
+    assert _reduced(_move(InteriorMapParams(a, b), _pairs(x)))

@@ -9,7 +9,8 @@ is still defined where the tracer looks for it.  The twist kernel's
 clause helpers shift by the scale 2^(m-n) and never multiply by it, and
 only CellMap's methods see cw's reflected frame.  The command-line
 handlers neither parse input nor write stdout: main does both.  No module
-calls json.dumps: dump_json writes JSON.  Read with ast, so nothing
+calls json.dumps: dump_json writes JSON, and none builds Fraction(*pair)
+from a pair already reduced.  Read with ast, so nothing
 is imported or run; the last test runs evaluations, to count the points
 they build."""
 
@@ -159,6 +160,15 @@ def test_src_writes_json_through_dump_json_alone():
     assert not calls
 
 
+def test_src_builds_no_fraction_from_a_pair_it_unpacks():
+    # Fraction(*pair) normalizes a pair the walk or the move already
+    # reduced; cube._coprime builds it without a second gcd
+    calls = [f"{module}: {ast.unparse(node)}" for module, tree in _trees().items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "Fraction"
+             and any(isinstance(arg, ast.Starred) for arg in node.args)]
+    assert not calls
+
+
 def test_stage_factor_is_read_only_in_limits():
     # the per-stage Lipschitz factor has one ledger: Schedule in limits.py
     readers = {
@@ -269,10 +279,14 @@ def test_cli_commands_neither_parse_input_nor_write_stdout():
 
 def test_an_evaluation_builds_one_point(monkeypatch):
     # plan_eval_info carries one pair vector through both walks and the
-    # move, and builds the PointRep of its value once, at the end
+    # move, and builds the PointRep of its value once, at the end, through
+    # cube._point, the one constructor for a point derived from a pair
+    # vector; _point checks each pair itself, so __post_init__ never runs
+    import sys
     from fractions import Fraction as F
 
     from hilbertcube import PlanCase, make_point, plan_eval_info, plan_inverse_eval_info, solve
+    from hilbertcube import cube
     from hilbertcube.cube import PointRep
 
     int_a, int_b = make_point([F(1, 3), F(-1, 2)], F(1, 5)), make_point([F(2, 7)], F(-3, 8))
@@ -280,11 +294,19 @@ def test_an_evaluation_builds_one_point(monkeypatch):
     tau = F(1, 2**20)
     plans = [(p, solve(p, q, tau)) for p, q in ((int_a, int_b), (bnd_a, int_b), (int_a, bnd_b), (bnd_a, bnd_b))]
     assert {plan.case for _, plan in plans} == set(PlanCase)
-    built = []
+    built, checked = [], []
     check = PointRep.__post_init__
-    monkeypatch.setattr(PointRep, "__post_init__", lambda point: built.append(1) or check(point))
+    monkeypatch.setattr(PointRep, "__post_init__", lambda point: checked.append(1) or check(point))
+    # count _point wherever a module of the package bound it
+    point = cube._point
+    binders = [module for name, module in sys.modules.items()
+               if name.startswith("hilbertcube") and getattr(module, "_point", None) is point]
+    assert {"hilbertcube.cube", "hilbertcube.homogeneity"} <= {module.__name__ for module in binders}
+    for module in binders:
+        monkeypatch.setattr(module, "_point", lambda v: built.append(1) or point(v))
     for p, plan in plans:
         for fn in (plan_eval_info, plan_inverse_eval_info):
             built.clear()
+            checked.clear()
             fn(plan, p, tau)
-            assert len(built) == 1, (plan.case, fn.__name__)
+            assert (len(built), len(checked)) == (1, 0), (plan.case, fn.__name__)

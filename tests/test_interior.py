@@ -1,5 +1,6 @@
 """The coordinatewise two-piece interior move."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from hilbertcube import (
     make_point,
     metric_d,
 )
-from hilbertcube.interior import slope_exponents
+from hilbertcube.interior import _move, slope_exponents
 
 from conftest import coord_map
 
@@ -89,6 +90,19 @@ def test_map_moves_source_to_target_exactly():
     q = make_point([Fraction(2, 7)], Fraction(-3, 8))
     params = InteriorMapParams(p, q)
     assert interior_map_eval(params, p) == q
+
+
+@pytest.mark.parametrize("pairs, text", [
+    ({0: (0, 1), 1: (3, 2)}, "t = 3/2 outside [-1, 1]"),          # an anchored coordinate
+    ({0: (0, 1), 5: (-5, 4)}, "t = -5/4 outside [-1, 1]"),        # one past the anchors
+    ({0: (9, 8)}, "t = 9/8 outside [-1, 1]"),                     # the tail
+], ids=["anchored", "past-the-anchors", "tail"])
+def test_move_refuses_a_pair_outside_the_interval(pairs, text):
+    # _move takes pair vectors, not points: a pair no PointRep checked is
+    # refused by the move's own guard
+    params = InteriorMapParams(make_point([Fraction(1, 3), 0], 0), make_point([Fraction(-1, 2)], Fraction(1, 4)))
+    with pytest.raises(OutOfRange, match=re.escape(text)):
+        _move(params, pairs)
 
 
 def test_map_fixes_boundary_points():

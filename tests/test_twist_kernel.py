@@ -150,6 +150,57 @@ def test_cubed_images_at_walk_sized_denominators(cm):
     assert {type(out[0]) for out in got} == {F, type}
 
 
+def first_clause(cm, times, d, x, y, check):
+    """times applications of the first clause the table gives, read off
+    hits and value; with check, RangeViolation once one leaves the square."""
+    once, s = cm.single(), cm.m - cm.n
+    for _ in range(times):
+        x, y = once.value(once.hits(d, x, y)[0], d, x, y)
+        d <<= s
+        if check and (abs(x) > d or abs(y) > d):
+            return RangeViolation
+    return d, x, y
+
+
+def kernel(fn, *args):
+    try:
+        return fn(*args)
+    except RangeViolation:
+        return RangeViolation
+
+
+def edge_points(n, m):
+    """Over d = lcm(16, 2^(m-n)): the 1/16 grid, and against each of its y
+    the strip edge |x| = 1-b and the x one unit inside and outside it; y = 0
+    is a grid row."""
+    s = m - n
+    d = max(16, 1 << s)
+    grid = range(-d, d + 1, d // 16)
+    edge = d - (d >> s)
+    points = [(x, y) for x in grid for y in grid]
+    points += [(sign * x, y) for sign in (1, -1) for x in (edge - 1, edge, edge + 1) for y in grid]
+    return d, points
+
+
+@pytest.mark.parametrize("cm", [CellMap(kind, variant, n, m) for n, m in CELLS + ((1, 20),)
+                                for variant in Variant for kind in ALL_KINDS if kind != MapKind.FIRST_ATTEMPT],
+                         ids=lambda cm: cm.label().replace(" ", "-"))
+def test_clause_iv_shortcut_at_the_strip_edge(cm):
+    # image and apply decide |x| < 1-b by one comparison and take clause IV
+    # there; everywhere they must give what the table's first clause gives
+    d, points = edge_points(cm.n, cm.m)
+    s, once = cm.m - cm.n, cm.single()
+    inside = 0
+    for x, y in points:
+        if abs(x) << s < (d << s) - d:
+            assert once.hits(d, x, y) == [3], (x, y)  # clause IV alone holds
+            inside += 1
+        assert cm.apply(d, x, y) == first_clause(cm, 1, d, x, y, False), (x, y)
+        times = 3 if cm.is_cubed else 1
+        assert kernel(cm.image, d, x, y) == first_clause(cm, times, d, x, y, True), (x, y)
+    assert 0 < inside < len(points)
+
+
 def fraction_cell_apply(cm, p):
     """A cell map on a full point through the Fraction entry point."""
     u, v = twist_eval(cm, p.coord(cm.n), p.coord(cm.m))
