@@ -39,10 +39,26 @@ def _exact(value) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
-def _check_unit(value: Fraction, index: int = 0) -> None:  # index 0: the tail
-    if abs(value.numerator) > value.denominator:
+def _unit(c: Fraction, index: int) -> None:
+    """Refuse c outside [-1, 1] as coordinate index (0: the tail).  Reads
+    the slots of a plain Fraction, the only kind _exact and _coprime make."""
+    if not -c._denominator <= c._numerator <= c._denominator:
         what = f"coordinate {index}" if index else "tail"
-        raise OutOfRange(f"{what} = {value} outside [-1, 1]")
+        raise OutOfRange(f"{what} = {c} outside [-1, 1]")
+
+
+def _settle(point: PointRep, prefix: tuple[Fraction, ...], tail: Fraction) -> PointRep:
+    """Check the prefix entries in order, skipping the already checked tail
+    object, strip the trailing ones equal to the tail and set both fields."""
+    for k, c in enumerate(prefix, 1):
+        if c is not tail:
+            _unit(c, k)
+    end = len(prefix)  # one slice after the last entry that differs from the tail
+    while end and (prefix[end - 1] is tail or prefix[end - 1] == tail):
+        end -= 1
+    object.__setattr__(point, "prefix", prefix[:end])
+    object.__setattr__(point, "tail", tail)
+    return point
 
 
 @dataclass(frozen=True)
@@ -58,15 +74,8 @@ class PointRep:
 
     def __post_init__(self):
         tail = _exact(self.tail)
-        _check_unit(tail)
-        prefix = tuple(map(_exact, self.prefix))
-        for k, c in enumerate(prefix, 1):
-            _check_unit(c, k)
-        end = len(prefix)  # one slice after the last entry that differs from the tail
-        while end and prefix[end - 1] == tail:
-            end -= 1
-        object.__setattr__(self, "prefix", prefix[:end])
-        object.__setattr__(self, "tail", tail)
+        _unit(tail, 0)  # before any prefix entry is converted
+        _settle(self, tuple(map(_exact, self.prefix)), tail)
 
     def coord(self, i: int) -> Fraction:
         _check_index(i)
@@ -112,26 +121,17 @@ def _coprime(n: int, d: int) -> Fraction:
     return f
 
 
-def _entry(pair: tuple[int, int], index: int) -> Fraction:
-    """The coordinate (index 0: the tail) of a reduced pair, checked on its
-    integers with the text PointRep's own check gives."""
-    n, d = pair
-    if not -d <= n <= d:
-        _check_unit(_coprime(n, d), index)
-    return _coprime(n, d)
-
-
 def _point(v: PairVector) -> PointRep:
-    """The PointRep of a pair vector of reduced pairs: each coordinate
-    checked once on its integers, its Fraction built without a gcd, and the
-    prefix handed over already stripped, so __post_init__ does not run."""
-    tail = v[0]
-    last = max((i for i, c in v.items() if c != tail), default=0)  # the prefix PointRep keeps
-    t = _entry(tail, 0)
-    point = object.__new__(PointRep)
-    object.__setattr__(point, "prefix", tuple(_entry(v[i], i) if i in v else t for i in range(1, last + 1)))
-    object.__setattr__(point, "tail", t)
-    return point
+    """The PointRep of a pair vector of reduced pairs, built with no gcd and
+    no __post_init__: every coordinate equal to the tail is the tail object."""
+    t = v[0]
+    tail = _coprime(*t)
+    _unit(tail, 0)
+    prefix = [tail] * max(v)
+    for i, c in v.items():
+        if c != t:  # never key 0, the tail itself
+            prefix[i - 1] = _coprime(*c)
+    return _settle(object.__new__(PointRep), tuple(prefix), tail)
 
 
 def make_point(prefix: Sequence[Fraction | int | str], tail: Fraction | int | str) -> PointRep:

@@ -166,12 +166,12 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
         raise HorizonExceeded(f"coordinate {j} finalizes at stage {k}, beyond horizon {horizon};"
                               f" tolerance {tau} needs horizon {need}")
 
-    # one forward walk per schedule yields pt's first n_cut escaped coordinates
-    def anchors(s: Schedule, pt: PointRep) -> PointRep:
-        fin = final_coordinates(s, pt, n_cut)
-        return PointRep(tuple(fin[j][1] for j in range(1, n_cut + 1)), ZERO)
+    # one forward walk per schedule, to the stages above, yields pt's anchors
+    def anchors(s: Schedule, pt: PointRep, fin: dict[int, int]) -> PointRep:
+        values = final_coordinates(s, pt, fin)
+        return PointRep(tuple(values[j][1] for j in range(1, n_cut + 1)), ZERO)
 
-    move = InteriorMapParams(anchors(sched_p, p), anchors(sched_q, q))
+    move = InteriorMapParams(anchors(sched_p, p, stages[0]), anchors(sched_q, q, stages[1]))
 
     # size the materialized schedules for every evaluation verify or a
     # roundtrip at this tolerance will ask of them, plus slack; lip_p and

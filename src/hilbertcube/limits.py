@@ -296,10 +296,9 @@ def finalization_stages(s: Schedule, upto: int) -> dict[int, int]:
     return stages
 
 
-def final_coordinates(s: Schedule, p: PointRep, upto: int) -> dict[int, tuple[int, Fraction]]:
-    """(stage, value) of every coordinate j <= upto that finalization_stages
-    finds, from one forward walk up to the last of those stages."""
-    stages = finalization_stages(s, upto)
+def final_coordinates(s: Schedule, p: PointRep, stages: dict[int, int]) -> dict[int, tuple[int, Fraction]]:
+    """(stage, value) of every coordinate in stages, s's finalization_stages
+    map, from one forward walk up to the last of those stages."""
     v = _walk(s._maps(max(stages.values(), default=0), False), _pairs(p))
     return {j: (k, _coprime(*v[j]) if k else p.coord(j)) for j, k in stages.items()}
 
@@ -309,7 +308,7 @@ def final_coordinate(s: Schedule, p: PointRep, j: int) -> tuple[int, Fraction]:
     Touched but not finalized within the materialized stages raises
     HorizonExceeded."""
     _check_index(j)
-    found = final_coordinates(s, p, j).get(j)
+    found = final_coordinates(s, p, finalization_stages(s, j)).get(j)
     if found is None:
         raise HorizonExceeded(
             f"coordinate {j} is not finalized within {s.count} stages"

@@ -268,6 +268,45 @@ def test_point_refuses_a_pair_out_of_range_as_make_point_does(pairs):
     assert str(got.value) == str(want.value)
 
 
+outside = st.fractions(min_value=-3, max_value=3, max_denominator=64).filter(lambda c: abs(c) > 1)
+
+
+@st.composite
+def pair_vectors(draw):
+    """Sparse vectors of reduced pairs: each key up to the last a gap (the
+    tail's), the tail's own pair or a held value, and the keys in a drawn
+    set, key 0 among them, outside [-1, 1]."""
+    last = draw(st.integers(0, 8))
+    bad = draw(st.sets(st.integers(0, last), max_size=3))
+    tail = draw(outside if 0 in bad else rationals)
+    v = {0: (tail.numerator, tail.denominator)}
+    for i in range(1, last + 1):
+        c = draw(outside if i in bad else st.none() | st.just(tail) | rationals)  # None: a gap
+        if c is not None:
+            v[i] = (c.numerator, c.denominator)
+    return v
+
+
+def _parts_or_refusal(build, *args):
+    try:
+        p = build(*args)
+    except OutOfRange as exc:
+        return str(exc)
+    assert all(type(c) is Fraction for c in (*p.prefix, p.tail))
+    return p.prefix, p.tail
+
+
+@given(pair_vectors())
+@example({0: (1, 3), 1: (1, 2), 2: (1, 3), 4: (1, 3), 5: (1, 3)})  # tail-equal at the end
+@example({0: (1, 3), 1: (1, 3), 3: (-1, 1)})  # tail-equal in the middle, a gap
+@example({0: (5, 4), 2: (1, 2), 3: (7, 3)})  # the tail refused first
+@example({0: (-1, 1), 6: (-1, 1)})  # only tail-equal entries and gaps
+def test_point_of_a_pair_vector_is_make_point_of_its_dense_prefix(v):
+    tail = Fraction(*v[0])
+    dense = [Fraction(*v[i]) if i in v else tail for i in range(1, max(v) + 1)]
+    assert _parts_or_refusal(_point, v) == _parts_or_refusal(make_point, dense, tail)
+
+
 def _reduced(v):
     return all(d > 0 and gcd(n, d) == 1 for n, d in v.values())
 

@@ -34,6 +34,7 @@ from hilbertcube.limits import (
     _least_stage,
     build_schedule,
     final_coordinates,
+    finalization_stages,
     first_sacrifice,
     forward_partial_eval,
 )
@@ -207,7 +208,7 @@ def test_one_walk_anchors_match_per_coordinate_rewalk(k):
                 continue
             walked = build_schedule(pt, n_cut + 1)  # the schedule solve walks
             want = final_coordinates_rewalk(walked, pt, n_cut)
-            assert final_coordinates(walked, pt, n_cut) == want
+            assert final_coordinates(walked, pt, finalization_stages(walked, n_cut)) == want
             finals.append(want)
         assert plan == plan_from_anchors(plan, p, q, *finals)
 
@@ -261,6 +262,17 @@ def test_tiny_tolerance_refused_in_bounded_time(monkeypatch):
 
 class _Cutoff(Exception):
     pass
+
+
+def test_solve_reads_each_finalization_map_once(monkeypatch):
+    # the map that decides the horizon refusal is the one the anchor walk
+    # reads: one per schedule, wherever a module bound finalization_stages
+    calls = []
+    stages = limits.finalization_stages
+    for module in (homogeneity, limits):
+        monkeypatch.setattr(module, "finalization_stages", lambda s, upto: calls.append(upto) or stages(s, upto))
+    plan = solve(BND_A, BND_B, F(1, 2**20))
+    assert calls == [plan.move.anchor_count] * 2
 
 
 def test_anchor_cutoff_is_the_least_n_that_fits(monkeypatch):

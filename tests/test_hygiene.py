@@ -10,9 +10,10 @@ clause helpers shift by the scale 2^(m-n) and never multiply by it, and
 only CellMap's methods see cw's reflected frame.  The command-line
 handlers neither parse input nor write stdout: main does both.  No module
 calls json.dumps: dump_json writes JSON, and none builds Fraction(*pair)
-from a pair already reduced.  Read with ast, so nothing
-is imported or run; the last test runs evaluations, to count the points
-they build."""
+from a pair already reduced.  Only cube._settle sets a PointRep's fields,
+and only cube._point makes one without __post_init__.  Read with ast, so
+nothing is imported or run; the last test runs evaluations, to count the
+points they build."""
 
 import ast
 import re
@@ -167,6 +168,41 @@ def test_src_builds_no_fraction_from_a_pair_it_unpacks():
              if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "Fraction"
              and any(isinstance(arg, ast.Starred) for arg in node.args)]
     assert not calls
+
+
+def _holders(tree, match) -> set[str]:
+    """Qualified names of the innermost functions holding a node that match
+    accepts ("" for module level)."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}".lstrip("."))
+                continue
+            if match(child):
+                found.add(where)
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_settle_sets_a_points_fields():
+    # the point invariant is written once: cube._settle checks the prefix,
+    # strips it and sets both fields, and cube._point alone makes a PointRep
+    # without running __post_init__
+    def sets_field(node):
+        return isinstance(node, ast.Call) and len(node.args) == 3 \
+            and isinstance(node.args[1], ast.Constant) and node.args[1].value in ("prefix", "tail")
+
+    def bare_point(node):
+        return isinstance(node, ast.Call) and ast.unparse(node) == "object.__new__(PointRep)"
+
+    trees = _trees()
+    setters = {f"{module}: {name}" for module, tree in trees.items() for name in _holders(tree, sets_field)}
+    makers = {f"{module}: {name}" for module, tree in trees.items() for name in _holders(tree, bare_point)}
+    assert (setters, makers) == ({"cube: _settle"}, {"cube: _point"})
 
 
 def test_stage_factor_is_read_only_in_limits():

@@ -406,7 +406,7 @@ def test_final_coordinates_one_walk_matches_rewalk():
     for p in (ONES, make_point([1, F(1, 2), -1], F(1, 4)), make_point([F(-1, 3)], -1),
               make_point([0, 0, 0, 0, 0, 1], F(1, 3))):
         s = build_schedule(p, 14)
-        found = final_coordinates(s, p, 30)
+        found = final_coordinates(s, p, finalization_stages(s, 30))
         for j in range(1, 31):
             try:
                 want = final_coordinate_rewalk(s, p, j)
@@ -465,7 +465,7 @@ def test_integer_walk_matches_fraction_walk():
             assert _outcome(forward_partial_eval, s, x, i) == _outcome(partial_walk, s, x, i)
             assert _outcome(reverse_partial_eval, s, x, i) == _outcome(partial_walk, s, x, i, True)
         if classify_point(x) == s.source_profile:  # finalization reads the source's indices
-            assert final_coordinates(s, x, 30) == final_coordinates_rewalk(s, x, 30)
+            assert final_coordinates(s, x, finalization_stages(s, 30)) == final_coordinates_rewalk(s, x, 30)
 
 
 def test_walk_cases_cover_wide_denominators():
