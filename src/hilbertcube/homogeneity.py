@@ -52,7 +52,7 @@ ZERO = Fraction(0)
 NO_ESCAPE = build_schedule(ORIGIN, 0)  # the identity leg: 0 stages, radius 0, factor 1
 
 DEFAULT_HORIZON = 256
-STAGE_PAD = 12  # stages a plan materializes past the ones it is sized for
+STAGE_PAD = 12  # stages a plan materializes past n_cut + 1; no walk at its tolerance passes n_cut
 
 
 class PlanCase(str, Enum):
@@ -116,10 +116,10 @@ def _escape_budget(tau: Fraction, both_escapes: bool) -> Fraction:
 
 
 def stage_count_limit(p: PointRep, horizon: int = DEFAULT_HORIZON) -> int:
-    """Most stages solve materializes for p's schedule under `horizon`:
-    index m_1 + 4t finalizes at stage t + 2 or later, so the anchor cutoff
-    stays below m_1 + 4(horizon - 1), plus the cutoff stage and the pad
-    (m_1 = 0 for an interior p)."""
+    """Most stages solve materializes for p's schedule under `horizon`, a
+    true maximum: a plan stores n_cut + 1 + STAGE_PAD stages, and index
+    m_1 + 4t finalizes at stage t + 2 or later, so a cutoff that is not
+    refused stays below m_1 + 4(horizon - 1) (m_1 = 0 for an interior p)."""
     prof = classify_point(p)
     m1 = first_sacrifice(prof) if prof.is_boundary else 0
     return 4 * (horizon - 1) + m1 + STAGE_PAD
@@ -154,7 +154,14 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
     if a << n_cut < c2:
         n_cut += 1
 
-    sched_p, sched_q = build_schedule(p, n_cut + 1), build_schedule(q, n_cut + 1)
+    # No walk at this tolerance passes stage n_cut.  Verify's evaluation (at
+    # tau/2) and a roundtrip at tau give each leg a budget beta >= tau/8.  A
+    # reverse leg stops at the least i with 3 * 2^-(b+i+3) < beta, so
+    # i <= log2(1/tau) + 2.6 - b < n_cut, as 2^(1-n_cut) <= tau/4.  Stages
+    # past n_cut meet only the anchors' shared tail knee (n_k > n_cut), of
+    # slope 1, so the source leg's E(n_cut) <= 5 * sum_{k > n_cut} 2^-m_k =
+    # 2^-(b+4n_cut) / 3, and 8^i * E(n_cut) < tau/8 <= beta ends its search.
+    sched_p, sched_q = (build_schedule(pt, n_cut + 1 + STAGE_PAD) for pt in (p, q))
 
     # a touched j <= n_cut finalizes by stage j, within the n_cut + 1 stages;
     # refuse from the stage lists alone, before any twist is evaluated, and
@@ -172,20 +179,6 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
         return PointRep(tuple(values[j][1] for j in range(1, n_cut + 1)), ZERO)
 
     move = InteriorMapParams(anchors(sched_p, p, stages[0]), anchors(sched_q, q, stages[1]))
-
-    # size the materialized schedules for every evaluation verify or a
-    # roundtrip at this tolerance will ask of them, plus slack; lip_p and
-    # lip_q inflate the radius of the forward leg on p's and on q's side.
-    # Each leg gets the least share any of those evaluations gives it: the
-    # verifying one, at tau/2, when both escapes are present
-    share = _escape_budget(tau / 2, True)
-    i_inv = sched_p.stages_needed(share, True)[0]  # stages the inverse unwinds on the source side
-    lip_p = sched_q.lipschitz(i_star) * lipschitz_bound(move)
-    lip_q = sched_p.lipschitz(i_inv) * lipschitz_bound(interior_map_inverse(move))
-    need_p = sched_p.stages_needed(share / lip_p, False)[0]
-    need_q = sched_q.stages_needed(share / lip_q, False)[0]
-    sched_p = build_schedule(p, max(n_cut + 1, need_p, i_inv) + STAGE_PAD)
-    sched_q = build_schedule(q, max(n_cut + 1, need_q, i_star) + STAGE_PAD)
     # a plan stores an identity leg as no escape
     return HomeoPlan(move, *(None if s.is_identity else s for s in (sched_p, sched_q)))
 

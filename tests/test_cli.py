@@ -98,6 +98,21 @@ def test_solve_boundary_case_verifies(capsys, points):
     assert obj["source_schedule"] is not None and obj["target_schedule"] is None
 
 
+def test_solve_next_to_one_writes_a_plan_verify_reads(capsys, tmp_path):
+    # a coordinate 2^-5000 below 1 once made solve write 1,265 source stages
+    # (64,893 bytes), past the 1,036 that verify and eval load (exit 2)
+    p, q, plan_file = tmp_path / "p.json", tmp_path / "q.json", tmp_path / "plan.json"
+    p.write_text(json.dumps({"prefix": ["1", f"{2**5000 - 1}/{2**5000}"], "tail": "0"}))
+    q.write_text(json.dumps({"prefix": ["1/3"], "tail": "0"}))
+    code, out, _ = run(capsys, "solve", "--p", str(p), "--q", str(q), "--tau", "1/1024")
+    assert code == 0
+    assert json.loads(out)["source_schedule"]["count"] == 26
+    assert len(out.encode()) == 7839
+    plan_file.write_text(out)
+    assert run(capsys, "verify", "--plan", str(plan_file), "--p", str(p), "--q", str(q), "--tau", "1/1024")[0] == 0
+    assert run(capsys, "eval", "--plan", str(plan_file), "--x", str(p), "--tau", "1/1024")[0] == 0
+
+
 def test_exit_2_on_malformed_point(capsys, points, tmp_path):
     bad = tmp_path / "bad.json"
     for content in (

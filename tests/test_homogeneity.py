@@ -38,6 +38,7 @@ from hilbertcube.limits import (
     first_sacrifice,
     forward_partial_eval,
 )
+from hilbertcube.serialize import dump_json, parse_plan, plan_to_obj
 
 import plan_oracle
 from conftest import rand_point
@@ -206,7 +207,7 @@ def test_one_walk_anchors_match_per_coordinate_rewalk(k):
             if sched is None:
                 finals.append(None)
                 continue
-            walked = build_schedule(pt, n_cut + 1)  # the schedule solve walks
+            walked = build_schedule(pt, n_cut + 1)  # the stages solve's anchor walk reads
             want = final_coordinates_rewalk(walked, pt, n_cut)
             assert final_coordinates(walked, pt, finalization_stages(walked, n_cut)) == want
             finals.append(want)
@@ -246,9 +247,9 @@ def test_refusal_evaluates_no_twist(monkeypatch):
 
 
 def test_tiny_tolerance_refused_in_bounded_time(monkeypatch):
-    # sizing and the anchor cutoff read bit lengths and closed forms, and a
-    # schedule stores no per-stage budget, so a 14,000-bit tolerance is
-    # refused from the stage lists at once
+    # the target's stage search and the anchor cutoff read closed forms and
+    # bit lengths, and a schedule stores no per-stage budget, so a
+    # 14,000-bit tolerance is refused from the stage lists at once
     calls = _counting_stage_applications(monkeypatch)
     tau = F(1, 2**14000)
     start = time.perf_counter()
@@ -365,6 +366,86 @@ def test_stage_count_limit_bounds_solve():
         else:
             pytest.fail("no refusal")
     assert reached
+
+
+def _near_unit(rng):
+    """A coordinate within 2^-k of +-1 (k up to 300), +-1 itself, or a sixteenth."""
+    roll = rng.randrange(3)
+    if roll == 0:
+        return rng.choice((1, -1)) * (1 - F(1, 2 ** rng.randint(1, 300)))
+    return F(rng.choice((1, -1))) if roll == 1 else F(rng.randint(-15, 15), 16)
+
+
+def test_no_walk_passes_the_anchor_cutoff(monkeypatch):
+    # every walk of verify's evaluation (at tau/2) and of a roundtrip at tau
+    # (H(p), H^-1(H(p)) and H^-1(q)) stops by stage n_cut = count - STAGE_PAD - 1,
+    # endpoints near +-1 included, and every stored count is within the limit
+    walks = []
+    partial = homogeneity._partial
+
+    def recorded(s, v, i, reverse):
+        walks.append((s, i))
+        return partial(s, v, i, reverse)
+
+    monkeypatch.setattr(homogeneity, "_partial", recorded)
+    rng = random.Random(25)
+    solved = deepest_at_cutoff = 0
+    # a dense boundary to a dense boundary walks to n_cut itself
+    pairs = [(ONES, make_point([], -1))] + [
+        tuple(make_point([_near_unit(rng) for _ in range(rng.randint(1, 5))], _near_unit(rng)) for _ in range(2))
+        for _ in range(60)]
+    for p, q in pairs:
+        for tau in (F(1, 2 ** rng.randint(1, 64)) for _ in range(2)):
+            try:
+                plan = solve(p, q, tau)
+            except HorizonExceeded:
+                continue
+            solved += 1
+            stored = [s for s in (plan.source_schedule, plan.target_schedule) if s is not None]
+            n_cut = stored[0].count - homogeneity.STAGE_PAD - 1 if stored else 0
+            for sched, pt in ((plan.source_schedule, p), (plan.target_schedule, q)):
+                assert sched is None or sched.count - homogeneity.STAGE_PAD - 1 == n_cut
+                assert sched is None or sched.count <= stage_count_limit(pt)
+            walks.clear()
+            assert verify_plan(plan, p, q, tau), (p, q, tau)
+            fwd = plan_eval_info(plan, p, tau)
+            back = plan_inverse_eval_info(plan, fwd.point.value, tau)
+            assert metric_d(back.point.value, p) <= back.point.radius + back.lipschitz * fwd.point.radius
+            plan_inverse_eval(plan, q, tau)
+            deepest = max(i for _, i in walks)
+            assert deepest <= n_cut, (p, q, tau)
+            deepest_at_cutoff += stored != [] and deepest == n_cut
+    assert solved > 60 and deepest_at_cutoff  # the bound is met somewhere
+
+
+def test_plan_with_a_coordinate_next_to_one_reads_back():
+    # a coordinate 2^-5000 below 1 once made solve store 1,265 source stages,
+    # past stage_count_limit, so the plan it wrote could not be loaded
+    p = make_point([1, 1 - F(1, 2**5000)], 0)
+    q = make_point([F(1, 3)], 0)
+    tau = F(1, 1024)
+    plan = solve(p, q, tau)
+    assert plan.source_schedule.count == 26
+    assert plan.source_schedule.count <= stage_count_limit(p)
+    assert parse_plan(dump_json(plan_to_obj(plan, (p, q)))) == plan
+    assert verify_plan(plan, p, q, tau)
+    # [1, 1 - 2^-200] -> [1/3] at 2^-10 once stored 65 stages
+    assert solve(make_point([1, 1 - F(1, 2**200)], 0), q, tau).source_schedule.count == 26
+
+
+def test_solve_builds_each_schedule_once(monkeypatch):
+    # the target's 1-stage list for the cutoff, then one list per endpoint:
+    # the one the anchor walk reads and the plan holds, with that walk's maps
+    built = []
+    monkeypatch.setattr(homogeneity, "build_schedule", lambda pt, n: built.append(build_schedule(pt, n)) or built[-1])
+    plan = solve(BND_A, BND_B, F(1, 2**20))
+    n_cut = plan.move.anchor_count  # both anchors end in a coordinate other than 0 here
+    assert [s.count for s in built] == [1] + [n_cut + 1 + homogeneity.STAGE_PAD] * 2
+    assert plan.source_schedule is built[1] and plan.target_schedule is built[2]
+    for sched in (plan.source_schedule, plan.target_schedule):
+        last = max(finalization_stages(sched, n_cut).values())
+        cached = sched.__dict__["_forward_maps"]
+        assert len(cached) == last > 0
 
 
 ORACLE_PAIRS = WALK_PAIRS[:4] + tuple((q, p) for p, q in WALK_PAIRS[:4]) + ((ONES, ORIGIN),)
