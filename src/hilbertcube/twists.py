@@ -227,6 +227,20 @@ class CellMap:
         square (possible only for the verbatim variant)."""
         return self._applied(self._times, d, x, y, True)
 
+    def shear(self, d: int, x: int, y: int) -> tuple[int, int] | None:
+        """image's first coordinate (U, E), not reduced, where every
+        application takes clause IV; None elsewhere.  In the map's own frame
+        (Y = -y for cw) the t = _times applications lie strictly inside the
+        strip iff |AX - kY| < (A-1)D for k < t, and the bound is convex in k.
+        There the map is the shear (AX - tY)/(AD), and y keeps its value.
+        The unit twist's (A-1)D is 0, so it never holds."""
+        t, e = self._times, d << self._shift
+        w, ax = -y if self._reflected else y, x << self._shift
+        u = ax - t * w
+        if abs(ax) < e - d and abs(ax - (t - 1) * w) < e - d and abs(u) <= e:  # last: image's range check
+            return u, e
+        return None
+
     def preimage(self, e: int, u: int, v: int) -> tuple[int, int]:
         """The unique (x, y) in the square that the once-applied map sends to
         (u/e, v/e), as numerators over scale*e.
@@ -311,13 +325,20 @@ def _walk(maps: Iterable[CellMap], v: PairVector) -> PairVector:
     """The maps applied in order to the pair vector v, in place; returns v.
 
     A map lifts its two pairs over the lcm of their denominators, applies
-    itself in integers and reduces each output by one gcd."""
+    itself in integers and reduces each output by one gcd.  Where the whole
+    map is a shear (CellMap.shear), coordinate m keeps its pair."""
     tail = v[0]
     for cm in maps:
-        d, u, w = cm.image(*_square_lift(*v.get(cm.n, tail), *v.get(cm.m, tail)))
-        g, h = gcd(u, d), gcd(w, d)
+        d, x, y = _square_lift(*v.get(cm.n, tail), *v.get(cm.m, tail))
+        sheared = cm.shear(d, x, y)
+        if sheared is None:
+            d, u, w = cm.image(d, x, y)
+            h = gcd(w, d)
+            v[cm.m] = w // h, d // h
+        else:
+            u, d = sheared
+        g = gcd(u, d)
         v[cm.n] = u // g, d // g
-        v[cm.m] = w // h, d // h
     return v
 
 

@@ -191,17 +191,27 @@ def test_tiny_tolerance_still_verifies():
 
 ONES = make_point([], 1)
 WALK_PAIRS = ((INT_A, INT_B), (BND_A, INT_B), (INT_A, BND_B), (BND_A, BND_B), (ONES, ORIGIN))
+# anchor_count 12 at 2^-10, but n_cut 13: its last anchors equal the tail 0
+NEAR_ONE = (make_point([1, 1 - F(1, 2**200)], 0), make_point([F(1, 3)], 0))
+
+
+def _n_cut(plan):
+    """The anchor cutoff of a plan with an escape, read off a stored
+    schedule: no plan field records it, and anchor_count stops at the last
+    anchor coordinate other than the tail."""
+    sched = plan.source_schedule or plan.target_schedule
+    return sched.count - homogeneity.STAGE_PAD - 1
 
 
 @pytest.mark.parametrize("k", [10, 20, 40])
 def test_one_walk_anchors_match_per_coordinate_rewalk(k):
     tau = F(1, 2**k)
-    for p, q in WALK_PAIRS:
+    for p, q in WALK_PAIRS + ((NEAR_ONE,) if k == 10 else ()):
         plan = solve(p, q, tau)
         if plan.case == PlanCase.INTERIOR_INTERIOR:
             assert plan.move.source == p and plan.move.target == q
             continue
-        n_cut = plan.move.anchor_count
+        n_cut = _n_cut(plan)
         finals = []
         for sched, pt in ((plan.source_schedule, p), (plan.target_schedule, q)):
             if sched is None:
@@ -216,15 +226,25 @@ def test_one_walk_anchors_match_per_coordinate_rewalk(k):
 
 def _counting_stage_applications(monkeypatch):
     """The CellMap of every stage application a walk (or any twist_eval)
-    makes, in order."""
-    calls = []
-    original = limits.CellMap.image
+    makes, in order.  A walk tries CellMap.shear first and calls image only
+    where the shear misses: the miss and that image call are one application."""
+    calls, missed = [], []
+    shear, image = limits.CellMap.shear, limits.CellMap.image
 
-    def counted(cm, *point):
+    def counted_shear(cm, *point):
         calls.append(cm)
-        return original(cm, *point)
+        got = shear(cm, *point)
+        missed[:] = [] if got is not None else [(cm, point)]
+        return got
 
-    monkeypatch.setattr(limits.CellMap, "image", counted)
+    def counted_image(cm, *point):
+        if missed != [(cm, point)]:
+            calls.append(cm)
+        missed.clear()
+        return image(cm, *point)
+
+    monkeypatch.setattr(limits.CellMap, "shear", counted_shear)
+    monkeypatch.setattr(limits.CellMap, "image", counted_image)
     return calls
 
 
@@ -261,6 +281,28 @@ def test_tiny_tolerance_refused_in_bounded_time(monkeypatch):
                               f" tolerance {tau} needs horizon 56006")
 
 
+def test_most_evaluation_stages_are_one_shear(monkeypatch):
+    # a stage whose applications all stay strictly inside the strip is one
+    # shear, with no clause table: most stages of an evaluation at 2^-20
+    # on seeded points are, and the rest go to image
+    shear, taken = limits.CellMap.shear, []
+
+    def counted(cm, *point):
+        taken.append(shear(cm, *point))
+        return taken[-1]
+
+    monkeypatch.setattr(limits.CellMap, "shear", counted)
+    rng = random.Random(20)
+    tau = F(1, 2**20)
+    for p, q, _ in CASES[1:]:
+        plan = solve(p, q, tau)
+        for x in [rand_point(rng) for _ in range(10)]:
+            plan_eval_info(plan, x, tau)
+            plan_inverse_eval_info(plan, x, tau)
+    sheared = sum(got is not None for got in taken)
+    assert len(taken) / 2 < sheared < len(taken)
+
+
 class _Cutoff(Exception):
     pass
 
@@ -273,7 +315,10 @@ def test_solve_reads_each_finalization_map_once(monkeypatch):
     for module in (homogeneity, limits):
         monkeypatch.setattr(module, "finalization_stages", lambda s, upto: calls.append(upto) or stages(s, upto))
     plan = solve(BND_A, BND_B, F(1, 2**20))
-    assert calls == [plan.move.anchor_count] * 2
+    assert calls == [_n_cut(plan)] * 2
+    calls.clear()
+    plan = solve(*NEAR_ONE, F(1, 2**10))
+    assert calls == [13] * 2 == [_n_cut(plan)] * 2 and plan.move.anchor_count == 12
 
 
 def test_anchor_cutoff_is_the_least_n_that_fits(monkeypatch):
@@ -439,13 +484,38 @@ def test_solve_builds_each_schedule_once(monkeypatch):
     built = []
     monkeypatch.setattr(homogeneity, "build_schedule", lambda pt, n: built.append(build_schedule(pt, n)) or built[-1])
     plan = solve(BND_A, BND_B, F(1, 2**20))
-    n_cut = plan.move.anchor_count  # both anchors end in a coordinate other than 0 here
+    # anchor_count falls short of n_cut only where both anchors end in their
+    # tail 0; the source anchor's coordinate n_cut is 1/4 here
+    n_cut = plan.move.anchor_count
     assert [s.count for s in built] == [1] + [n_cut + 1 + homogeneity.STAGE_PAD] * 2
     assert plan.source_schedule is built[1] and plan.target_schedule is built[2]
     for sched in (plan.source_schedule, plan.target_schedule):
         last = max(finalization_stages(sched, n_cut).values())
         cached = sched.__dict__["_forward_maps"]
         assert len(cached) == last > 0
+
+
+def _negated(p):
+    return make_point([-c for c in p.prefix], -p.tail)
+
+
+@pytest.mark.parametrize("k", [10, 20])
+def test_negation_symmetry(k):
+    # every clause is odd in (x, y, C), its conditions read only |x|, |y|
+    # and the sign of xy, and a schedule reads only which coordinates are
+    # +-1: the plan for (-p, -q) at -x gives exactly -value, the same radius
+    # and the same Lipschitz factor, forward and inverse; no oracle needed
+    rng = random.Random(k + 26)
+    tau = F(1, 2**k)
+    seeded = [tuple(make_point([_near_unit(rng) for _ in range(rng.randint(1, 4))], _near_unit(rng))
+                    for _ in range(2)) for _ in range(4)]
+    for p, q in [(p, q) for p, q, _ in CASES] + [(ONES, ORIGIN)] + seeded:
+        plan, mirror = solve(p, q, tau), solve(_negated(p), _negated(q), tau)
+        for x in (p, q, rand_point(rng)):
+            for fn in (plan_eval_info, plan_inverse_eval_info):
+                info, flipped = fn(plan, x, tau), fn(mirror, _negated(x), tau)
+                assert flipped.point.value == _negated(info.point.value), (p, q, x, fn.__name__)
+                assert (flipped.point.radius, flipped.lipschitz) == (info.point.radius, info.lipschitz)
 
 
 ORACLE_PAIRS = WALK_PAIRS[:4] + tuple((q, p) for p, q in WALK_PAIRS[:4]) + ((ONES, ORIGIN),)

@@ -12,7 +12,9 @@ a quarter of the cost of the Fraction tables.  The grid diagnostics, which
 check every point in the kernel's integers, must report exactly what the
 Fraction pass in twist_oracle.py reports.  Cell maps applied to full
 points, one map or a composition of unit twists, must agree with the same
-composition through the Fraction entry point twist_eval.
+composition through the Fraction entry point twist_eval.  Where a whole
+stage is one shear, CellMap.shear must give image's value, and a walk the
+same point as through image alone.
 """
 
 import random
@@ -30,6 +32,8 @@ from hilbertcube import (
     NoPreimage,
     RangeViolation,
     Variant,
+    build_schedule,
+    classify_point,
     first_attempt_partial,
     make_point,
     matching_regions,
@@ -41,6 +45,8 @@ from hilbertcube import (
     twist_eval_unchecked,
 )
 from hilbertcube import twists
+from hilbertcube.cube import _pairs, _point
+from hilbertcube.twists import _walk
 
 F = Fraction
 
@@ -199,6 +205,62 @@ def test_clause_iv_shortcut_at_the_strip_edge(cm):
         times = 3 if cm.is_cubed else 1
         assert kernel(cm.image, d, x, y) == first_clause(cm, times, d, x, y, True), (x, y)
     assert 0 < inside < len(points)
+
+
+def shear_points(n, m):
+    """edge_points, then over D = 2^(m-n)*d the points where
+    |AX - kY| = (A-1)D exactly for k = 0, 1, 2 (Y = +-y, either frame)."""
+    d, points = edge_points(n, m)
+    s = m - n
+    big, edge = d << s, (d << s) - d  # X = +-(A-1)d + kY/A puts |AX - kY| on the bound
+    ties = [(sign * edge + k * y, y << s) for sign in (1, -1) for k in (0, 1, 2, -1, -2)
+            for y in range(-d, d + 1, d // 16)]
+    return [(d, x, y) for x, y in points] + [(big, x, y) for x, y in ties if abs(x) <= big]
+
+
+@pytest.mark.parametrize("cm", [CellMap(kind, variant, n, m) for n, m in CELLS + ((1, 20),)
+                                for variant in Variant for kind in ALL_KINDS],
+                         ids=lambda cm: cm.label().replace(" ", "-"))
+def test_shear_is_the_image_where_every_application_takes_clause_iv(cm):
+    # shear answers exactly where each of the t applications lies strictly
+    # inside the strip, in the map's own frame, and there its x is image's
+    # x and image's y is the input's y, both reduced; on the bound, None
+    s, t = cm.m - cm.n, 3 if cm.is_cubed else 1
+    sheared = 0
+    for d, x, y in shear_points(cm.n, cm.m):
+        own = -y if cm.kind in (MapKind.TWIST_CW, MapKind.TWIST_CW_CUBED) else y
+        edge = 0 if cm.kind == MapKind.FIRST_ATTEMPT else (d << s) - d
+        inside = all(abs((x << s) - k * own) < edge for k in range(t))
+        got = cm.shear(d, x, y)
+        assert (got is not None) == inside, (d, x, y)
+        if got is not None:
+            e, u, v = cm.image(d, x, y)
+            assert F(*got) == F(u, e) and F(v, e) == F(y, d), (d, x, y)
+            sheared += 1
+    assert (sheared == 0) == (cm.kind == MapKind.FIRST_ATTEMPT)
+
+
+def test_walk_through_shear_matches_walk_through_image(monkeypatch):
+    # every forward and reverse stage walk gives the same point whether its
+    # all-clause-IV stages take shear or image
+    rng = random.Random(26)
+    walks = []
+    for p in [p for p in _cube_points(rng, 48) if classify_point(p).is_boundary][:12]:
+        s = build_schedule(p, rng.randint(4, 20))
+        walks += [s._maps(s.count, False), tuple(reversed(s._maps(s.count, True)))]
+    points = _cube_points(rng, 6)
+    shear, hits = CellMap.shear, []
+
+    def counted(cm, *point):
+        got = shear(cm, *point)
+        hits.append(got is not None)
+        return got
+
+    monkeypatch.setattr(CellMap, "shear", counted)
+    got = [outcome(lambda: _point(_walk(maps, _pairs(p)))) for maps in walks for p in points]
+    monkeypatch.setattr(CellMap, "shear", lambda cm, *point: None)
+    assert got == [outcome(lambda: _point(_walk(maps, _pairs(p)))) for maps in walks for p in points]
+    assert 0 < sum(hits) < len(hits)  # both paths taken
 
 
 def fraction_cell_apply(cm, p):
