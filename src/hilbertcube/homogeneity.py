@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import neg
 
-from .cube import ORIGIN, PointRep, Rational, _pairs, _point, classify_point, metric_d
+from .cube import ORIGIN, PointRep, Rational, _coprime, _pairs, _point, classify_point, metric_d
 from .errors import BadIndices, HorizonExceeded
 from .interior import (
     InteriorMapParams,
@@ -42,8 +42,6 @@ from .limits import (
     _partial,
     _tolerance,
     build_schedule,
-    final_coordinates,
-    finalization_stages,
     first_sacrifice,
     moved_tail_bounds,
 )
@@ -161,26 +159,26 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
     # past n_cut meet only the anchors' shared tail knee (n_k > n_cut), of
     # slope 1, so the source leg's E(n_cut) <= 5 * sum_{k > n_cut} 2^-m_k =
     # 2^-(b+4n_cut) / 3, and 8^i * E(n_cut) < tau/8 <= beta ends its search.
-    sched_p, sched_q = (build_schedule(pt, n_cut + 1 + STAGE_PAD) for pt in (p, q))
+    scheds = tuple(build_schedule(pt, n_cut + 1 + STAGE_PAD) for pt in (p, q))
 
-    # a touched j <= n_cut finalizes by stage j, within the n_cut + 1 stages;
-    # refuse from the stage lists alone, before any twist is evaluated, and
-    # name the horizon tau needs: the latest of those stages
-    stages = [finalization_stages(s, n_cut) for s in (sched_p, sched_q)]
-    need = max(k for fin in stages for k in fin.values())
-    if need > horizon:
-        j, k = next((j, fin[j]) for j in range(1, n_cut + 1) for fin in stages if fin[j] > horizon)
-        raise HorizonExceeded(f"coordinate {j} finalizes at stage {k}, beyond horizon {horizon};"
-                              f" tolerance {tau} needs horizon {need}")
+    # a touched j <= n_cut finalizes by stage j, within the n_cut + 1 stages,
+    # so coordinates 1..n_cut are final after depth(n_cut) stages; refuse from
+    # the stage lists alone, before any twist is evaluated, naming the first
+    # coordinate past the horizon, n_{horizon+1}, and the horizon tau needs
+    depths = [s.depth(n_cut) for s in scheds]
+    if max(depths) > horizon:
+        j = min(s.stages[horizon][0] for s, d in zip(scheds, depths) if d > horizon)
+        raise HorizonExceeded(f"coordinate {j} finalizes at stage {horizon + 1}, beyond horizon {horizon};"
+                              f" tolerance {tau} needs horizon {max(depths)}")
 
-    # one forward walk per schedule, to the stages above, yields pt's anchors
-    def anchors(s: Schedule, pt: PointRep, fin: dict[int, int]) -> PointRep:
-        values = final_coordinates(s, pt, fin)
-        return PointRep(tuple(values[j][1] for j in range(1, n_cut + 1)), ZERO)
+    # one forward walk per schedule, to its depth, yields pt's anchors
+    def anchors(s: Schedule, pt: PointRep, depth: int) -> PointRep:
+        v = _partial(s, _pairs(pt), depth, False)
+        return PointRep(tuple(_coprime(*v.get(j, v[0])) for j in range(1, n_cut + 1)), ZERO)
 
-    move = InteriorMapParams(anchors(sched_p, p, stages[0]), anchors(sched_q, q, stages[1]))
+    move = InteriorMapParams(*map(anchors, scheds, (p, q), depths))
     # a plan stores an identity leg as no escape
-    return HomeoPlan(move, *(None if s.is_identity else s for s in (sched_p, sched_q)))
+    return HomeoPlan(move, *(None if s.is_identity else s for s in scheds))
 
 
 def _least_below(nums: list[int], den: int, limit: Fraction) -> int:

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .cube import (
     BoundaryProfile,
@@ -50,7 +52,8 @@ def first_sacrifice(profile: BoundaryProfile) -> int:
 class Schedule:
     """Materialized prefix of the (infinite) stage list for one source point.
 
-    stages[k-1] = (n_k, m_k).  The underlying schedule is infinite whenever
+    stages[k-1] = (n_k, m_k), the n_k strictly increasing as
+    schedule_budget_ok checks.  The underlying schedule is infinite whenever
     the source meets the boundary at all (every m_k re-enters the pool); it is
     empty only for a pseudo-interior source, in which case the limit map is
     the identity and all tail bounds vanish.  Stage k's budget is
@@ -69,6 +72,11 @@ class Schedule:
     @property
     def is_identity(self) -> bool:
         return self.source_profile.is_pseudo_interior
+
+    def depth(self, j: int) -> int:
+        """Number of stages with n_k <= j: the n_k strictly increase, so
+        after that many stages coordinates 1..j are final."""
+        return bisect_right(self.stages, j, key=itemgetter(0))
 
     @property
     def base(self) -> int:
@@ -274,46 +282,22 @@ def h_inverse_eval(s: Schedule, y: PointRep, tau: Rational) -> CertifiedPoint:
     return CertifiedPoint(reverse_partial_eval(s, y, i), bound, i)
 
 
-def finalization_stages(s: Schedule, upto: int) -> dict[int, int]:
-    """Stage after which each coordinate j <= upto stops moving.
+def final_coordinate(s: Schedule, p: PointRep, j: int) -> tuple[int, Fraction]:
+    """(stage, value) once coordinate j stops moving.
 
     Coordinate j is finalized at stage k if n_k = j: stages beyond k only
-    touch strictly larger indices.  A j the schedule never touches is final
-    from the start (stage 0).  A j touched but not finalized within the
-    materialized stages is left out.  Read off s.stages alone: no twist is
-    evaluated.
-    """
-    stages: dict[int, int] = {}
-    for k, (n, _) in enumerate(s.stages, 1):
-        if n <= upto:
-            stages.setdefault(n, k)
-    identity, base, touched = s.is_identity, s.base, s.source_profile.contains
-    for j in range(1, upto + 1):
-        # the sacrificed m's, materialized or not, are the multiples of 4 above b
-        sacrificed = not identity and j % 4 == 0 and j > base
-        if not (touched(j) or sacrificed):
-            stages.setdefault(j, 0)
-    return stages
-
-
-def final_coordinates(s: Schedule, p: PointRep, stages: dict[int, int]) -> dict[int, tuple[int, Fraction]]:
-    """(stage, value) of every coordinate in stages, s's finalization_stages
-    map, from one forward walk up to the last of those stages."""
-    v = _walk(s._maps(max(stages.values(), default=0), False), _pairs(p))
-    return {j: (k, _coprime(*v[j]) if k else p.coord(j)) for j, k in stages.items()}
-
-
-def final_coordinate(s: Schedule, p: PointRep, j: int) -> tuple[int, Fraction]:
-    """(stage, value) once coordinate j stops moving; see finalization_stages.
-    Touched but not finalized within the materialized stages raises
+    touch strictly larger indices, so one walk of s.depth(j) stages yields
+    it.  A j the schedule never touches is final from the start (stage 0).
+    A j touched but not finalized within the materialized stages raises
     HorizonExceeded."""
     _check_index(j)
-    found = final_coordinates(s, p, finalization_stages(s, j)).get(j)
-    if found is None:
-        raise HorizonExceeded(
-            f"coordinate {j} is not finalized within {s.count} stages"
-        )
-    return found
+    k = s.depth(j)
+    if k and s.stages[k - 1][0] == j:
+        return k, _coprime(*_partial(s, _pairs(p), k, False)[j])
+    # the sacrificed m's, materialized or not, are the multiples of 4 above b
+    if s.source_profile.contains(j) or (not s.is_identity and j % 4 == 0 and j > s.base):
+        raise HorizonExceeded(f"coordinate {j} is not finalized within {s.count} stages")
+    return 0, p.coord(j)
 
 
 def _first_attempt_stage(k: int) -> CellMap:

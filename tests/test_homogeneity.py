@@ -33,8 +33,6 @@ from hilbertcube.limits import (
     CertifiedPoint,
     _least_stage,
     build_schedule,
-    final_coordinates,
-    finalization_stages,
     first_sacrifice,
     forward_partial_eval,
 )
@@ -218,9 +216,7 @@ def test_one_walk_anchors_match_per_coordinate_rewalk(k):
                 finals.append(None)
                 continue
             walked = build_schedule(pt, n_cut + 1)  # the stages solve's anchor walk reads
-            want = final_coordinates_rewalk(walked, pt, n_cut)
-            assert final_coordinates(walked, pt, finalization_stages(walked, n_cut)) == want
-            finals.append(want)
+            finals.append(final_coordinates_rewalk(walked, pt, n_cut))
         assert plan == plan_from_anchors(plan, p, q, *finals)
 
 
@@ -307,37 +303,49 @@ class _Cutoff(Exception):
     pass
 
 
-def test_solve_reads_each_finalization_map_once(monkeypatch):
-    # the map that decides the horizon refusal is the one the anchor walk
-    # reads: one per schedule, wherever a module bound finalization_stages
+def test_solve_takes_one_depth_per_schedule(monkeypatch):
+    # the depth that decides the horizon refusal is the one the anchor walk
+    # goes to: one per schedule, and each stored schedule walks exactly its
+    # stages with n_k <= n_cut
     calls = []
-    stages = limits.finalization_stages
-    for module in (homogeneity, limits):
-        monkeypatch.setattr(module, "finalization_stages", lambda s, upto: calls.append(upto) or stages(s, upto))
-    plan = solve(BND_A, BND_B, F(1, 2**20))
-    assert calls == [_n_cut(plan)] * 2
-    calls.clear()
-    plan = solve(*NEAR_ONE, F(1, 2**10))
-    assert calls == [13] * 2 == [_n_cut(plan)] * 2 and plan.move.anchor_count == 12
+    depth = limits.Schedule.depth
+    monkeypatch.setattr(limits.Schedule, "depth", lambda s, j: calls.append(j) or depth(s, j))
+    for (p, q), tau in (((BND_A, BND_B), F(1, 2**20)), (NEAR_ONE, F(1, 2**10))):
+        calls.clear()
+        plan = solve(p, q, tau)
+        n_cut = _n_cut(plan)
+        assert calls == [n_cut] * 2
+        for sched in (plan.source_schedule, plan.target_schedule):
+            if sched is not None:
+                walked = sum(n <= n_cut for n, _ in sched.stages)
+                assert len(sched.__dict__["_forward_maps"]) == walked > 0
+    assert n_cut == 13 and plan.move.anchor_count == 12
 
 
 def test_anchor_cutoff_is_the_least_n_that_fits(monkeypatch):
     # n_cut is the least N >= 1 with 2^(1-N) <= (tau/4) / 8^i_star, i_star the
     # target stages verification unwinds at its escape budget tau/8 (0 for an
-    # interior target); solve reads the finalization stages up to n_cut
-    def cutoff(s, upto):
-        raise _Cutoff(upto)
+    # interior target); after the target's 1-stage list, solve builds each
+    # endpoint's n_cut + 1 + STAGE_PAD stages
+    built = []
 
-    monkeypatch.setattr(homogeneity, "finalization_stages", cutoff)
+    def cutoff(pt, n):
+        built.append(n)
+        if len(built) == 2:
+            raise _Cutoff(n - 1 - homogeneity.STAGE_PAD)
+        return build_schedule(pt, n)
+
+    monkeypatch.setattr(homogeneity, "build_schedule", cutoff)
     b_q = first_sacrifice(classify_point(BND_B)) - 4
     for tau in [F(k, 3**j * 2**e) for k in (1, 5, 7) for j in (0, 1, 2) for e in (0, 3, 17, 40)]:
         for q, i_star in ((INT_B, 0), (BND_B, next(i for i in count() if F(3, 8 << (b_q + i)) < tau / 8))):
             n_cut = 1
             while F(2, 2**n_cut) > (tau / 4) / 8**i_star:
                 n_cut += 1
+            built.clear()
             with pytest.raises(_Cutoff) as exc:
                 solve(BND_A, q, tau)
-            assert exc.value.args[0] == n_cut, (q, tau)
+            assert built[0] == 1 and exc.value.args[0] == n_cut, (q, tau)
 
 
 def test_stage_factor_has_one_source(monkeypatch):
@@ -463,6 +471,41 @@ def test_no_walk_passes_the_anchor_cutoff(monkeypatch):
     assert solved > 60 and deepest_at_cutoff  # the bound is met somewhere
 
 
+def test_horizon_refusal_matches_per_coordinate_rewalk(monkeypatch):
+    # at a horizon in 1..40, solve refuses naming the first j <= n_cut whose
+    # stage, re-walked one coordinate at a time, passes the horizon (p's
+    # before q's on a tie) and the latest stage of any j <= n_cut; otherwise
+    # it builds the anchors those re-walks give.  n_cut is read off the
+    # endpoint schedules solve builds after the target's 1-stage list
+    built = []
+    monkeypatch.setattr(homogeneity, "build_schedule", lambda pt, n: built.append(n) or build_schedule(pt, n))
+    rng = random.Random(27)
+    outcomes = Counter()
+    for _ in range(30):
+        p, q = (make_point([_near_unit(rng) for _ in range(rng.randint(1, 5))], _near_unit(rng)) for _ in range(2))
+        tau, horizon = F(1, 2 ** rng.randint(1, 64)), rng.randint(1, 40)
+        built.clear()
+        try:
+            got = solve(p, q, tau, horizon)
+        except HorizonExceeded as exc:
+            got = str(exc)
+        if not built:  # interior to interior
+            continue
+        n_cut = built[1] - 1 - homogeneity.STAGE_PAD
+        finals = [final_coordinates_rewalk(build_schedule(pt, n_cut + 1), pt, n_cut)
+                  if classify_point(pt).is_boundary else None for pt in (p, q)]
+        stages = [{j: k for j, (k, _) in fin.items()} for fin in finals if fin is not None]
+        late = [(j, fin[j]) for j in range(1, n_cut + 1) for fin in stages if fin[j] > horizon]
+        outcomes[bool(late)] += 1
+        if late:
+            (j, k), need = late[0], max(k for fin in stages for k in fin.values())
+            assert got == (f"coordinate {j} finalizes at stage {k}, beyond horizon {horizon};"
+                           f" tolerance {tau} needs horizon {need}")
+        else:
+            assert not isinstance(got, str) and got == plan_from_anchors(got, p, q, *finals)
+    assert min(outcomes[True], outcomes[False]) >= 3, outcomes
+
+
 def test_plan_with_a_coordinate_next_to_one_reads_back():
     # a coordinate 2^-5000 below 1 once made solve store 1,265 source stages,
     # past stage_count_limit, so the plan it wrote could not be loaded
@@ -490,7 +533,7 @@ def test_solve_builds_each_schedule_once(monkeypatch):
     assert [s.count for s in built] == [1] + [n_cut + 1 + homogeneity.STAGE_PAD] * 2
     assert plan.source_schedule is built[1] and plan.target_schedule is built[2]
     for sched in (plan.source_schedule, plan.target_schedule):
-        last = max(finalization_stages(sched, n_cut).values())
+        last = sum(n <= n_cut for n, _ in sched.stages)
         cached = sched.__dict__["_forward_maps"]
         assert len(cached) == last > 0
 

@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 from fractions import Fraction
 from itertools import islice
 
@@ -36,8 +37,6 @@ from hilbertcube.homogeneity import stage_count_limit
 from hilbertcube.limits import (
     Schedule,
     _least_stage,
-    final_coordinates,
-    finalization_stages,
     first_sacrifice,
 )
 
@@ -45,7 +44,6 @@ from conftest import rand_point
 from walk_oracle import (
     build_schedule_pool,
     final_coordinate_rewalk,
-    final_coordinates_rewalk,
     forward_tail_sum,
     least_stage_scan,
     partial_walk,
@@ -402,21 +400,27 @@ def test_least_stage_identity_and_horizon_end():
         _least_stage(s, F(0), True)
 
 
-def test_final_coordinates_one_walk_matches_rewalk():
+def test_final_coordinate_matches_rewalk():
+    # one walk to the bisected depth gives what a re-walk per coordinate
+    # gives, the refusal of a touched j not yet finalized included
     for p in (ONES, make_point([1, F(1, 2), -1], F(1, 4)), make_point([F(-1, 3)], -1),
               make_point([0, 0, 0, 0, 0, 1], F(1, 3))):
         s = build_schedule(p, 14)
-        found = final_coordinates(s, p, finalization_stages(s, 30))
         for j in range(1, 31):
-            try:
-                want = final_coordinate_rewalk(s, p, j)
-            except HorizonExceeded:
-                assert j not in found
-                with pytest.raises(HorizonExceeded):
-                    final_coordinate(s, p, j)
-                continue
-            assert found[j] == want == final_coordinate(s, p, j)
-            assert finalization_stages(s, 30)[j] == want[0]
+            assert _outcome(final_coordinate, s, p, j) == _outcome(final_coordinate_rewalk, s, p, j)
+
+
+def test_final_coordinate_answers_in_bounded_time():
+    # finalization is a bisection on the increasing n_k, so an index far
+    # past the stage list costs no scan up to it
+    p = make_point([1, F(1, 2), -1], F(1, 4))
+    s = build_schedule(p, 14)
+    start = time.perf_counter()
+    assert final_coordinate(s, p, 2**40 + 1) == (0, F(1, 4))
+    # a sacrificed index: a multiple of 4 above b, materialized or not
+    with pytest.raises(HorizonExceeded, match=f"coordinate {2**40} is not finalized within 14 stages"):
+        final_coordinate(s, p, 2**40)
+    assert time.perf_counter() - start < 1
 
 
 def _outcome(fn, *args):
@@ -465,7 +469,8 @@ def test_integer_walk_matches_fraction_walk():
             assert _outcome(forward_partial_eval, s, x, i) == _outcome(partial_walk, s, x, i)
             assert _outcome(reverse_partial_eval, s, x, i) == _outcome(partial_walk, s, x, i, True)
         if classify_point(x) == s.source_profile:  # finalization reads the source's indices
-            assert final_coordinates(s, x, finalization_stages(s, 30)) == final_coordinates_rewalk(s, x, 30)
+            for j in range(1, 31):
+                assert _outcome(final_coordinate, s, x, j) == _outcome(final_coordinate_rewalk, s, x, j)
 
 
 def test_walk_cases_cover_wide_denominators():
