@@ -19,7 +19,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, lt
 
 from .cube import (
     BoundaryProfile,
@@ -52,18 +52,23 @@ def first_sacrifice(profile: BoundaryProfile) -> int:
 class Schedule:
     """Materialized prefix of the (infinite) stage list for one source point.
 
-    stages[k-1] = (n_k, m_k), the n_k strictly increasing as
-    schedule_budget_ok checks.  The underlying schedule is infinite whenever
-    the source meets the boundary at all (every m_k re-enters the pool); it is
-    empty only for a pseudo-interior source, in which case the limit map is
-    the identity and all tail bounds vanish.  Stage k's budget is
-    eps_k = 3 * 2^-(k+3).  Each stage map is built once, when a walk first
-    reaches it; not being fields, the maps stay out of equality, hashing and
-    repr.
+    stages[k-1] = (n_k, m_k), the n_k strictly increasing: depth bisects on
+    them, so any other list raises BadIndices.  The underlying schedule is
+    infinite whenever the source meets the boundary at all (every m_k
+    re-enters the pool); it is empty only for a pseudo-interior source, in
+    which case the limit map is the identity and all tail bounds vanish.
+    Stage k's budget is eps_k = 3 * 2^-(k+3).  Each stage map is built once,
+    when a walk first reaches it; not being fields, the maps stay out of
+    equality, hashing and repr.
     """
 
     stages: tuple[tuple[int, int], ...]
     source_profile: BoundaryProfile
+
+    def __post_init__(self):
+        ns = tuple(map(itemgetter(0), self.stages))
+        if not all(map(lt, ns, ns[1:])):
+            raise BadIndices(f"stage n_k must strictly increase, got {list(ns)}")
 
     @property
     def count(self) -> int:

@@ -29,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 from typing import Iterable
 
@@ -97,6 +98,10 @@ _TAGS = {
     MapKind.TWIST_CW: ("I'", "II'", "III'", "IV'"),
 }
 _CCW_OF_CW = (2, 1, 0, 3)
+# the printed indices of the clauses that hold, for each order (ccw's index of
+# each clause) and each tuple of ccw's conditions: the first match is the head
+_HITS = {order: {held: tuple(k for k, c in enumerate(order) if held[c])
+                 for held in product((False, True), repeat=4)} for order in ((0, 1, 2, 3), _CCW_OF_CW)}
 
 
 @dataclass(frozen=True)
@@ -131,7 +136,8 @@ class CellMap:
         set_constant(self, "_tags", _TAGS[once])
         set_constant(self, "_unit", unit)
         set_constant(self, "_reflected", cw)  # evaluated as ccw at R(x, y)
-        set_constant(self, "_order", _CCW_OF_CW if cw else range(4))  # ccw's index of each clause
+        set_constant(self, "_order", _CCW_OF_CW if cw else (0, 1, 2, 3))  # ccw's index of each clause
+        set_constant(self, "_hits_of", _HITS[self._order])
 
     @property
     def is_cubed(self) -> bool:
@@ -147,8 +153,30 @@ class CellMap:
     def hits(self, d: int, x: int, y: int) -> list[int]:
         """Indices, in printed order, of the clauses whose condition holds."""
         conditions = self._unit_conditions if self._unit else self._ccw_conditions
-        held = conditions(d, x, -y if self._reflected else y)
-        return [k for k, c in enumerate(self._order) if held[c]]
+        return list(self._hits_of[conditions(d, x, -y if self._reflected else y)])
+
+    def _first(self, d: int, x: int, y: int) -> int:
+        """ccw's index of the first clause, in printed order, that holds at (x, y)/d
+        in ccw's frame.  Strictly inside |x| < 1-b only IV holds, so one comparison
+        decides it there; the unit twist's edge is 0, so it always reads its own."""
+        s = self._shift
+        if (abs(x) << s) < (d << s) - d:  # far < edge of _ccw_conditions
+            return 3
+        hit = self._hits_of[(self._unit_conditions if self._unit else self._ccw_conditions)(d, x, y)]
+        if not hit:
+            raise Unclassifiable(f"no clause matched {_fmt_pair(d, x, -y if self._reflected else y)}"
+                                 f" for {self.single().label()}")
+        return self._order[hit[0]]
+
+    def _held_row(self, d: int, x: int) -> list[tuple[bool, bool, bool, bool]]:
+        """The conditions at (x, y)/d for y = -d..d, in ccw's frame: each
+        map of the cell reads its hits along the row off them."""
+        conditions = self._unit_conditions if self._unit else self._ccw_conditions
+        return [conditions(d, x, y) for y in range(-d, d + 1)]
+
+    def _row_hits(self, held: list[tuple[bool, bool, bool, bool]]) -> list[tuple[int, ...]]:
+        """hits at y = -d..d along the row whose _held_row is held: cw reads it at -y."""
+        return [self._hits_of[h] for h in (held[::-1] if self._reflected else held)]
 
     def _unit_conditions(self, d: int, x: int, y: int) -> tuple[bool, bool, bool, bool]:
         # the unit twist keeps its own regions: on the axes they differ
@@ -189,28 +217,12 @@ class CellMap:
     def _applied(self, times: int, d: int, x: int, y: int, check: bool) -> tuple[int, int, int]:
         """The first matching clause applied `times` times: (scale^times*d,
         u, v), not reduced.  With check, an application that leaves the
-        square raises RangeViolation.  cw runs in the reflected frame.
-        Strictly inside |x| < 1-b only clause IV holds, so one comparison
-        decides it there; elsewhere the conditions are read in printed
-        order.  The unit twist's edge is 0, so it always reads its own."""
-        s, order, r = self._shift, self._order, self._reflected
-        conditions = self._unit_conditions if self._unit else self._ccw_conditions
-        if r:
-            y = -y
+        square raises RangeViolation.  cw runs in the reflected frame."""
+        s, r = self._shift, self._reflected
+        y = -y if r else y
         for _ in range(times):
-            e = d << s
-            if (abs(x) << s) < e - d:  # far < edge of _ccw_conditions
-                k = 3
-            else:
-                held = conditions(d, x, y)
-                for k in order:
-                    if held[k]:
-                        break
-                else:
-                    raise Unclassifiable(f"no clause matched {_fmt_pair(d, x, -y if r else y)}"
-                                         f" for {self.single().label()}")
-            x, y = self._ccw_value(k, d, x, y)
-            d = e
+            x, y = self._ccw_value(self._first(d, x, y), d, x, y)
+            d <<= s
             if check and (abs(x) > d or abs(y) > d):
                 point = (d, x, -y if r else y)
                 raise RangeViolation(f"{self.label()} left the square at {_fmt_pair(*point)}",
@@ -258,27 +270,20 @@ class CellMap:
         s, order = self._shift, self._order
         w = -v if self._reflected else v  # cw solves ccw's clauses at R(u, v) = (u, w)
         au, d = u << s, e << s  # over d = a*e, where a = 2^(m-n)
-        solutions = []
-        for c in (d - e, e - d):  # C = sigma(a-1)e; at A = 1 both branches give the same solutions
-            for k in order[:3]:
-                if k == 0:    # I: y + sigma = a(sigma - u), then v = a(x - u)
-                    solutions.append((au + w, (c - au) << s))
-                elif k == 1:  # II: x = u
-                    solutions.append((au, (w - au + c) << s))
-                else:         # III: v pins x, the shear -+b*y on top of it gives y
-                    x = c + w
-                    solutions.append((x, (x - au if self._corrected else au - x) << s))
-        solutions.append((au + w, w << s))  # IV: u = x - b*y, v = y
-        conditions = self._unit_conditions if self._unit else self._ccw_conditions
         image = (u << 2 * s, w << 2 * s)  # a clause sends d to a*d
         found: list[tuple[int, int]] = []
-        for x, y in solutions:
-            if abs(x) <= d and abs(y) <= d and (x, y) not in found:
-                held = conditions(d, x, y)
-                for k in order:  # the clauses cover the square: one holds
-                    if held[k]:
-                        break
-                if self._ccw_value(k, d, x, y) == image:
+        # C = sigma(a-1)e; at A = 1 both branches give the same solutions.
+        # IV, printed last, has no sigma: it is solved once, after both
+        for c, clauses in ((d - e, order[:3]), (e - d, order)):
+            t = c + w - au
+            by_clause = ((au + w, (c - au) << s),  # I: y + sigma = a(sigma - u), then v = a(x - u)
+                         (au, t << s),  # II: x = u
+                         (c + w, (t if self._corrected else -t) << s),  # III: v pins x, the shear gives y
+                         (au + w, w << s))  # IV: u = x - b*y, v = y
+            for k in clauses:
+                x, y = by_clause[k]  # in the square some clause holds, so _first answers
+                if abs(x) <= d and abs(y) <= d and (x, y) not in found \
+                        and self._ccw_value(self._first(d, x, y), d, x, y) == image:
                     found.append((x, y))
         if self._reflected:
             found = [(x, -y) for x, y in found]
@@ -294,8 +299,8 @@ def _lift_ints(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int, int]:
     """(D, X, Y) with xn/xd = X/D, yn/yd = Y/D and D = lcm(xd, yd)."""
     if xd == yd:
         return xd, xn, yn
-    d = xd // gcd(xd, yd) * yd
-    return d, xn * (d // xd), yn * (d // yd)
+    g = gcd(xd, yd)
+    return xd // g * yd, xn * (yd // g), yn * (xd // g)
 
 
 def _square_lift(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int, int]:
@@ -465,10 +470,10 @@ def twist_diagnostics(variant: Variant, n: int, m: int, grid_step: Rational) -> 
 
     One pass over the grid points (x, y)/d, d = 1/step, in the kernel's
     integers: images sit over e = a*d, a = 2^(m-n), and every check compares
-    integers, clause inversion included.  Each single map reads its
-    conditions and its values once per point, through hits and value;
-    every product with a is a shift, and those that depend on x alone are
-    made once per row.  Fractions are built only for the text of a finding.
+    integers, clause inversion included.  ccw's conditions are read once per
+    point, a row at a time, and both single maps take their hits off them,
+    cw at (x, -y).  Every product with a is a shift, made once per row where
+    it depends on x alone.  Fractions are built only for a finding's text.
 
     The step is 1/2^k with 4 <= k <= 8: the finest grid, 1/256, already has
     513^2 points, and every step finer asks for four times as many.  m is at
@@ -498,10 +503,10 @@ def twist_diagnostics(variant: Variant, n: int, m: int, grid_step: Rational) -> 
     for x in range(-d, d + 1):
         ax, home_x, cubed_x = x << s, x << 2 * s, x << 3 * s  # x over e, a*e and a^2*e
         centre = abs(ax) <= edge
-        for y in range(-d, d + 1):
-            for cm in (ccw, cw):
+        held = ccw._held_row(d, x)
+        for y, ccw_hits, cw_hits in zip(range(-d, d + 1), ccw._row_hits(held), cw._row_hits(held)):
+            for cm, hits in ((ccw, ccw_hits), (cw, cw_hits)):
                 # the first matching clause is the one applied
-                hits = cm.hits(d, x, y)
                 p, q = img = cm.value(hits[0], d, x, y)
                 if cm is ccw:
                     u, v = img  # the forward image both roundtrips start from

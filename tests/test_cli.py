@@ -19,7 +19,7 @@ F = Fraction
 ROOT = Path(__file__).resolve().parent.parent
 
 # every method through which a CellMap evaluates itself
-EVALUATION = ("hits", "value", "apply", "image", "shear", "preimage")
+EVALUATION = ("hits", "value", "apply", "image", "shear", "preimage", "_first", "_held_row", "_row_hits")
 
 
 def run(capsys, *argv):

@@ -109,6 +109,27 @@ def test_schedule_budget_rejects_bad_m():
     assert schedule_budget_ok(slack)
 
 
+@pytest.mark.parametrize("stages", [((3, 8), (1, 4)), ((1, 4), (1, 8)), ((1, 4), (5, 8), (5, 12)),
+                                    ((2, 4), (4, 8), (3, 12))])
+def test_schedule_refuses_n_that_do_not_increase(stages):
+    # depth bisects on the n_k: built from ((3, 8), (1, 4)), a schedule read
+    # depth(1) == 2, and final_coordinate(s, p, 3) raised HorizonExceeded for
+    # the coordinate that its first stage finalizes
+    profile = classify_point(make_point([1, F(1, 2), -1], F(1, 4)))
+    ns = [n for n, _ in stages]
+    with pytest.raises(BadIndices, match=re.escape(f"stage n_k must strictly increase, got {ns}")):
+        Schedule(stages, profile)
+
+
+def test_schedule_with_increasing_n_finalizes_where_its_stages_say():
+    p = make_point([1, F(1, 2), -1], F(1, 4))
+    s = Schedule(((1, 4), (3, 8)), classify_point(p))
+    assert [s.depth(j) for j in range(5)] == [0, 1, 1, 2, 2]
+    for j in range(1, 8):
+        assert _outcome(final_coordinate, s, p, j) == _outcome(final_coordinate_rewalk, s, p, j)
+    assert final_coordinate(s, p, 3)[0] == 2
+
+
 def test_forward_tail_bound_values():
     s = build_schedule(ONES, 8)
     assert forward_tail_bound(s, 0) == F(1, 5)

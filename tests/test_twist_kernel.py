@@ -31,6 +31,7 @@ from hilbertcube import (
     MultiplePreimages,
     NoPreimage,
     RangeViolation,
+    Unclassifiable,
     Variant,
     build_schedule,
     classify_point,
@@ -392,3 +393,63 @@ def test_inverse_oracle_at_large_scales(cm):
     assert any(type(out[0]) is F for out in got)
     failures = {out[0] for out in got if type(out[0]) is not F}
     assert failures == ({NoPreimage, MultiplePreimages} if cm.variant == Variant.VERBATIM else {NoPreimage})
+
+
+# ccw's index of each printed clause: cw's clause k is ccw's clause (2, 1, 0, 3)[k]
+CCW_INDEX = {MapKind.TWIST_CCW: (0, 1, 2, 3), MapKind.TWIST_CW: (2, 1, 0, 3), MapKind.FIRST_ATTEMPT: (0, 1, 2, 3)}
+
+
+def _first_points(rng, n, m):
+    """(d, x, y): the 1/16 grid, the clause seams of cell (n, m), seeded
+    points with large odd denominators, each lifted over the lcm of its two,
+    and points with |x| > 1, where no scaled clause holds."""
+    points = [(16, x, y) for x in range(-16, 17) for y in range(-16, 17)]
+    odd = [(F(rng.randint(-den, den), den) for den in rng.sample((3**15, 10007, 3 * 65537, 2**61 - 1), 2))
+           for _ in range(60)]
+    for x, y in _seam_points(rng, n, m) + [tuple(pair) for pair in odd]:
+        d = lcm(x.denominator, y.denominator)
+        points.append((d, x.numerator * (d // x.denominator), y.numerator * (d // y.denominator)))
+    points += [(16, sign * rng.randint(17, 32), rng.randint(-32, 32)) for sign in (1, -1) for _ in range(10)]
+    return points
+
+
+@pytest.mark.parametrize("cm", [CellMap(kind, variant, n, m) for n, m in CELLS + ((5, 6),) for variant in Variant
+                                for kind in CCW_INDEX],
+                         ids=lambda cm: cm.label().replace(" ", "-"))
+def test_first_match_is_the_head_of_hits(cm):
+    # _first, the one first-match rule of evaluation and inversion, reads
+    # its point in ccw's frame and gives ccw's index of the first clause
+    # hits lists; where none holds it raises apply's Unclassifiable text
+    rng = random.Random(cm.label() + " first")
+    own = -1 if cm.kind == MapKind.TWIST_CW else 1
+    unmatched = 0
+    for d, x, y in _first_points(rng, cm.n, cm.m):
+        hits = cm.hits(d, x, y)
+        if hits:
+            assert cm._first(d, x, own * y) == CCW_INDEX[cm.kind][hits[0]], (d, x, y)
+        else:
+            message = f"no clause matched ({F(x, d)}, {F(y, d)}) for {cm.label()}"
+            for fn, point in ((cm._first, (d, x, own * y)), (cm.apply, (d, x, y))):
+                with pytest.raises(Unclassifiable, match=re.escape(message)):
+                    fn(*point)
+            unmatched += 1
+    # the unit twist's regions cover the plane; the scaled ones end at |x| = 1
+    assert (unmatched == 0) == (cm.kind == MapKind.FIRST_ATTEMPT)
+
+
+@pytest.mark.parametrize("variant", Variant, ids=lambda v: v.value)
+@pytest.mark.parametrize("n, m", CELLS)
+def test_cw_hits_read_ccw_conditions_at_the_reflected_point(n, m, variant):
+    # the diagnostics read ccw's conditions once per grid point and hand cw
+    # those at (x, -y): cw.hits is cw's order read off them, and the row
+    # helpers of the pass give each map its own hits
+    ccw, cw = (CellMap(kind, variant, n, m) for kind in SINGLE)
+    d = 16
+    for x in range(-d, d + 1):
+        held = ccw._held_row(d, x)
+        rows = {cm: cm._row_hits(held) for cm in (ccw, cw)}
+        for y in range(-d, d + 1):
+            reflected = ccw._ccw_conditions(d, x, -y)
+            assert cw.hits(d, x, y) == [k for k, c in enumerate(CCW_INDEX[MapKind.TWIST_CW]) if reflected[c]]
+            for cm in (ccw, cw):
+                assert list(rows[cm][y + d]) == cm.hits(d, x, y), (cm.label(), x, y)
