@@ -19,7 +19,8 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, lt
+from functools import cached_property
+from operator import itemgetter
 
 from .cube import (
     BoundaryProfile,
@@ -50,44 +51,61 @@ def first_sacrifice(profile: BoundaryProfile) -> int:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Materialized prefix of the (infinite) stage list for one source point.
+    """The first `count` stages of the (infinite) schedule of a source point.
 
-    stages[k-1] = (n_k, m_k), the n_k strictly increasing: depth bisects on
-    them, so any other list raises BadIndices.  The underlying schedule is
-    infinite whenever the source meets the boundary at all (every m_k
-    re-enters the pool); it is empty only for a pseudo-interior source, in
-    which case the limit map is the identity and all tail bounds vanish.
-    Stage k's budget is eps_k = 3 * 2^-(k+3).  Each stage map is built once,
-    when a walk first reaches it; not being fields, the maps stay out of
-    equality, hashing and repr.
+    The construction's rule: n_k is the least index in the pool (boundary
+    indices not yet handled plus the sacrificed m's), and m_k is the least
+    multiple of 4 above m_{k-1} and n_k and at least 4k.  The pool holds
+    m_{k-1}, so n_k <= m_{k-1}, and with m_{k-1} >= 4(k-1) that makes m_k
+    always m_{k-1} + 4: m_k = m_1 + 4(k-1), with m_1 = first_sacrifice.
+    So a schedule is its source and its count; the stage list is derived.
+    The schedule is infinite whenever the source meets the boundary at all
+    (every m_k re-enters the pool); a pseudo-interior source has count 0,
+    whatever count is asked for, and its limit map is the identity, all
+    tail bounds 0.  Stage k's budget is eps_k = 3 * 2^-(k+3).  The source's
+    profile, the stage list and each stage map are built once, on first
+    use; not being fields, they stay out of equality, hashing and repr.
     """
 
-    stages: tuple[tuple[int, int], ...]
-    source_profile: BoundaryProfile
+    source: PointRep
+    count: int
 
     def __post_init__(self):
-        ns = tuple(map(itemgetter(0), self.stages))
-        if not all(map(lt, ns, ns[1:])):
-            raise BadIndices(f"stage n_k must strictly increase, got {list(ns)}")
+        if type(self.count) is not int or self.count < 0:
+            raise BadIndices(f"stage count must be >= 0, got {self.count}")
+        if self.count and self.is_identity:
+            object.__setattr__(self, "count", 0)
 
-    @property
-    def count(self) -> int:
-        return len(self.stages)
+    @cached_property
+    def source_profile(self) -> BoundaryProfile:
+        return classify_point(self.source)
+
+    @cached_property
+    def stages(self) -> tuple[tuple[int, int], ...]:
+        """stages[k-1] = (n_k, m_k): the pool hands out every index up to
+        m_{k-1} in order, so n_1, n_2, ... are the boundary indices merged
+        with the m's, without duplicates, and they strictly increase."""
+        if not self.count:
+            return ()
+        m1 = first_sacrifice(self.source_profile)
+        ms = range(m1, m1 + 4 * self.count, 4)
+        merged = (n for n, _ in itertools.groupby(heapq.merge(self.source_profile, ms)))
+        return tuple(zip(itertools.islice(merged, self.count), ms))
 
     @property
     def is_identity(self) -> bool:
         return self.source_profile.is_pseudo_interior
 
     def depth(self, j: int) -> int:
-        """Number of stages with n_k <= j: the n_k strictly increase, so
-        after that many stages coordinates 1..j are final."""
+        """Number of stages with n_k <= j: after that many stages
+        coordinates 1..j are final."""
         return bisect_right(self.stages, j, key=itemgetter(0))
 
-    @property
+    @cached_property
     def base(self) -> int:
-        """b with m_k = b + 4k.  0 for an empty stage list, whatever the
-        source, so that its tail bounds read 1/5 and 3/8."""
-        return self.stages[0][1] - 4 if self.stages else 0
+        """b with m_k = b + 4k, read off the source's profile.  0 for a count
+        of 0, whatever the source, so that its tail bounds read 1/5 and 3/8."""
+        return first_sacrifice(self.source_profile) - 4 if self.count else 0
 
     def lipschitz(self, i: int) -> int:
         """Lipschitz factor charged to stages 1..i, ccw or cw: L^i, L = STAGE_LIPSCHITZ."""
@@ -133,26 +151,8 @@ class Schedule:
 
 
 def build_schedule(p: PointRep, count: int) -> Schedule:
-    """First `count` stages for source point p.
-
-    The construction's rule: n_k is the least index in the pool (boundary
-    indices not yet handled plus the sacrificed m's), and m_k is the least
-    multiple of 4 above m_{k-1} and n_k and at least 4k.  The pool holds
-    m_{k-1}, so n_k <= m_{k-1}, and with m_{k-1} >= 4(k-1) that makes m_k
-    always m_{k-1} + 4: m_k = m_1 + 4(k-1), with m_1 = first_sacrifice(p).
-    The pool then hands out every index up to m_{k-1} in order, so n_1, n_2,
-    ... are the boundary indices merged with those m's, without duplicates.
-    A pseudo-interior p yields the empty schedule no matter the count.
-    """
-    if count < 0:
-        raise BadIndices(f"stage count must be >= 0, got {count}")
-    profile = classify_point(p)
-    if profile.is_pseudo_interior:
-        return Schedule((), profile)
-    m1 = first_sacrifice(profile)
-    ms = range(m1, m1 + 4 * count, 4)
-    merged = (n for n, _ in itertools.groupby(heapq.merge(profile, ms)))
-    return Schedule(tuple(zip(itertools.islice(merged, count), ms)), profile)
+    """Schedule(p, count): the first `count` stages for source point p."""
+    return Schedule(p, count)
 
 
 def schedule_budget_ok(s: Schedule) -> bool:
@@ -183,9 +183,7 @@ def _require_stage_range(s: Schedule, i: int) -> None:
 
 
 def forward_tail_bound(s: Schedule, i: int) -> Fraction:
-    """Bound on d(limit, stage-i partial), i in 0..count: s.tail_bound.
-    Exact for every built schedule; an upper bound for any schedule whose
-    m's are increasing multiples of 4 from m_1."""
+    """Bound on d(limit, stage-i partial), i in 0..count: s.tail_bound."""
     if not s.is_identity:
         _require_stage_range(s, i)
     return s.tail_bound(i, False)

@@ -109,7 +109,7 @@ def schedule_to_obj(s: Schedule, source: PointRep) -> dict:
     }
 
 
-def schedule_from_obj(obj, where: str = "schedule") -> tuple[Schedule, PointRep]:
+def schedule_from_obj(obj, where: str = "schedule") -> Schedule:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object")
     source = point_from_obj(obj.get("source"), f"{where}.source")
@@ -127,7 +127,7 @@ def schedule_from_obj(obj, where: str = "schedule") -> tuple[Schedule, PointRep]
         rebuilt = [[n, m] for n, m in s.stages]
         if stored != rebuilt:
             raise ParseError(f"{where}.stages: inconsistent with deterministic rebuild")
-    return s, source
+    return s
 
 
 def plan_to_obj(plan: HomeoPlan, sources: tuple[PointRep | None, PointRep | None]) -> dict:
@@ -166,8 +166,8 @@ def plan_from_obj(obj) -> HomeoPlan:
     )
     src_obj = obj.get("source_schedule")
     tgt_obj = obj.get("target_schedule")
-    sched_src = None if src_obj is None else schedule_from_obj(src_obj, "plan.source_schedule")[0]
-    sched_tgt = None if tgt_obj is None else schedule_from_obj(tgt_obj, "plan.target_schedule")[0]
+    sched_src = None if src_obj is None else schedule_from_obj(src_obj, "plan.source_schedule")
+    sched_tgt = None if tgt_obj is None else schedule_from_obj(tgt_obj, "plan.target_schedule")
     plan = HomeoPlan(move, sched_src, sched_tgt)
     if plan.case != case:
         raise ParseError(f"plan: schedules present do not match case {case.value!r}")

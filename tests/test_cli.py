@@ -358,6 +358,16 @@ def test_render_refuses_a_missing_directory_before_rendering(capsys, monkeypatch
     assert list(folder.iterdir()) == []
 
 
+def test_render_into_a_file_name_too_long_exits_2(capsys, tmp_path):
+    # the directory exists, so the name is refused only when the file is opened
+    out = tmp_path / ("x" * 300 + ".svg")
+    code, stdout, err = run(capsys, "render", "--map", "ccw", "--n", "1", "--m", "2",
+                            "--grid", "16", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot write {out}:") and "File name too long" in err
+    assert "Traceback" not in err and list(tmp_path.iterdir()) == []
+
+
 def test_render_rejects_bad_grid(capsys, tmp_path):
     code, _, err = run(capsys, "render", "--map", "ccw", "--n", "1", "--m", "2",
                        "--grid", "12", "--out", str(tmp_path / "x.svg"))

@@ -5,6 +5,7 @@ import re
 import time
 from fractions import Fraction
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 
@@ -102,28 +103,63 @@ def test_budget_inequality_is_tight():
 
 
 def test_schedule_budget_rejects_bad_m():
-    good = build_schedule(ONES, 3)
-    bad = Schedule(((1, 4), (2, 4), (3, 12)), good.source_profile)
+    # no Schedule holds a stage list of its own, so the lists go in through
+    # a stand-in that has only the stages the check reads
+    bad = SimpleNamespace(stages=((1, 4), (2, 4), (3, 12)))
     assert not schedule_budget_ok(bad)
-    slack = Schedule(((1, 8), (2, 12), (3, 16)), good.source_profile)
+    slack = SimpleNamespace(stages=((1, 8), (2, 12), (3, 16)))
     assert schedule_budget_ok(slack)
 
 
-@pytest.mark.parametrize("stages", [((3, 8), (1, 4)), ((1, 4), (1, 8)), ((1, 4), (5, 8), (5, 12)),
-                                    ((2, 4), (4, 8), (3, 12))])
-def test_schedule_refuses_n_that_do_not_increase(stages):
-    # depth bisects on the n_k: built from ((3, 8), (1, 4)), a schedule read
-    # depth(1) == 2, and final_coordinate(s, p, 3) raised HorizonExceeded for
-    # the coordinate that its first stage finalizes
-    profile = classify_point(make_point([1, F(1, 2), -1], F(1, 4)))
-    ns = [n for n, _ in stages]
-    with pytest.raises(BadIndices, match=re.escape(f"stage n_k must strictly increase, got {ns}")):
-        Schedule(stages, profile)
+@pytest.mark.parametrize("count", [-1, True, 1.5])
+def test_schedule_refuses_a_count_that_is_not_a_non_negative_int(count):
+    with pytest.raises(BadIndices, match=re.escape(f"stage count must be >= 0, got {count}")):
+        Schedule(ONES, count)
+
+
+@pytest.mark.parametrize("stages", [((1, 12), (2, 8)), ((1, 8), (2, 12), (3, 20), (4, 40))])
+def test_schedule_refuses_a_stage_list(stages):
+    # built from its own stage list, the first read radius 1/1280 at stage 0
+    # of h_eval while its stage-2 partial lay 0.01245 away, and the second,
+    # which skips m's, made moved_tail_bounds shift by a negative count
+    with pytest.raises(BadIndices, match="stage count must be >= 0, got"):
+        Schedule(stages, classify_point(ONES))
+
+
+def test_interior_source_has_no_stages_for_any_count():
+    for p in (ORIGIN, make_point([F(1, 2), F(-1, 3)], F(1, 7))):
+        for count in (0, 1, 9, 10**9):
+            s = Schedule(p, count)
+            assert (s.count, s.stages, s.base, s.is_identity) == (0, (), 0, True)
+
+
+def test_closed_forms_read_no_stage_list():
+    s = Schedule(ONES, 10**9)
+    start = time.perf_counter()
+    assert s.base == 0
+    assert s.tail_bound(0, True) == F(3, 8)
+    assert s.stages_needed(F(1, 2**40), True) == (39, F(3, 2**42))
+    assert time.perf_counter() - start < 1
+    assert "stages" not in vars(s)
+
+
+def test_schedule_is_its_source_and_count():
+    rng = random.Random(29)
+    for p in [ONES, ORIGIN, make_point([1, F(1, 2), -1], F(1, 4))] + _boundary_points(rng, 10):
+        neg = make_point([-c for c in p.prefix], -p.tail)
+        for k in (0, 1, 6):
+            s = Schedule(p, k)
+            assert s == build_schedule(p, k) and hash(s) == hash(build_schedule(p, k))
+            assert s.count == len(s.stages)
+            # a point and its negation meet the boundary at the same indices
+            assert build_schedule(neg, k).stages == s.stages
+            assert (build_schedule(neg, k) == s) == (neg == p)
 
 
 def test_schedule_with_increasing_n_finalizes_where_its_stages_say():
     p = make_point([1, F(1, 2), -1], F(1, 4))
-    s = Schedule(((1, 4), (3, 8)), classify_point(p))
+    s = Schedule(p, 2)
+    assert s.stages == ((1, 4), (3, 8))
     assert [s.depth(j) for j in range(5)] == [0, 1, 1, 2, 2]
     for j in range(1, 8):
         assert _outcome(final_coordinate, s, p, j) == _outcome(final_coordinate_rewalk, s, p, j)
@@ -167,21 +203,6 @@ def test_canonical_closed_forms_match():
             assert reverse_tail_bound(s, i) == F(3, 8 * 2 ** (b + i)) == reverse_tail_sum(s, i)
 
 
-def test_closed_forms_bound_any_increasing_multiples_of_four():
-    # hand-built schedules: the closed form from m_1 is at least the summed
-    # formula, which reads the m's as they stand, and above it once they skip
-    profile = classify_point(ONES)
-    for stages, skips in ((((1, 4), (2, 12), (3, 16)), True), (((1, 8), (2, 12), (3, 20), (4, 40)), True),
-                          (((2, 4), (4, 8)), False)):
-        s = Schedule(stages, profile)
-        assert schedule_budget_ok(s)
-        for i in range(s.count + 1):
-            assert forward_tail_bound(s, i) >= forward_tail_sum(s, i)
-            assert reverse_tail_bound(s, i) >= reverse_tail_sum(s, i)
-        assert (forward_tail_bound(s, 0) > forward_tail_sum(s, 0)) == skips
-        assert (reverse_tail_bound(s, 0) > reverse_tail_sum(s, 0)) == skips
-
-
 def test_empty_stage_list_reads_base_zero():
     # a 0-stage schedule's bounds read 1/5 and 3/8 whatever the source, even
     # where m_1 (8 for n_1 = 5) would give a larger base and smaller bounds
@@ -212,10 +233,11 @@ def test_merged_schedule_matches_pool_reference():
     for p in points:
         for count in (0, 1, 7, 40, stage_count_limit(p)):
             s = build_schedule(p, count)
-            assert s == build_schedule_pool(p, count)
+            assert s.stages == build_schedule_pool(p, count) and s.count == len(s.stages) == count
             m1 = first_sacrifice(classify_point(p))
             assert [m for _, m in s.stages] == [m1 + 4 * (k - 1) for k in range(1, count + 1)]
-    assert build_schedule(ORIGIN, 7) == build_schedule_pool(ORIGIN, 7)
+    s = build_schedule(ORIGIN, 7)
+    assert s.stages == build_schedule_pool(ORIGIN, 7) == () and s.count == len(s.stages)
 
 
 def test_forward_partial_const_one_stage1():

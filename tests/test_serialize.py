@@ -109,8 +109,8 @@ def test_schedule_roundtrip():
 
     s = build_schedule(p, 5)
     obj = schedule_to_obj(s, p)
-    s2, p2 = schedule_from_obj(obj)
-    assert s2 == s and p2 == p
+    s2 = schedule_from_obj(obj)
+    assert s2 == s and s2.source == p
 
 
 def test_schedule_rejects_tampered_stage_list():
@@ -219,7 +219,7 @@ def test_schedule_count_limit_boundary():
     p = make_point([1, F(1, 2), -1], F(1, 4))  # m_1 = 4
     limit = stage_count_limit(p)
     assert limit == 4 * (DEFAULT_HORIZON - 1) + 4 + STAGE_PAD
-    s, _ = schedule_from_obj({"source": point_to_obj(p), "count": limit})
+    s = schedule_from_obj({"source": point_to_obj(p), "count": limit})
     assert s.count == limit
     with pytest.raises(ParseError, match=f"exceeds the limit of {limit} stages"):
         schedule_from_obj({"source": point_to_obj(p), "count": limit + 1})

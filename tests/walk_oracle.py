@@ -2,8 +2,8 @@
 search and the metric.
 
 Kept only to check the library's merged schedule, integer walk, one-walk
-and closed-form paths and its integer metric against: the schedule comes
-from the construction's pool of unhandled indices, a walk applies
+and closed-form paths and its integer metric against: the stage tuple
+comes from the construction's pool of unhandled indices, a walk applies
 twist_eval once per stage in Fractions, each coordinate's final value comes
 from its own walk from stage 1, each tail bound is summed from scratch, the
 least stage is a linear scan and the metric is summed one Fraction term at
@@ -23,15 +23,16 @@ ZERO = Fraction(0)
 
 
 def build_schedule_pool(p, count):
-    """First `count` stages for p by the construction's rule: n_k is the
-    least index of a pool of unhandled boundary indices and sacrificed m's
-    (boundary indices are pulled into it up to n_1, then up to m_{k-1}), and
-    m_k is the least multiple of 4 above m_{k-1} and n_k and at least 4k."""
+    """The stage tuple of p's first `count` stages by the construction's
+    rule: n_k is the least index of a pool of unhandled boundary indices and
+    sacrificed m's (boundary indices are pulled into it up to n_1, then up
+    to m_{k-1}), and m_k is the least multiple of 4 above m_{k-1} and n_k
+    and at least 4k."""
     if count < 0:
         raise BadIndices(f"stage count must be >= 0, got {count}")
     profile = classify_point(p)
     if profile.is_pseudo_interior:
-        return Schedule((), profile)
+        return ()
     pool, in_pool, pulled_upto = [], set(), 0
 
     def pull(bound):
@@ -52,7 +53,7 @@ def build_schedule_pool(p, count):
         heapq.heappush(pool, m)
         in_pool.add(m)
         m_prev = m
-    return Schedule(tuple(stages), profile)
+    return tuple(stages)
 
 
 def partial_walk(s, p, i, reverse=False):
@@ -150,18 +151,15 @@ def reverse_tail_sum(s, i):
 
 def least_stage_scan(s, tau, bound_fn):
     """First i in 0..count with bound_fn(s, i) < tau.  Past the count, the
-    refusal names the first i that would do on the stage list continued by
-    m_k = b + 4k, scanned one stage longer at a time."""
+    refusal names the first i that would do on the schedule of s's source
+    continued, scanned one stage longer at a time."""
     if tau <= 0:
         raise OutOfRange(f"tolerance must be positive, got {tau}")
     for i in range(s.count + 1):
         if bound_fn(s, i) < tau:
             return i
-    def continued(count):
-        return Schedule(tuple((k, s.base + 4 * k) for k in range(1, count + 1)), s.source_profile)
-
     need = s.count + 1
-    while bound_fn(continued(need), need) >= tau:
+    while bound_fn(Schedule(s.source, need), need) >= tau:
         need += 1
     raise HorizonExceeded(f"tolerance {tau} needs more than the {s.count} materialized stages;"
                           f" it needs {need} stages")
