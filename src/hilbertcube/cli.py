@@ -78,7 +78,7 @@ def _report_obj(plan, p, q, tau) -> dict:
 
 def _cmd_solve(args) -> tuple[int, str]:
     plan = solve(args.p, args.q, args.tau, horizon=args.horizon)
-    obj = plan_to_obj(plan, (args.p, args.q))
+    obj = plan_to_obj(plan)
     obj["summary"] = _report_obj(plan, args.p, args.q, args.tau)
     return 0, dump_json(obj)
 
@@ -173,7 +173,7 @@ def _cmd_schedule(args) -> tuple[int, str]:
     if args.count > limit:
         raise BadIndices(f"--count: {args.count} exceeds the limit of {limit} stages")
     s = build_schedule(args.p, args.count)
-    obj = schedule_to_obj(s, args.p)
+    obj = schedule_to_obj(s)
     obj["budget_ok"] = schedule_budget_ok(s)
     obj["forward_tail_bound"] = format_rational(forward_tail_bound(s, 0))
     obj["reverse_tail_bound"] = format_rational(reverse_tail_bound(s, 0))

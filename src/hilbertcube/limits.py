@@ -103,9 +103,9 @@ class Schedule:
 
     @cached_property
     def base(self) -> int:
-        """b with m_k = b + 4k, read off the source's profile.  0 for a count
-        of 0, whatever the source, so that its tail bounds read 1/5 and 3/8."""
-        return first_sacrifice(self.source_profile) - 4 if self.count else 0
+        """b with m_k = b + 4k, read off the source's profile whatever the
+        count, so even a 0-stage bound uses m_1.  0 for a pseudo-interior source."""
+        return 0 if self.is_identity else first_sacrifice(self.source_profile) - 4
 
     def lipschitz(self, i: int) -> int:
         """Lipschitz factor charged to stages 1..i, ccw or cw: L^i, L = STAGE_LIPSCHITZ."""

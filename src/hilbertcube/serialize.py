@@ -2,11 +2,11 @@
 
 Point specs look like {"prefix": ["1", "-1/2"], "tail": "0"}.  Rational
 strings are integer or num/den form; decimal literals are rejected so no
-reader can quietly lose exactness.  Schedule records carry the source point
-(on the boundary) and stage count and are rebuilt deterministically on load,
-with the stored stage list cross-checked against the rebuild.  A count above
-the most stages solve materializes under the default horizon is refused
-before the rebuild.
+reader can quietly lose exactness.  A schedule record carries its own
+schedule's source point (on the boundary) and stage count; it is rebuilt
+deterministically on load, with the stored stage list cross-checked against
+the rebuild.  A count above the most stages solve materializes under the
+default horizon is refused before the rebuild.
 """
 
 from __future__ import annotations
@@ -101,9 +101,9 @@ def certified_to_obj(cp: CertifiedPoint) -> dict:
     }
 
 
-def schedule_to_obj(s: Schedule, source: PointRep) -> dict:
+def schedule_to_obj(s: Schedule) -> dict:
     return {
-        "source": point_to_obj(source),
+        "source": point_to_obj(s.source),
         "count": s.count,
         "stages": [[n, m] for n, m in s.stages],
     }
@@ -123,29 +123,29 @@ def schedule_from_obj(obj, where: str = "schedule") -> Schedule:
     if s.is_identity:  # a plan holds a schedule only for a source on the boundary
         raise ParseError(f"{where}.source: a pseudo-interior point has no schedule")
     stored = obj.get("stages")
-    if stored is not None:
-        rebuilt = [[n, m] for n, m in s.stages]
-        if stored != rebuilt:
-            raise ParseError(f"{where}.stages: inconsistent with deterministic rebuild")
+    if stored is not None and stored != [[n, m] for n, m in s.stages]:
+        raise ParseError(f"{where}.stages: inconsistent with deterministic rebuild")
     return s
 
 
-def plan_to_obj(plan: HomeoPlan, sources: tuple[PointRep | None, PointRep | None]) -> dict:
-    """Serialize a plan.  sources = (p, q) supplies the schedule seeds; pass
-    None on a side with no schedule."""
-    src, tgt = sources
+def plan_to_obj(plan: HomeoPlan, endpoints: tuple[PointRep | None, PointRep | None] | None = None) -> dict:
+    """Serialize a plan, each schedule record from its schedule.  Given
+    endpoints (p, q), each side with a schedule must name that schedule's
+    source, or ParseError; an interior side is not compared, because the
+    file holds only its anchor, a truncation of the endpoint."""
+    schedules = plan.source_schedule, plan.target_schedule
+    if endpoints is not None and any(s is not None and point != s.source
+                                     for s, point in zip(schedules, endpoints)):
+        raise ParseError("plan: a given endpoint is not its schedule's source")
+    src, tgt = (None if s is None else schedule_to_obj(s) for s in schedules)
     return {
         "case": plan.case.value,
         "move": {
             "source_anchor": point_to_obj(plan.move.source),
             "target_anchor": point_to_obj(plan.move.target),
         },
-        "source_schedule": None
-        if plan.source_schedule is None
-        else schedule_to_obj(plan.source_schedule, src),
-        "target_schedule": None
-        if plan.target_schedule is None
-        else schedule_to_obj(plan.target_schedule, tgt),
+        "source_schedule": src,
+        "target_schedule": tgt,
     }
 
 

@@ -54,7 +54,7 @@ def files(tmp_path_factory):
         write(name, json.dumps(point_to_obj(p)))
     for name, (p, q) in PLAN_PAIRS.items():
         plan = solve(POINTS[p], POINTS[q], "1/1024")
-        write(name, dump_json(plan_to_obj(plan, (POINTS[p], POINTS[q]))))
+        write(name, dump_json(plan_to_obj(plan)))
     # a source schedule of the most stages a plan file may hold, and one more
     obj = json.loads((root / "bnd_int").read_text())
     limit = stage_count_limit(POINTS["bnd_a"])

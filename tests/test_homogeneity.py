@@ -515,7 +515,7 @@ def test_plan_with_a_coordinate_next_to_one_reads_back():
     plan = solve(p, q, tau)
     assert plan.source_schedule.count == 26
     assert plan.source_schedule.count <= stage_count_limit(p)
-    assert parse_plan(dump_json(plan_to_obj(plan, (p, q)))) == plan
+    assert parse_plan(dump_json(plan_to_obj(plan))) == plan
     assert verify_plan(plan, p, q, tau)
     # [1, 1 - 2^-200] -> [1/3] at 2^-10 once stored 65 stages
     assert solve(make_point([1, 1 - F(1, 2**200)], 0), q, tau).source_schedule.count == 26

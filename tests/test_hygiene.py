@@ -11,7 +11,10 @@ only CellMap's methods see cw's reflected frame.  The command-line
 handlers neither parse input nor write stdout: main does both.  No module
 calls json.dumps: dump_json writes JSON, and none builds Fraction(*pair)
 from a pair already reduced.  Only cube._settle sets a PointRep's fields,
-and only cube._point makes one without __post_init__.  Read with ast, so
+and only cube._point makes one without __post_init__.  Plans and
+schedules are written from themselves: the package and its tests call
+plan_to_obj and schedule_to_obj with the one object, except the one test of
+the (p, q) pair the benchmark still passes.  Read with ast, so
 nothing is imported or run; the last test runs evaluations, to count the
 points they build."""
 
@@ -311,6 +314,20 @@ def test_cli_commands_neither_parse_input_nor_write_stdout():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in parsers
              or isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout"]
     assert not found
+
+
+def test_plans_and_schedules_are_written_from_themselves():
+    # each schedule record names its schedule's own source, so the writers
+    # take the plan or the schedule alone; the (p, q) that perfbench passes
+    # is only checked, and one test checks it
+    def extra_arguments(node):
+        return isinstance(node, ast.Call) and len(node.args) + len(node.keywords) > 1 \
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("plan_to_obj", "schedule_to_obj")
+
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    callers = {f"{path.stem}: {name}" for path in paths
+               for name in _holders(ast.parse(path.read_text(), str(path)), extra_arguments)}
+    assert callers == {"test_serialize: test_plan_to_obj_checks_a_given_pair_against_its_schedules"}
 
 
 def test_an_evaluation_builds_one_point(monkeypatch):

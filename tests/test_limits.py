@@ -203,16 +203,23 @@ def test_canonical_closed_forms_match():
             assert reverse_tail_bound(s, i) == F(3, 8 * 2 ** (b + i)) == reverse_tail_sum(s, i)
 
 
-def test_empty_stage_list_reads_base_zero():
-    # a 0-stage schedule's bounds read 1/5 and 3/8 whatever the source, even
-    # where m_1 (8 for n_1 = 5) would give a larger base and smaller bounds
-    for p in (ONES, make_point([0, 0, 0, 0, 1], 0), make_point([F(1, 2)] * 9, -1)):
+def test_empty_stage_list_reads_base_off_its_source():
+    # a 0-stage schedule's bounds read b = m_1 - 4 off its source, as every
+    # longer schedule of that source does: 1/5 and 3/8 only where m_1 = 4
+    for p, bounds in ((ONES, (F(1, 5), F(3, 8))),
+                      (make_point([0, 0, 0, 0, 1], 0), (F(1, 80), F(3, 128))),  # n_1 = 5, m_1 = 8
+                      (make_point([F(1, 2)] * 9, -1), (F(1, 1280), F(3, 2048)))):  # n_1 = 10, m_1 = 12
         s = build_schedule(p, 0)
-        assert s.stages == () and s.base == 0
-        assert (forward_tail_bound(s, 0), reverse_tail_bound(s, 0)) == (F(1, 5), F(3, 8))
-        assert _least_stage(s, F(1, 4), False) == (0, F(1, 5))
+        assert s.stages == () and s.base == build_schedule(p, 1).stages[0][1] - 4
+        assert (forward_tail_bound(s, 0), reverse_tail_bound(s, 0)) == bounds
+        assert _least_stage(s, F(1, 4), False) == (0, bounds[0])
         with pytest.raises(HorizonExceeded, match="needs more than the 0 materialized stages"):
-            _least_stage(s, F(3, 8), True)
+            _least_stage(s, bounds[1], True)
+    # the refusal names the count that does: 5 stages stop at stage 4
+    p = make_point([0, 0, 0, 0, 1], 0)
+    with pytest.raises(HorizonExceeded, match="needs more than the 0 materialized stages; it needs 4 stages$"):
+        _least_stage(build_schedule(p, 0), F(1, 2**20), False)
+    assert _least_stage(build_schedule(p, 5), F(1, 2**20), False) == (4, F(1, 5242880))
 
 
 def _boundary_points(rng, n):
@@ -401,7 +408,7 @@ def _seeded_schedules():
         p = rand_point(rng)
         if classify_point(p).is_boundary:
             scheds.append(build_schedule(p, rng.randint(1, 20)))
-    return scheds
+    return scheds + [build_schedule(make_point([0, 0, 0, 0, 1], 0), 0)]  # no stage, m_1 = 8
 
 
 def test_tail_bounds_match_summed_formulas():

@@ -34,7 +34,7 @@ CCW = CellMap(MapKind.TWIST_CCW, Variant.CORRECTED, 1, 2)
 
 
 def _plan_with_source_schedule(value):
-    obj = plan_to_obj(solve(P, Q, F(1, 64)), (P, None))
+    obj = plan_to_obj(solve(P, Q, F(1, 64)))
     obj["source_schedule"] = value
     return json.dumps(obj)
 

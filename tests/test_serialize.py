@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbertcube import ParseError, PlanCase, make_point, parse_plan, parse_point_spec, solve
+from hilbertcube import ParseError, PlanCase, build_schedule, make_point, parse_plan, parse_point_spec, solve
 from hilbertcube.serialize import (
     dump_json,
     format_rational,
@@ -20,6 +20,8 @@ from hilbertcube.serialize import (
     schedule_from_obj,
     schedule_to_obj,
 )
+
+from test_homogeneity import NEAR_ONE
 
 F = Fraction
 
@@ -105,19 +107,15 @@ def test_point_roundtrip():
 
 def test_schedule_roundtrip():
     p = make_point([1, F(1, 2)], F(-1, 3))
-    from hilbertcube import build_schedule
-
     s = build_schedule(p, 5)
-    obj = schedule_to_obj(s, p)
+    obj = schedule_to_obj(s)
     s2 = schedule_from_obj(obj)
     assert s2 == s and s2.source == p
 
 
 def test_schedule_rejects_tampered_stage_list():
     p = make_point([1], 0)
-    from hilbertcube import build_schedule
-
-    obj = schedule_to_obj(build_schedule(p, 3), p)
+    obj = schedule_to_obj(build_schedule(p, 3))
     obj["stages"][0] = [1, 8]
     with pytest.raises(ParseError):
         schedule_from_obj(obj)
@@ -130,7 +128,7 @@ def test_schedule_rejects_pseudo_interior_source():
     with pytest.raises(ParseError, match="source: a pseudo-interior point has no schedule"):
         schedule_from_obj(obj, "plan.source_schedule")
     p = make_point([1], 0)
-    plan_obj = plan_to_obj(solve(p, make_point([F(1, 3)], 0), F(1, 64)), (p, None))
+    plan_obj = plan_to_obj(solve(p, make_point([F(1, 3)], 0), F(1, 64)))
     assert plan_obj["case"] == "boundary-interior"
     plan_obj["source_schedule"] = obj
     with pytest.raises(ParseError, match="plan.source_schedule.source: a pseudo-interior"):
@@ -142,7 +140,7 @@ def test_plan_json_roundtrip():
     q = make_point([F(-1, 3)], -1)
     tau = F(1, 256)
     plan = solve(p, q, tau)
-    text = dump_json(plan_to_obj(plan, (p, q)))
+    text = dump_json(plan_to_obj(plan))
     plan2 = parse_plan(text)
     assert plan2 == plan
 
@@ -151,7 +149,7 @@ def test_plan_parse_rejects_case_mismatch():
     p = make_point([1], 0)
     q = make_point([F(1, 3)], 0)
     plan = solve(p, q, F(1, 64))
-    obj = plan_to_obj(plan, (p, q))
+    obj = plan_to_obj(plan)
     obj["case"] = "interior-interior"  # but a source schedule is present
     with pytest.raises(ParseError):
         plan_from_obj(obj)
@@ -166,7 +164,7 @@ def test_dump_json_has_no_floats():
     p = make_point([1], F(1, 3))
     q = make_point([F(2, 5)], 0)
     plan = solve(p, q, F(1, 128))
-    text = dump_json(plan_to_obj(plan, (p, q)))
+    text = dump_json(plan_to_obj(plan))
     for token in json.loads(text)["move"]["source_anchor"]["prefix"]:
         assert isinstance(token, str)
     # every numeric payload is a rational string or a plain integer
@@ -232,16 +230,46 @@ def test_plan_beyond_horizon_plus_pad_stages_still_parses():
     q = make_point([1, F(1, 2), -1], F(1, 4))
     plan = solve(p, q, F(1, 2**64))
     assert plan.target_schedule.count == 275
-    assert parse_plan(dump_json(plan_to_obj(plan, (None, q)))) == plan
+    assert parse_plan(dump_json(plan_to_obj(plan))) == plan
 
 
-@pytest.mark.parametrize("p, q", [
-    (make_point([F(1, 3), F(-1, 2)], F(1, 5)), make_point([F(2, 7)], F(-3, 8))),
-    (make_point([1, F(1, 2), -1], F(1, 4)), make_point([F(2, 7)], F(-3, 8))),
-    (make_point([F(1, 3), F(-1, 2)], F(1, 5)), make_point([F(-1, 3)], -1)),
-    (make_point([1, F(1, 2), -1], F(1, 4)), make_point([F(-1, 3)], -1)),
-    (make_point([], 1), make_point([], 0)),
-])
-def test_parsed_plan_reserializes_to_the_same_bytes(p, q):
-    text = dump_json(plan_to_obj(solve(p, q, F(1, 2**20)), (p, q)))
-    assert dump_json(plan_to_obj(parse_plan(text), (p, q))) == text
+INT_A, BND_A = make_point([F(1, 3), F(-1, 2)], F(1, 5)), make_point([1, F(1, 2), -1], F(1, 4))
+INT_B, BND_B = make_point([F(2, 7)], F(-3, 8)), make_point([F(-1, 3)], -1)
+PAIRS = {"int-int": (INT_A, INT_B), "bnd-int": (BND_A, INT_B), "int-bnd": (INT_A, BND_B),
+         "bnd-bnd": (BND_A, BND_B), "one-origin": (make_point([], 1), make_point([], 0))}
+REWRITTEN = {f"{name}-t{k}": (p, q, F(1, 2**k)) for k in (10, 20, 40) for name, (p, q) in PAIRS.items()}
+REWRITTEN["near-one-t10"] = (*NEAR_ONE, F(1, 2**10))
+REWRITTEN["int-bnd_a-t64"] = (INT_A, BND_A, F(1, 2**64))  # 275 target stages
+
+
+@pytest.mark.parametrize("p, q, tau", REWRITTEN.values(), ids=REWRITTEN.keys())
+def test_parsed_plan_reserializes_to_the_same_bytes(p, q, tau):
+    # the plan alone writes its file: each schedule record names its own source
+    text = dump_json(plan_to_obj(solve(p, q, tau)))
+    assert dump_json(plan_to_obj(parse_plan(text))) == text
+
+
+def _negated(p):
+    return make_point([-c for c in p.prefix], -p.tail)
+
+
+def test_plan_to_obj_checks_a_given_pair_against_its_schedules():
+    # (p, q), if given, is checked and not written: a side with a schedule
+    # must name its source; an interior side, written as its anchor alone,
+    # is not compared
+    q = make_point([F(-1, 3)], 0)
+    plan = solve(BND_A, q, F(1, 2**20))
+    assert plan_to_obj(plan, (BND_A, q)) == plan_to_obj(plan, (BND_A, None)) == plan_to_obj(plan)
+    for pair in ((_negated(BND_A), q), (None, None)):
+        with pytest.raises(ParseError, match="a given endpoint is not its schedule's source"):
+            plan_to_obj(plan, pair)
+    plan = solve(INT_A, BND_B, F(1, 2**20))
+    assert plan_to_obj(plan, (None, BND_B)) == plan_to_obj(plan)
+    with pytest.raises(ParseError, match="a given endpoint is not its schedule's source"):
+        plan_to_obj(plan, (INT_A, BND_A))
+
+
+def test_schedule_record_names_its_own_source():
+    neg = _negated(BND_A)
+    back = schedule_from_obj(schedule_to_obj(build_schedule(neg, 5)))
+    assert back == build_schedule(neg, 5) and back.source == neg != BND_A

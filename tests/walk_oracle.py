@@ -131,12 +131,16 @@ def plan_from_anchors(plan, p, q, source_final, target_final):
     return HomeoPlan(move, plan.source_schedule, plan.target_schedule)
 
 
+def _m_last(s):
+    """m_count; for 0 stages m_0 = m_1 - 4, m_1 read off the schedule continued."""
+    return s.stages[-1][1] if s.stages else Schedule(s.source, 1).stages[0][1] - 4
+
+
 def forward_tail_sum(s, i):
     if s.is_identity:
         return ZERO
     total = sum((Fraction(3, 2**m) for _, m in s.stages[i:]), ZERO)
-    m_last = s.stages[-1][1] if s.stages else 0
-    return total + Fraction(1, 5) / 2**m_last
+    return total + Fraction(1, 5) / 2 ** _m_last(s)
 
 
 def reverse_tail_sum(s, i):
@@ -145,8 +149,7 @@ def reverse_tail_sum(s, i):
     total = ZERO
     for k in range(i + 1, s.count + 1):
         total += 8 ** (k - 1) * Fraction(3, 2 ** s.stages[k - 1][1])
-    m_last = s.stages[-1][1] if s.stages else 0
-    return total + 3 * Fraction(2) ** (3 * s.count - 3 - m_last)
+    return total + 3 * Fraction(2) ** (3 * s.count - 3 - _m_last(s))
 
 
 def least_stage_scan(s, tau, bound_fn):
