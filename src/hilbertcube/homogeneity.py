@@ -19,12 +19,10 @@ verify_plan checks d(value, target) + radius < tau with everything rational.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from operator import neg
 
 from .cube import ORIGIN, PointRep, Rational, _coprime, _pairs, _point, classify_point, metric_d
 from .errors import BadIndices, HorizonExceeded
@@ -38,6 +36,7 @@ from .interior import (
 from .limits import (
     CertifiedPoint,
     Schedule,
+    _least_below,
     _least_stage,
     _partial,
     _tolerance,
@@ -82,9 +81,10 @@ class HomeoPlan:
 
     @cached_property
     def _source_errors(self) -> tuple[list[int], int]:
-        """E(j) = nums[j] / den, j = 0..count: the source leg's error after
-        the move, carried coordinate by coordinate (moved_tail_bounds)."""
-        return moved_tail_bounds(self.source_schedule or NO_ESCAPE, slope_exponents(self.move))
+        """nums[j] / den, j = 0..count: the source leg's error after the move,
+        min(lipschitz_bound(move) * tail(j), E(j)) (moved_tail_bounds)."""
+        move = self.move
+        return moved_tail_bounds(self.source_schedule or NO_ESCAPE, slope_exponents(move), lipschitz_bound(move))
 
     @property
     def case(self) -> PlanCase:
@@ -155,10 +155,10 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
     # No walk at this tolerance passes stage n_cut.  Verify's evaluation (at
     # tau/2) and a roundtrip at tau give each leg a budget beta >= tau/8.  A
     # reverse leg stops at the least i with 3 * 2^-(b+i+3) < beta, so
-    # i <= log2(1/tau) + 2.6 - b < n_cut, as 2^(1-n_cut) <= tau/4.  Stages
-    # past n_cut meet only the anchors' shared tail knee (n_k > n_cut), of
-    # slope 1, so the source leg's E(n_cut) <= 5 * sum_{k > n_cut} 2^-m_k =
-    # 2^-(b+4n_cut) / 3, and 8^i * E(n_cut) < tau/8 <= beta ends its search.
+    # i <= log2(1/tau) + 2.6 - b < n_cut, as 2^(1-n_cut) <= tau/4.  Stages past
+    # n_cut meet only the anchors' shared tail knee (n_k > n_cut), of slope 1, so
+    # E(n_cut) <= 5 * sum_{k > n_cut} 2^-m_k = 2^-(b+4n_cut) / 3, and 8^i times
+    # the source leg's table entry, at most E(n_cut), is < tau/8 <= beta.
     scheds = tuple(build_schedule(pt, n_cut + 1 + STAGE_PAD) for pt in (p, q))
 
     # a touched j <= n_cut finalizes by stage j, within the n_cut + 1 stages,
@@ -181,13 +181,6 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
     return HomeoPlan(move, *(None if s.is_identity else s for s in scheds))
 
 
-def _least_below(nums: list[int], den: int, limit: Fraction) -> int:
-    """Least j with nums[j] / den < limit, for non-increasing nums; len(nums)
-    if there is none.  Bisects on integers: nums[j] < ceil(limit * den), or
-    -nums[j] > -ceil(limit * den) in the increasing keys."""
-    return bisect_right(nums, limit.numerator * den // -limit.denominator, key=neg)
-
-
 def plan_eval_info(plan: HomeoPlan, x: PointRep, tau: Rational) -> EvalInfo:
     """Certified H(x) within tau, with the approximation's Lipschitz bound.
 
@@ -198,11 +191,11 @@ def plan_eval_info(plan: HomeoPlan, x: PointRep, tau: Rational) -> EvalInfo:
     escape budgets keep the radius at most tau/2, leaving headroom for
     verification at doubled tolerance.
 
-    After the move, the source leg's error at stage j is at most both
-    lipschitz_bound(move) * tail(j), from the move's global slope, and
-    E(j), carried coordinate by coordinate (HomeoPlan._source_errors).  The
-    leg walks to the least j where the smaller one, times the target leg's
-    factor, beats the budget, and is charged that product.
+    After the move, the source leg's error at stage j is at most the table
+    entry min(lipschitz_bound(move) * tail(j), E(j)), E carried coordinate
+    by coordinate (HomeoPlan._source_errors).  The leg walks to the least j
+    whose entry, times the target leg's factor, beats the budget, and is
+    charged that product.
     """
     tau = _tolerance(tau)
     src, tgt = (NO_ESCAPE if s is None else s for s in (plan.source_schedule, plan.target_schedule))
@@ -212,11 +205,9 @@ def plan_eval_info(plan: HomeoPlan, x: PointRep, tau: Rational) -> EvalInfo:
     outer = lip_i * lipschitz_bound(plan.move)  # Lipschitz factor of move + target leg
     nums, den = plan._source_errors
     j = _least_below(nums, den, budget / lip_i)
-    # the global slope's least stage comes first if its bound beats the budget
-    # before j; past the materialized stages it refuses, naming the stages it needs
-    if j > src.count or (j and outer * src.tail_bound(j - 1, False) < budget):
-        j = _least_stage(src, budget / outer, False)[0]
-    radius = min(outer * src.tail_bound(j, False), Fraction(lip_i * nums[j], den)) + r_rev
+    if j > src.count:  # each entry is <= slope * tail(j), so no stage meets the global budget: refuse
+        _least_stage(src, budget / outer, False)
+    radius = Fraction(lip_i * nums[j], den) + r_rev
     # one pair vector through the source walk, the move and the target walk
     value = _point(_partial(tgt, _move(plan.move, _partial(src, _pairs(x), j, False)), i, True))
     return EvalInfo(CertifiedPoint(value, radius, i + j), outer * src.lipschitz(j))

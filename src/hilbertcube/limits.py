@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
+from operator import itemgetter, neg
 
 from .cube import (
     BoundaryProfile,
@@ -196,21 +196,23 @@ def reverse_tail_bound(s: Schedule, i: int) -> Fraction:
     return s.tail_bound(i, True)
 
 
-def moved_tail_bounds(s: Schedule, exps: tuple[int, ...]) -> tuple[list[int], int]:
-    """E(j) for j = 0..count, as numerators over one denominator: a bound on
-    d(M(S_j x), M(S x)) for every x, S the limit map, S_j its stage-j
-    partial and M a coordinatewise map whose coordinate c has slopes at most
+def moved_tail_bounds(s: Schedule, exps: tuple[int, ...], slope: Fraction) -> tuple[list[int], int]:
+    """min(slope * tail(j), E(j)) for j = 0..count, numerators over one
+    denominator, falling as j grows: bounds on d(M(S_j x), M(S x)) for every x,
+    S the limit map, S_j its stage-j partial and M a coordinatewise map of
+    Lipschitz bound slope = Ln/Ld, coordinate c's slopes at most
     2^exps[min(c, len(exps)) - 1].  0 for the identity.
 
-    Stage k moves coordinate n_k by at most 3 * 2^(n_k - m_k) and m_k by at
-    most 3 (the displacement 3 * 2^-m_k behind tail_bound, coordinate by
-    coordinate), and no coordinate of the cube moves by more than 2.  So M
-    moves coordinate c by at most min(2^e_c * its displacement, 2), weighted
-    2^-c.  A sacrificed m_k always reaches the cap (slopes are >= 1), so the
-    m terms past j sum in closed form to 2^(1-b-4j) / 15; an n_k term counts
-    while the stage that sacrificed n_k, if any, lies at or before j.  Each n_k past the count lies past
-    n_count, which bounds its term by 3 * 2^(e - m_k), e the largest exponent
-    there: 3 * 2^(e - m_count) / 15 in all.
+    Stage k moves coordinate n_k by at most 3 * 2^(n_k - m_k) and m_k by at most
+    3 (the displacement 3 * 2^-m_k behind tail_bound, coordinate by coordinate),
+    and no coordinate of the cube moves by more than 2.  So M moves coordinate c
+    by at most min(2^e_c * its displacement, 2), weighted 2^-c.  A sacrificed m_k
+    always reaches the cap (slopes are >= 1), so the m terms past j sum in
+    closed form to 2^(1-b-4j) / 15; an n_k term counts while the stage that
+    sacrificed n_k, if any, lies at or before j.  Each n_k past the count lies
+    past n_count, which bounds its term by 3 * 2^(e - m_k), e the largest
+    exponent there: 3 * 2^(e - m_count) / 15 in all.  Over 15 * 2^m_count * Ld,
+    E's numerators scale by Ld, and slope * tail(j) is (3 * Ln) << 4(count - j).
     """
     if s.is_identity:
         return [0], 1
@@ -222,7 +224,14 @@ def moved_tail_bounds(s: Schedule, exps: tuple[int, ...]) -> tuple[list[int], in
         e = exps[n - 1] if n <= last else exps[last]
         terms[n] = t = 30 << (top - n) if e >= m - n else 45 << (top - m + e)
         nums[j] = nums[j + 1] + (30 << (top - m)) + t - terms.get(m, 0)
-    return nums, 15 << top
+    ln, ld = slope.numerator, slope.denominator
+    return [min(e * ld, (3 * ln) << 4 * (count - j)) for j, e in enumerate(nums)], (15 << top) * ld
+
+
+def _least_below(nums: list[int], den: int, limit: Fraction) -> int:
+    """Least j with nums[j] / den < limit, for non-increasing nums, else
+    len(nums): the integer nums[j] < ceil(limit * den), bisected on -nums[j]."""
+    return bisect_right(nums, limit.numerator * den // -limit.denominator, key=neg)
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,18 @@ def test_exit_3_on_horizon(capsys, points):
     assert "error:" in err
 
 
+def test_eval_past_the_source_stages_exits_3(capsys, points, tmp_path):
+    # no entry of the source leg's table meets 2^-200 within the plan's 26
+    # stages; the global slope's stage search refuses, naming what it needs
+    code, out, _ = run(capsys, "solve", "--p", points["ones"], "--q", points["int_b"], "--tau", "1/1024")
+    plan = tmp_path / "plan.json"
+    plan.write_text(out)
+    code, out, err = run(capsys, "eval", "--plan", str(plan), "--x", points["ones"], "--tau", f"1/{2**200}")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: tolerance ")
+    assert err.endswith(" needs more than the 26 materialized stages; it needs 60 stages\n")
+
+
 @pytest.mark.parametrize("module, work, argv, message", [
     (cli, "_first_attempt_stage", ["demo-first-attempt", "--t", "1/2", "--n", "65"],
      "--n: 65 exceeds the limit of 64 stages"),

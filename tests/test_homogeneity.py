@@ -35,6 +35,7 @@ from hilbertcube.limits import (
     build_schedule,
     first_sacrifice,
     forward_partial_eval,
+    forward_tail_bound,
 )
 from hilbertcube.serialize import dump_json, parse_plan, plan_to_obj
 
@@ -599,21 +600,27 @@ def _unit_or_edge(rng):
 
 @pytest.mark.parametrize("k", [10, 20])
 def test_source_leg_error_is_carried_coordinate_by_coordinate(k):
-    # the source leg's term is min(outer * tail(j), lip_i * E(j)), E with
-    # slopes rounded up to powers of two.  On these points it bounds the
-    # moved distance to the deepest partial, is no smaller than lip_i times
-    # the oracle's E(j) with unrounded slopes, and is no larger than the
-    # global slope's outer * tail(j); its j is never later than that bound's
+    # the source leg's table holds min(slope * tail(j), E(j)), slope the move's
+    # global Lipschitz bound and E summed coordinate by coordinate with slopes
+    # rounded up to powers of two; its term is lip_i times the entry at j.  On
+    # these points it bounds the moved distance to the deepest partial, is no
+    # smaller than lip_i times the oracle's E(j) with unrounded slopes, and is
+    # no larger than the global slope's outer * tail(j); its j is never later
+    # than that bound's.  Each of the two terms is the strictly smaller one
+    # at some chosen j, so a table that keeps only one of them fails here
     rng = random.Random(1000 + k)
     tau = F(1, 2**k)
-    shorter = 0
+    shorter, won = 0, set()
     for p, q in WALK_PAIRS:
         plan = solve(p, q, tau)
         for pl in (plan, plan._inverse):
             src, tgt = (s or NO_ESCAPE for s in (pl.source_schedule, pl.target_schedule))
-            if not src.is_identity:  # the closed form matches the sum straight from E's definition
+            if not src.is_identity:  # the closed form matches the sums straight from the definitions
                 nums, den = pl._source_errors
-                assert [F(n, den) for n in nums] == moved_tail_oracle(src, pl.move)
+                slope = lipschitz_bound(pl.move)
+                glob = [slope * forward_tail_bound(src, j) for j in range(src.count + 1)]
+                coord = moved_tail_oracle(src, pl.move)
+                assert [F(n, den) for n in nums] == list(map(min, glob, coord))
                 exact = moved_tail_oracle(src, pl.move, rounded=False)
                 assert all(type(e) is F for e in exact)
             budget = _escape_budget(tau, not (src.is_identity or tgt.is_identity))
@@ -630,12 +637,15 @@ def test_source_leg_error_is_carried_coordinate_by_coordinate(k):
                 if src.is_identity:
                     assert (j, term) == (0, 0)
                     continue
+                assert term == tgt.lipschitz(i) * min(glob[j], coord[j])
+                won |= {"global"} if glob[j] < coord[j] else {"E"} if coord[j] < glob[j] else set()
                 deep = interior_map_eval(pl.move, forward_partial_eval(src, x, src.count))
                 moved = metric_d(interior_map_eval(pl.move, forward_partial_eval(src, x, j)), deep)
                 assert moved <= exact[j]
                 assert tgt.lipschitz(i) * moved <= term <= outer * src.tail_bound(j, False)
                 assert term >= tgt.lipschitz(i) * exact[j]
     assert shorter  # the coordinatewise bound saves stages somewhere
+    assert won == {"global", "E"}
 
 
 def test_inverse_plan_swaps_escapes():
