@@ -39,6 +39,7 @@ from .limits import (
     _least_below,
     _least_stage,
     _partial,
+    _sizing_factor,
     _tolerance,
     build_schedule,
     first_sacrifice,
@@ -138,15 +139,17 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
     if p_prof.is_pseudo_interior and q_prof.is_pseudo_interior:
         return HomeoPlan(InteriorMapParams(p, q), None, None)
 
-    # stages the verifying evaluation (at tau/2) will unwind on the target
-    # side, read off the target's stage list, which evaluates no twist
-    sched_q = build_schedule(q, 1)
-    i_star = sched_q.stages_needed(_escape_budget(tau / 2, p_prof.is_boundary), True)[0]
+    # the most the verifying evaluation (at tau/2) can charge its target leg:
+    # 8^i* for the plan-sizing factor 8 and the stages i* a leg charged 8 per
+    # stage would unwind, read off the target's stage list, which evaluates
+    # no twist.  The charge 5 is at most 8, so the evaluation unwinds at most
+    # i* stages and is charged at most 8^i*
+    target_factor = _sizing_factor(build_schedule(q, 1), _escape_budget(tau / 2, p_prof.is_boundary))
 
     # anchor cutoff: the least N >= 1 whose design residual 2^(1-N) survives
     # the target leg's factor and still fits in a quarter of the tolerance.
     # For that share a/c, 2c <= a * 2^N first holds at bits(2c) - bits(a) or one more
-    resid = (tau / 4) / sched_q.lipschitz(i_star)
+    resid = (tau / 4) / target_factor
     a, c2 = resid.numerator, 2 * resid.denominator
     n_cut = max(1, c2.bit_length() - a.bit_length())
     if a << n_cut < c2:
@@ -154,11 +157,13 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
 
     # No walk at this tolerance passes stage n_cut.  Verify's evaluation (at
     # tau/2) and a roundtrip at tau give each leg a budget beta >= tau/8.  A
-    # reverse leg stops at the least i with 3 * 2^-(b+i+3) < beta, so
-    # i <= log2(1/tau) + 2.6 - b < n_cut, as 2^(1-n_cut) <= tau/4.  Stages past
-    # n_cut meet only the anchors' shared tail knee (n_k > n_cut), of slope 1, so
-    # E(n_cut) <= 5 * sum_{k > n_cut} 2^-m_k = 2^-(b+4n_cut) / 3, and 8^i times
-    # the source leg's table entry, at most E(n_cut), is < tau/8 <= beta.
+    # reverse leg charged 5 per stage has tail 3 * 5^i / (11 * 2^(b+4i)), at
+    # most the tail 3 * 2^-(b+i+3) it would have charged 8, so it stops by the
+    # least i with 3 * 2^-(b+i+3) < beta: i <= log2(1/tau) + 2.6 - b < n_cut,
+    # as 2^(1-n_cut) <= tau/4.  Stages past n_cut meet only the anchors' shared
+    # tail knee (n_k > n_cut), of slope 1, so E(n_cut) <= 5 * sum_{k > n_cut}
+    # 2^-m_k = 2^-(b+4n_cut) / 3, and 5^i <= 8^i times the source leg's table
+    # entry, at most E(n_cut), is < tau/8 <= beta.
     scheds = tuple(build_schedule(pt, n_cut + 1 + STAGE_PAD) for pt in (p, q))
 
     # a touched j <= n_cut finalizes by stage j, within the n_cut + 1 stages,

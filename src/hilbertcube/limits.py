@@ -39,8 +39,16 @@ from .twists import CellMap, MapKind, Variant, _walk
 
 ZERO = Fraction(0)
 
-# Lipschitz factor charged to one cubed twist stage: 2 per application
-STAGE_LIPSCHITZ = 8
+# Lipschitz factor charged to one cubed twist stage, ccw or cw.  In weighted
+# coordinates (x * 2^-n, y * 2^-m) each corrected clause is affine with a
+# cell-independent linear part, and the largest L1 norm over the 64 words of
+# three clauses is 5 (tests/test_stage_factor.py)
+STAGE_LIPSCHITZ = 5
+# Stage factor solve sizes a plan's anchor cutoff with.  It is at least the
+# charge, so no evaluation at the plan's tolerance walks further or is
+# charged more than the cutoff allows for.  n_cut, and so every plan's
+# bytes, depends on this factor and not on the charge
+_PLAN_SIZING_LIPSCHITZ = 8
 
 
 def first_sacrifice(profile: BoundaryProfile) -> int:
@@ -122,20 +130,14 @@ class Schedule:
         if self.is_identity:
             return ZERO
         if reverse:
-            return Fraction(3 * self.lipschitz(i), (16 - STAGE_LIPSCHITZ) << (self.base + 4 * i))
+            return _reverse_tail(self, i, STAGE_LIPSCHITZ)
         return Fraction(1, 5 << (self.base + 4 * i))
 
     def stages_needed(self, tau: Fraction, reverse: bool) -> tuple[int, Fraction]:
         """Least i whose tail bound is < tau, with that bound, materialized or
-        not.  The bound falls as i grows, so the search doubles i and then
-        bisects: O(log i) bounds, each of O(i) bits, not i of them."""
-        lo, hi = -1, 0  # lo = -1 or bound(lo) >= tau; bound(hi) < tau once the doubling stops
-        while self.tail_bound(hi, reverse) >= tau:
-            lo, hi = hi, 2 * hi + 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if self.tail_bound(mid, reverse) >= tau else (lo, mid)
-        return hi, self.tail_bound(hi, reverse)
+        not, found by _least_index's search."""
+        i = _least_index(lambda i: self.tail_bound(i, reverse), tau)
+        return i, self.tail_bound(i, reverse)
 
     def _maps(self, i: int, reverse: bool) -> tuple[CellMap, ...]:
         """The cubed twists of stages 1..i, cw for the reverse maps.  A walk
@@ -148,6 +150,37 @@ class Schedule:
             maps += tuple(CellMap(kind, Variant.CORRECTED, n, m) for n, m in self.stages[len(maps):i])
             self.__dict__[name] = maps
         return maps[:i]
+
+
+def _reverse_tail(s: Schedule, i: int, factor: int) -> Fraction:
+    """Reverse tail past stage i of a schedule that is not the identity,
+    stage k's displacement 3 * 2^-m_k inflated by factor^(k-1):
+    3 * factor^i / ((16 - factor) * 2^(b+4i)), for a factor below 16."""
+    return Fraction(3 * factor**i, (16 - factor) << (s.base + 4 * i))
+
+
+def _least_index(bound, tau: Fraction) -> int:
+    """Least i >= 0 with bound(i) < tau, for a bound that falls as i grows.
+    The search doubles i and then bisects: O(log i) bounds, each of O(i)
+    bits, not i of them."""
+    lo, hi = -1, 0  # lo = -1 or bound(lo) >= tau; bound(hi) < tau once the doubling stops
+    while bound(hi) >= tau:
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if bound(mid) >= tau else (lo, mid)
+    return hi
+
+
+def _sizing_factor(s: Schedule, tau: Fraction) -> int:
+    """L^i for L = _PLAN_SIZING_LIPSCHITZ and i the least stage whose reverse
+    tail, inflated by L per stage, is < tau; 1 for the identity.  The charge
+    is at most L, so its reverse tail is at most this one at every stage: a
+    reverse leg with budget tau walks at most i stages and is charged at
+    most L^i."""
+    if s.is_identity:
+        return 1
+    return _PLAN_SIZING_LIPSCHITZ ** _least_index(lambda i: _reverse_tail(s, i, _PLAN_SIZING_LIPSCHITZ), tau)
 
 
 def build_schedule(p: PointRep, count: int) -> Schedule:

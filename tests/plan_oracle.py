@@ -26,7 +26,7 @@ from interior_oracle import coord_slopes
 ZERO = Fraction(0)
 ONE = Fraction(1)
 TWO = Fraction(2)
-EIGHT = Fraction(8)
+CHARGE = Fraction(5)  # Lipschitz factor an evaluation charges one cubed stage (test_stage_factor.py)
 
 
 def coordinate_slope(move, c: int, rounded: bool) -> Fraction:
@@ -96,20 +96,20 @@ def plan_eval_info_cases(plan, x, tau) -> EvalInfo:
         return EvalInfo(CertifiedPoint(value, ZERO, 0), lip)
     if plan.case == PlanCase.BOUNDARY_INTERIOR:
         j, err, value = _source_leg(plan.source_schedule, plan.move, x, tau / 2, ONE)
-        return EvalInfo(CertifiedPoint(value, err, j), lip * EIGHT**j)
+        return EvalInfo(CertifiedPoint(value, err, j), lip * CHARGE**j)
     if plan.case == PlanCase.INTERIOR_BOUNDARY:
         w = interior_map_eval(plan.move, x)
         i = _least_stage(plan.target_schedule, tau / 2, True)[0]
         value = reverse_partial_eval(plan.target_schedule, w, i)
         r = reverse_tail_bound(plan.target_schedule, i)
-        return EvalInfo(CertifiedPoint(value, r, i), EIGHT**i * lip)
+        return EvalInfo(CertifiedPoint(value, r, i), CHARGE**i * lip)
     i = _least_stage(plan.target_schedule, tau / 4, True)[0]
     r_rev = reverse_tail_bound(plan.target_schedule, i)
-    j, err, w = _source_leg(plan.source_schedule, plan.move, x, tau / 4, EIGHT**i)
+    j, err, w = _source_leg(plan.source_schedule, plan.move, x, tau / 4, CHARGE**i)
     value = reverse_partial_eval(plan.target_schedule, w, i)
     return EvalInfo(
         CertifiedPoint(value, err + r_rev, i + j),
-        EIGHT**i * lip * EIGHT**j,
+        CHARGE**i * lip * CHARGE**j,
     )
 
 
@@ -128,15 +128,15 @@ def plan_inverse_eval_info_cases(plan, y, tau) -> EvalInfo:
         i = _least_stage(plan.source_schedule, tau / 2, True)[0]
         value = reverse_partial_eval(plan.source_schedule, w, i)
         r = reverse_tail_bound(plan.source_schedule, i)
-        return EvalInfo(CertifiedPoint(value, r, i), EIGHT**i * lip)
+        return EvalInfo(CertifiedPoint(value, r, i), CHARGE**i * lip)
     if plan.case == PlanCase.INTERIOR_BOUNDARY:
         j, err, value = _source_leg(plan.target_schedule, inv_move, y, tau / 2, ONE)
-        return EvalInfo(CertifiedPoint(value, err, j), lip * EIGHT**j)
+        return EvalInfo(CertifiedPoint(value, err, j), lip * CHARGE**j)
     i = _least_stage(plan.source_schedule, tau / 4, True)[0]
     r_rev = reverse_tail_bound(plan.source_schedule, i)
-    j, err, w = _source_leg(plan.target_schedule, inv_move, y, tau / 4, EIGHT**i)
+    j, err, w = _source_leg(plan.target_schedule, inv_move, y, tau / 4, CHARGE**i)
     value = reverse_partial_eval(plan.source_schedule, w, i)
     return EvalInfo(
         CertifiedPoint(value, err + r_rev, i + j),
-        EIGHT**i * lip * EIGHT**j,
+        CHARGE**i * lip * CHARGE**j,
     )

@@ -319,7 +319,7 @@ def test_schedule_record(capsys, points):
     assert obj["stages"] == [[1, 4], [2, 8], [3, 12], [4, 16]]
     assert obj["budget_ok"] is True
     assert obj["forward_tail_bound"] == "1/5"
-    assert obj["reverse_tail_bound"] == "3/8"
+    assert obj["reverse_tail_bound"] == "3/11"
 
 
 def test_render_writes_deterministic_svg(capsys, tmp_path):

@@ -42,7 +42,7 @@ SOLVE_TAUS = ("1/1024", "1/1048576", "1/" + str(2**64), "0", "-1/2", "0.5")
 PLAN_TAU = "1/1048576"
 COMMANDS = ("solve", "eval", "inverse-eval", "verify", "demo-first-attempt", "diagnose", "metrics",
             "render", "schedule")
-DIGEST = "46d001f345c37dc31685449cc4e7de34de791d04ac5d247db790bd2b2716f7b2"
+DIGEST = "80e41902ec5d015603dd9eaffd6610f9224814e2155dfa9878e5919badd273c3"
 
 
 def _run(argv: list[str]) -> tuple[int, str]:

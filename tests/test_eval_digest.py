@@ -27,7 +27,7 @@ PAIRS = (
     (make_point([], 1), make_point([], 0)),
 )
 TAUS = (F(1, 2**20), F(1, 2**40), F(1, 2**2000))
-DIGEST = "03ab6ffd8e9ffc626589fc4cc18f9d86a95576251dfe4cb1f1be27c08560123b"
+DIGEST = "e3ee747291989bb5ed84b4c34135602d4c0a8dae266cdb686289cfb3886f2abe"
 
 
 def _outcome(fn, *args) -> str:

@@ -19,7 +19,7 @@ from fractions import Fraction
 import interior_oracle as oracle
 import pytest
 from conftest import coord_map
-from walk_oracle import forward_tail_sum, reverse_tail_sum
+from walk_oracle import CHARGE, forward_tail_sum, reverse_tail_sum
 
 from hilbertcube import (
     AnchorOnBoundary,
@@ -142,7 +142,7 @@ def test_closed_form_tail_bounds_match_summed_formulas_up_to_the_stage_limit():
             # the summed formula; the bounds strictly decrease, so the search
             # may stop at the first hit
             for k, (_, m) in enumerate(s.stages, 1):
-                assert bounds[k - 1] - bounds[k] == F(3 * 8 ** (k - 1) if reverse else 3, 2**m)
+                assert bounds[k - 1] - bounds[k] == F(3 * CHARGE ** (k - 1) if reverse else 3, 2**m)
 
 
 def test_least_stage_on_long_schedules_matches_sums():

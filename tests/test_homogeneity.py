@@ -350,34 +350,54 @@ def test_anchor_cutoff_is_the_least_n_that_fits(monkeypatch):
 
 
 def test_stage_factor_has_one_source(monkeypatch):
-    # Schedule.lipschitz is the only place the per-stage factor enters:
-    # charge 9^i instead and the reverse tail bound, solve's anchor cutoff
-    # and every evaluation's radius and Lipschitz bound follow it
-    monkeypatch.setattr(limits.Schedule, "lipschitz", lambda s, i: 9**i)
-    monkeypatch.setattr(plan_oracle, "EIGHT", F(9))  # the case oracle's factor
+    # each stage factor has one source in limits.  Charge 7 per stage instead
+    # of STAGE_LIPSCHITZ and every reverse tail bound, radius and Lipschitz
+    # bound follows it while every plan stays as it is; size plans with 9
+    # instead of the plan-sizing factor and the anchor cutoff follows it while
+    # the evaluation of a fixed plan stays as it is
     b_q = first_sacrifice(classify_point(BND_B)) - 4
-    s = build_schedule(BND_B, 12)
-    assert [limits.reverse_tail_bound(s, i) for i in range(13)] == [F(3 * 9**i, 8 << (b_q + 4 * i))
-                                                                     for i in range(13)]
     rng = random.Random(9)
     tau = F(1, 2**20)
-    for p, q, case in CASES:
-        plan = solve(p, q, tau)
-        if case != PlanCase.INTERIOR_INTERIOR:
-            budget = tau / 8 if case == PlanCase.BOUNDARY_BOUNDARY else tau / 4
-            i_star = 0 if case == PlanCase.BOUNDARY_INTERIOR else \
-                next(i for i in count() if F(3 * 9**i, 8 << (b_q + 4 * i)) < budget)
-            n_cut = next(n for n in count(1) if F(2, 2**n) <= (tau / 4) / 9**i_star)
-            assert plan.move.anchor_count == n_cut, case
-        for x in (p, q, rand_point(rng), rand_point(rng)):
-            for t in (tau, tau / 2):
-                for fn, oracle, move in ((plan_eval_info, plan_eval_info_cases, plan.move),
-                                         (plan_inverse_eval_info, plan_inverse_eval_info_cases,
-                                          interior_map_inverse(plan.move))):
-                    info = fn(plan, x, t)
-                    assert info == oracle(plan, x, t), (case, x, t)
-                    assert info.lipschitz == lipschitz_bound(move) * 9**info.point.stages_used
-                    assert (info.point.stages_used > 0) == (case != PlanCase.INTERIOR_INTERIOR)
+    plans = {case: solve(p, q, tau) for p, q, case in CASES}
+    points = {case: (p, q, rand_point(rng), rand_point(rng)) for p, q, case in CASES}
+
+    def evaluations(plan, case):
+        return [fn(plan, x, t) for x in points[case] for t in (tau, tau / 2)
+                for fn in (plan_eval_info, plan_inverse_eval_info)]
+
+    charged = {case: evaluations(plans[case], case) for _, _, case in CASES}
+    with monkeypatch.context() as m:
+        m.setattr(limits, "STAGE_LIPSCHITZ", 7)
+        m.setattr(plan_oracle, "CHARGE", F(7))  # the case oracle's factor
+        s = build_schedule(BND_B, 12)
+        assert [limits.reverse_tail_bound(s, i) for i in range(13)] == [F(3 * 7**i, 9 << (b_q + 4 * i))
+                                                                         for i in range(13)]
+        for p, q, case in CASES:
+            plan = solve(p, q, tau)
+            assert plan == plans[case], case
+            for x in points[case]:
+                for t in (tau, tau / 2):
+                    for fn, oracle, move in ((plan_eval_info, plan_eval_info_cases, plan.move),
+                                             (plan_inverse_eval_info, plan_inverse_eval_info_cases,
+                                              interior_map_inverse(plan.move))):
+                        info = fn(plan, x, t)
+                        assert info == oracle(plan, x, t), (case, x, t)
+                        assert info.lipschitz == lipschitz_bound(move) * 7**info.point.stages_used
+                        assert (info.point.stages_used > 0) == (case != PlanCase.INTERIOR_INTERIOR)
+            if case != PlanCase.INTERIOR_INTERIOR:
+                assert evaluations(plan, case) != charged[case], case
+    with monkeypatch.context() as m:
+        m.setattr(limits, "_PLAN_SIZING_LIPSCHITZ", 9)
+        for p, q, case in CASES:
+            plan = solve(p, q, tau)
+            if case != PlanCase.INTERIOR_INTERIOR:
+                budget = tau / 8 if case == PlanCase.BOUNDARY_BOUNDARY else tau / 4
+                i_star = 0 if case == PlanCase.BOUNDARY_INTERIOR else \
+                    next(i for i in count() if F(3 * 9**i, 7 << (b_q + 4 * i)) < budget)
+                n_cut = next(n for n in count(1) if F(2, 2**n) <= (tau / 4) / 9**i_star)
+                assert plan.move.anchor_count == n_cut, case
+                assert (n_cut != plans[case].move.anchor_count) == (case != PlanCase.BOUNDARY_INTERIOR)
+            assert evaluations(plans[case], case) == charged[case], case
 
 
 TAU64 = "tolerance 1/18446744073709551616"
@@ -433,7 +453,8 @@ def _near_unit(rng):
 def test_no_walk_passes_the_anchor_cutoff(monkeypatch):
     # every walk of verify's evaluation (at tau/2) and of a roundtrip at tau
     # (H(p), H^-1(H(p)) and H^-1(q)) stops by stage n_cut = count - STAGE_PAD - 1,
-    # endpoints near +-1 included, and every stored count is within the limit
+    # endpoints near +-1 included, and every stored count is within the limit;
+    # so do the same walks charged the plan-sizing factor, which go no less deep
     walks = []
     partial = homogeneity._partial
 
@@ -441,9 +462,18 @@ def test_no_walk_passes_the_anchor_cutoff(monkeypatch):
         walks.append((s, i))
         return partial(s, v, i, reverse)
 
+    def deepest_walk(plan, p, q, tau):
+        walks.clear()
+        assert verify_plan(plan, p, q, tau), (p, q, tau)
+        fwd = plan_eval_info(plan, p, tau)
+        back = plan_inverse_eval_info(plan, fwd.point.value, tau)
+        assert metric_d(back.point.value, p) <= back.point.radius + back.lipschitz * fwd.point.radius
+        plan_inverse_eval(plan, q, tau)
+        return max(i for _, i in walks)
+
     monkeypatch.setattr(homogeneity, "_partial", recorded)
     rng = random.Random(25)
-    solved = deepest_at_cutoff = 0
+    solved = sized_at_cutoff = 0
     # a dense boundary to a dense boundary walks to n_cut itself
     pairs = [(ONES, make_point([], -1))] + [
         tuple(make_point([_near_unit(rng) for _ in range(rng.randint(1, 5))], _near_unit(rng)) for _ in range(2))
@@ -460,16 +490,16 @@ def test_no_walk_passes_the_anchor_cutoff(monkeypatch):
             for sched, pt in ((plan.source_schedule, p), (plan.target_schedule, q)):
                 assert sched is None or sched.count - homogeneity.STAGE_PAD - 1 == n_cut
                 assert sched is None or sched.count <= stage_count_limit(pt)
-            walks.clear()
-            assert verify_plan(plan, p, q, tau), (p, q, tau)
-            fwd = plan_eval_info(plan, p, tau)
-            back = plan_inverse_eval_info(plan, fwd.point.value, tau)
-            assert metric_d(back.point.value, p) <= back.point.radius + back.lipschitz * fwd.point.radius
-            plan_inverse_eval(plan, q, tau)
-            deepest = max(i for _, i in walks)
+            deepest = deepest_walk(plan, p, q, tau)
             assert deepest <= n_cut, (p, q, tau)
-            deepest_at_cutoff += stored != [] and deepest == n_cut
-    assert solved > 60 and deepest_at_cutoff  # the bound is met somewhere
+            # charged the plan-sizing factor, the walks are the deepest n_cut
+            # is sized for, and they meet it somewhere
+            with monkeypatch.context() as m:
+                m.setattr(limits, "STAGE_LIPSCHITZ", limits._PLAN_SIZING_LIPSCHITZ)
+                sized = deepest_walk(plan, p, q, tau)
+            assert deepest <= sized <= n_cut, (p, q, tau)
+            sized_at_cutoff += stored != [] and sized == n_cut
+    assert solved > 60 and sized_at_cutoff  # the bound is met somewhere
 
 
 def test_horizon_refusal_matches_per_coordinate_rewalk(monkeypatch):

@@ -211,14 +211,16 @@ def test_only_settle_sets_a_points_fields():
 
 
 def test_stage_factor_is_read_only_in_limits():
-    # the per-stage Lipschitz factor has one ledger: Schedule in limits.py
+    # the per-stage Lipschitz factors have one ledger, limits.py: the charge
+    # (Schedule) and the factor plans are sized with (_sizing_factor)
+    factors = {"STAGE_LIPSCHITZ", "_PLAN_SIZING_LIPSCHITZ"}
     readers = {
         module
         for module, tree in _trees().items() if module != "limits"
         for node in ast.walk(tree)
-        if (isinstance(node, ast.Name) and node.id == "STAGE_LIPSCHITZ")
-        or (isinstance(node, ast.Attribute) and node.attr == "STAGE_LIPSCHITZ")
-        or (isinstance(node, ast.alias) and node.name == "STAGE_LIPSCHITZ")
+        if (isinstance(node, ast.Name) and node.id in factors)
+        or (isinstance(node, ast.Attribute) and node.attr in factors)
+        or (isinstance(node, ast.alias) and node.name in factors)
     }
     assert not readers
 

@@ -137,8 +137,8 @@ def test_closed_forms_read_no_stage_list():
     s = Schedule(ONES, 10**9)
     start = time.perf_counter()
     assert s.base == 0
-    assert s.tail_bound(0, True) == F(3, 8)
-    assert s.stages_needed(F(1, 2**40), True) == (39, F(3, 2**42))
+    assert s.tail_bound(0, True) == F(3, 11)
+    assert s.stages_needed(F(1, 2**40), True) == (23, F(3 * 5**23, 11 * 2**92))
     assert time.perf_counter() - start < 1
     assert "stages" not in vars(s)
 
@@ -178,8 +178,8 @@ def test_forward_tail_bound_values():
 
 def test_reverse_tail_bound_values():
     s = build_schedule(ONES, 8)
-    assert reverse_tail_bound(s, 0) == F(3, 8)
-    assert reverse_tail_bound(s, 1) == F(3, 16)
+    assert reverse_tail_bound(s, 0) == F(3, 11)
+    assert reverse_tail_bound(s, 1) == F(15, 176)
     prev = reverse_tail_bound(s, 0)
     for i in range(1, 6):
         cur = reverse_tail_bound(s, i)
@@ -194,21 +194,21 @@ def test_tail_bounds_identity_schedule():
 
 
 def test_canonical_closed_forms_match():
-    # m_k = b + 4k: the forward tail is 2^-(b+4i) / 5, the reverse 3 * 2^-(b+i) / 8
+    # m_k = b + 4k: the forward tail is 2^-(b+4i) / 5, the reverse 3 * 5^i / (11 * 2^(b+4i))
     for p, b in ((ONES, 0), (make_point([0, 0, 0, 0, F(1, 2), 0, -1], 0), 4)):
         s = build_schedule(p, 12)
         assert s.base == b == first_sacrifice(classify_point(p)) - 4
         for i in range(13):
             assert forward_tail_bound(s, i) == F(1, 5 * 2 ** (b + 4 * i)) == forward_tail_sum(s, i)
-            assert reverse_tail_bound(s, i) == F(3, 8 * 2 ** (b + i)) == reverse_tail_sum(s, i)
+            assert reverse_tail_bound(s, i) == F(3 * 5**i, 11 * 2 ** (b + 4 * i)) == reverse_tail_sum(s, i)
 
 
 def test_empty_stage_list_reads_base_off_its_source():
     # a 0-stage schedule's bounds read b = m_1 - 4 off its source, as every
-    # longer schedule of that source does: 1/5 and 3/8 only where m_1 = 4
-    for p, bounds in ((ONES, (F(1, 5), F(3, 8))),
-                      (make_point([0, 0, 0, 0, 1], 0), (F(1, 80), F(3, 128))),  # n_1 = 5, m_1 = 8
-                      (make_point([F(1, 2)] * 9, -1), (F(1, 1280), F(3, 2048)))):  # n_1 = 10, m_1 = 12
+    # longer schedule of that source does: 1/5 and 3/11 only where m_1 = 4
+    for p, bounds in ((ONES, (F(1, 5), F(3, 11))),
+                      (make_point([0, 0, 0, 0, 1], 0), (F(1, 80), F(3, 176))),  # n_1 = 5, m_1 = 8
+                      (make_point([F(1, 2)] * 9, -1), (F(1, 1280), F(3, 2816)))):  # n_1 = 10, m_1 = 12
         s = build_schedule(p, 0)
         assert s.stages == () and s.base == build_schedule(p, 1).stages[0][1] - 4
         assert (forward_tail_bound(s, 0), reverse_tail_bound(s, 0)) == bounds
@@ -320,7 +320,7 @@ def test_h_eval_identity_schedule():
 def test_h_inverse_eval_stage_selection():
     s = build_schedule(ONES, 4)
     cp = h_inverse_eval(s, ORIGIN, F(1))
-    assert cp.stages_used == 0 and cp.radius == F(3, 8) and cp.value == ORIGIN
+    assert cp.stages_used == 0 and cp.radius == F(3, 11) and cp.value == ORIGIN
 
 
 def test_h_eval_requires_positive_tau():

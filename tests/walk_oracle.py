@@ -20,6 +20,7 @@ from hilbertcube.interior import InteriorMapParams
 from hilbertcube.limits import Schedule
 
 ZERO = Fraction(0)
+CHARGE = 5  # Lipschitz factor an evaluation charges one cubed stage (test_stage_factor.py proves it)
 
 
 def build_schedule_pool(p, count):
@@ -148,8 +149,9 @@ def reverse_tail_sum(s, i):
         return ZERO
     total = ZERO
     for k in range(i + 1, s.count + 1):
-        total += 8 ** (k - 1) * Fraction(3, 2 ** s.stages[k - 1][1])
-    return total + 3 * Fraction(2) ** (3 * s.count - 3 - _m_last(s))
+        total += CHARGE ** (k - 1) * Fraction(3, 2 ** s.stages[k - 1][1])
+    # stages past the count: m_k = m_count + 4t, a geometric sum of ratio CHARGE / 16
+    return total + Fraction(3 * CHARGE**s.count, (16 - CHARGE) * 2 ** _m_last(s))
 
 
 def least_stage_scan(s, tau, bound_fn):
