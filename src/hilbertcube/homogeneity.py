@@ -36,10 +36,10 @@ from .interior import (
 from .limits import (
     CertifiedPoint,
     Schedule,
+    _anchor_cutoff,
     _least_below,
     _least_stage,
     _partial,
-    _sizing_factor,
     _tolerance,
     build_schedule,
     first_sacrifice,
@@ -139,21 +139,10 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
     if p_prof.is_pseudo_interior and q_prof.is_pseudo_interior:
         return HomeoPlan(InteriorMapParams(p, q), None, None)
 
-    # the most the verifying evaluation (at tau/2) can charge its target leg:
-    # 8^i* for the plan-sizing factor 8 and the stages i* a leg charged 8 per
-    # stage would unwind, read off the target's stage list, which evaluates
-    # no twist.  The charge 5 is at most 8, so the evaluation unwinds at most
-    # i* stages and is charged at most 8^i*
-    target_factor = _sizing_factor(build_schedule(q, 1), _escape_budget(tau / 2, p_prof.is_boundary))
-
-    # anchor cutoff: the least N >= 1 whose design residual 2^(1-N) survives
-    # the target leg's factor and still fits in a quarter of the tolerance.
-    # For that share a/c, 2c <= a * 2^N first holds at bits(2c) - bits(a) or one more
-    resid = (tau / 4) / target_factor
-    a, c2 = resid.numerator, 2 * resid.denominator
-    n_cut = max(1, c2.bit_length() - a.bit_length())
-    if a << n_cut < c2:
-        n_cut += 1
+    # anchor cutoff: the least N >= 1 whose design residual 2^(1-N), inflated
+    # by the most the verifying evaluation (at tau/2) can charge its target
+    # leg, fits in a quarter of the tolerance; read off q's profile alone
+    n_cut = _anchor_cutoff(q_prof, tau, _escape_budget(tau / 2, p_prof.is_boundary))
 
     # No walk at this tolerance passes stage n_cut.  Verify's evaluation (at
     # tau/2) and a roundtrip at tau give each leg a budget beta >= tau/8.  A

@@ -44,11 +44,6 @@ ZERO = Fraction(0)
 # cell-independent linear part, and the largest L1 norm over the 64 words of
 # three clauses is 5 (tests/test_stage_factor.py)
 STAGE_LIPSCHITZ = 5
-# Stage factor solve sizes a plan's anchor cutoff with.  It is at least the
-# charge, so no evaluation at the plan's tolerance walks further or is
-# charged more than the cutoff allows for.  n_cut, and so every plan's
-# bytes, depends on this factor and not on the charge
-_PLAN_SIZING_LIPSCHITZ = 8
 
 
 def first_sacrifice(profile: BoundaryProfile) -> int:
@@ -130,14 +125,20 @@ class Schedule:
         if self.is_identity:
             return ZERO
         if reverse:
-            return _reverse_tail(self, i, STAGE_LIPSCHITZ)
+            return Fraction(3 * self.lipschitz(i), (16 - STAGE_LIPSCHITZ) << (self.base + 4 * i))
         return Fraction(1, 5 << (self.base + 4 * i))
 
     def stages_needed(self, tau: Fraction, reverse: bool) -> tuple[int, Fraction]:
         """Least i whose tail bound is < tau, with that bound, materialized or
-        not, found by _least_index's search."""
-        i = _least_index(lambda i: self.tail_bound(i, reverse), tau)
-        return i, self.tail_bound(i, reverse)
+        not.  The bound falls as i grows, so the search doubles i and then
+        bisects: O(log i) bounds, each of O(i) bits, not i of them."""
+        lo, hi = -1, 0  # lo = -1 or bound(lo) >= tau; bound(hi) < tau once the doubling stops
+        while self.tail_bound(hi, reverse) >= tau:
+            lo, hi = hi, 2 * hi + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if self.tail_bound(mid, reverse) >= tau else (lo, mid)
+        return hi, self.tail_bound(hi, reverse)
 
     def _maps(self, i: int, reverse: bool) -> tuple[CellMap, ...]:
         """The cubed twists of stages 1..i, cw for the reverse maps.  A walk
@@ -152,35 +153,28 @@ class Schedule:
         return maps[:i]
 
 
-def _reverse_tail(s: Schedule, i: int, factor: int) -> Fraction:
-    """Reverse tail past stage i of a schedule that is not the identity,
-    stage k's displacement 3 * 2^-m_k inflated by factor^(k-1):
-    3 * factor^i / ((16 - factor) * 2^(b+4i)), for a factor below 16."""
-    return Fraction(3 * factor**i, (16 - factor) << (s.base + 4 * i))
+def _floor_log2(x: Fraction) -> int:
+    """floor(log2 x) for x > 0: 2^(k-1) < x < 2^(k+1) for k the difference
+    of the bit lengths of its numerator and denominator."""
+    n, d = x.numerator, x.denominator
+    k = n.bit_length() - d.bit_length()
+    return k - 1 if n << max(-k, 0) < d << max(k, 0) else k
 
 
-def _least_index(bound, tau: Fraction) -> int:
-    """Least i >= 0 with bound(i) < tau, for a bound that falls as i grows.
-    The search doubles i and then bisects: O(log i) bounds, each of O(i)
-    bits, not i of them."""
-    lo, hi = -1, 0  # lo = -1 or bound(lo) >= tau; bound(hi) < tau once the doubling stops
-    while bound(hi) >= tau:
-        lo, hi = hi, 2 * hi + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if bound(mid) >= tau else (lo, mid)
-    return hi
+def _anchor_cutoff(q_profile: BoundaryProfile, tau: Fraction, budget: Fraction) -> int:
+    """n_cut of a plan at tau whose target, of profile q_profile, has escape
+    budget `budget` in the verifying evaluation: the least N >= 1 with
+    2^(1-N) <= (tau/4) / 8^i*, that is max(1, 1 + 3i* - floor(log2(tau/4))).
 
-
-def _sizing_factor(s: Schedule, tau: Fraction) -> int:
-    """L^i for L = _PLAN_SIZING_LIPSCHITZ and i the least stage whose reverse
-    tail, inflated by L per stage, is < tau; 1 for the identity.  The charge
-    is at most L, so its reverse tail is at most this one at every stage: a
-    reverse leg with budget tau walks at most i stages and is charged at
-    most L^i."""
-    if s.is_identity:
-        return 1
-    return _PLAN_SIZING_LIPSCHITZ ** _least_index(lambda i: _reverse_tail(s, i, _PLAN_SIZING_LIPSCHITZ), tau)
+    i* bounds the stages the target leg unwinds.  Charged 8 = 2^3 per stage,
+    its reverse tail is 3 * 2^-(b+i+3) (b = m_1 - 4), first below the budget
+    at i* = max(0, floor(log2(3/budget)) - b - 2); 0 for a pseudo-interior
+    target.  The charge STAGE_LIPSCHITZ is at most 8, so the leg unwinds at
+    most i* stages and is charged at most 8^i*, and plan bytes do not depend
+    on the charge."""
+    i_star = 0 if q_profile.is_pseudo_interior else \
+        max(0, _floor_log2(3 / budget) - first_sacrifice(q_profile) + 2)
+    return max(1, 1 + 3 * i_star - _floor_log2(tau / 4))
 
 
 def build_schedule(p: PointRep, count: int) -> Schedule:

@@ -325,36 +325,46 @@ def test_solve_takes_one_depth_per_schedule(monkeypatch):
 
 def test_anchor_cutoff_is_the_least_n_that_fits(monkeypatch):
     # n_cut is the least N >= 1 with 2^(1-N) <= (tau/4) / 8^i_star, i_star the
-    # target stages verification unwinds at its escape budget tau/8 (0 for an
-    # interior target); after the target's 1-stage list, solve builds each
-    # endpoint's n_cut + 1 + STAGE_PAD stages
-    built = []
-
+    # least i whose reverse tail charged 8 per stage, 3 * 2^-(b+i+3), beats the
+    # target leg's budget in verification (tau/8 from a boundary source, tau/4
+    # from an interior one), 0 for an interior target; solve's first build is
+    # an endpoint's n_cut + 1 + STAGE_PAD stages.  The taus reach tau >= 4,
+    # where n_cut is 1, and taus where i_star is 0 on a boundary target of
+    # base 0 or 8 while n_cut is not 1
     def cutoff(pt, n):
-        built.append(n)
-        if len(built) == 2:
-            raise _Cutoff(n - 1 - homogeneity.STAGE_PAD)
-        return build_schedule(pt, n)
+        raise _Cutoff(n - 1 - homogeneity.STAGE_PAD)
 
+    b_far = make_point([F(1, 2)] * 9 + [1], 0)  # first boundary index 10: m_1 = 12, b = 8
+    targets = ((INT_B, None), (BND_B, 0), (b_far, 8))
+    assert [build_schedule(q, 1).base for q, b in targets if b is not None] == [0, 8]
     monkeypatch.setattr(homogeneity, "build_schedule", cutoff)
-    b_q = first_sacrifice(classify_point(BND_B)) - 4
-    for tau in [F(k, 3**j * 2**e) for k in (1, 5, 7) for j in (0, 1, 2) for e in (0, 3, 17, 40)]:
-        for q, i_star in ((INT_B, 0), (BND_B, next(i for i in count() if F(3, 8 << (b_q + i)) < tau / 8))):
-            n_cut = 1
-            while F(2, 2**n_cut) > (tau / 4) / 8**i_star:
-                n_cut += 1
-            built.clear()
-            with pytest.raises(_Cutoff) as exc:
-                solve(BND_A, q, tau)
-            assert built[0] == 1 and exc.value.args[0] == n_cut, (q, tau)
+    clamped = Counter()
+    for tau in [F(k, 3**j) / F(2)**e for k in (1, 5, 7) for j in (0, 1, 2) for e in (-4, -2, 0, 3, 5, 17, 40)]:
+        for p, budget in ((BND_A, tau / 8), (INT_A, tau / 4)):
+            for q, b in targets:
+                if b is None and p is INT_A:  # interior to interior: no cutoff
+                    continue
+                i_star = 0 if b is None else next(i for i in count() if F(3, 8 << (b + i)) < budget)
+                n_cut = 1
+                while F(2, 2**n_cut) > (tau / 4) / 8**i_star:
+                    n_cut += 1
+                with pytest.raises(_Cutoff) as exc:
+                    solve(p, q, tau)
+                assert exc.value.args[0] == n_cut, (p, q, tau)
+                if tau >= 4:
+                    assert n_cut == 1
+                    clamped["tau >= 4"] += 1
+                elif b is not None:
+                    clamped[b, i_star == 0] += 1
+    assert min(clamped[key] for key in ("tau >= 4", (0, True), (0, False), (8, True), (8, False))) > 0, clamped
 
 
 def test_stage_factor_has_one_source(monkeypatch):
-    # each stage factor has one source in limits.  Charge 7 per stage instead
-    # of STAGE_LIPSCHITZ and every reverse tail bound, radius and Lipschitz
-    # bound follows it while every plan stays as it is; size plans with 9
-    # instead of the plan-sizing factor and the anchor cutoff follows it while
-    # the evaluation of a fixed plan stays as it is
+    # the stage factor and the anchor cutoff each have one source in limits.
+    # Charge 7 per stage instead of STAGE_LIPSCHITZ and every reverse tail
+    # bound, radius and Lipschitz bound follows it while every plan stays as
+    # it is; cut the anchors 3 later than _anchor_cutoff and every plan
+    # follows it while the evaluation of a fixed plan stays as it is
     b_q = first_sacrifice(classify_point(BND_B)) - 4
     rng = random.Random(9)
     tau = F(1, 2**20)
@@ -386,17 +396,16 @@ def test_stage_factor_has_one_source(monkeypatch):
                         assert (info.point.stages_used > 0) == (case != PlanCase.INTERIOR_INTERIOR)
             if case != PlanCase.INTERIOR_INTERIOR:
                 assert evaluations(plan, case) != charged[case], case
+    # solve calls the cutoff under the name it imports from limits
+    assert homogeneity._anchor_cutoff is limits._anchor_cutoff
     with monkeypatch.context() as m:
-        m.setattr(limits, "_PLAN_SIZING_LIPSCHITZ", 9)
+        m.setattr(homogeneity, "_anchor_cutoff", lambda *args: limits._anchor_cutoff(*args) + 3)
         for p, q, case in CASES:
             plan = solve(p, q, tau)
-            if case != PlanCase.INTERIOR_INTERIOR:
-                budget = tau / 8 if case == PlanCase.BOUNDARY_BOUNDARY else tau / 4
-                i_star = 0 if case == PlanCase.BOUNDARY_INTERIOR else \
-                    next(i for i in count() if F(3 * 9**i, 7 << (b_q + 4 * i)) < budget)
-                n_cut = next(n for n in count(1) if F(2, 2**n) <= (tau / 4) / 9**i_star)
-                assert plan.move.anchor_count == n_cut, case
-                assert (n_cut != plans[case].move.anchor_count) == (case != PlanCase.BOUNDARY_INTERIOR)
+            assert (plan != plans[case]) == (case != PlanCase.INTERIOR_INTERIOR), case
+            for sched, old in ((plan.source_schedule, plans[case].source_schedule),
+                               (plan.target_schedule, plans[case].target_schedule)):
+                assert (sched is None) == (old is None) and (sched is None or sched.count == old.count + 3), case
             assert evaluations(plans[case], case) == charged[case], case
 
 
@@ -454,7 +463,8 @@ def test_no_walk_passes_the_anchor_cutoff(monkeypatch):
     # every walk of verify's evaluation (at tau/2) and of a roundtrip at tau
     # (H(p), H^-1(H(p)) and H^-1(q)) stops by stage n_cut = count - STAGE_PAD - 1,
     # endpoints near +-1 included, and every stored count is within the limit;
-    # so do the same walks charged the plan-sizing factor, which go no less deep
+    # so do the same walks charged 8 per stage, the factor _anchor_cutoff
+    # sizes with, which go no less deep
     walks = []
     partial = homogeneity._partial
 
@@ -492,10 +502,10 @@ def test_no_walk_passes_the_anchor_cutoff(monkeypatch):
                 assert sched is None or sched.count <= stage_count_limit(pt)
             deepest = deepest_walk(plan, p, q, tau)
             assert deepest <= n_cut, (p, q, tau)
-            # charged the plan-sizing factor, the walks are the deepest n_cut
-            # is sized for, and they meet it somewhere
+            # charged 8, the walks are the deepest n_cut is sized for, and
+            # they meet it somewhere
             with monkeypatch.context() as m:
-                m.setattr(limits, "STAGE_LIPSCHITZ", limits._PLAN_SIZING_LIPSCHITZ)
+                m.setattr(limits, "STAGE_LIPSCHITZ", 8)
                 sized = deepest_walk(plan, p, q, tau)
             assert deepest <= sized <= n_cut, (p, q, tau)
             sized_at_cutoff += stored != [] and sized == n_cut
@@ -507,7 +517,7 @@ def test_horizon_refusal_matches_per_coordinate_rewalk(monkeypatch):
     # stage, re-walked one coordinate at a time, passes the horizon (p's
     # before q's on a tie) and the latest stage of any j <= n_cut; otherwise
     # it builds the anchors those re-walks give.  n_cut is read off the
-    # endpoint schedules solve builds after the target's 1-stage list
+    # endpoint schedules solve builds
     built = []
     monkeypatch.setattr(homogeneity, "build_schedule", lambda pt, n: built.append(n) or build_schedule(pt, n))
     rng = random.Random(27)
@@ -522,7 +532,7 @@ def test_horizon_refusal_matches_per_coordinate_rewalk(monkeypatch):
             got = str(exc)
         if not built:  # interior to interior
             continue
-        n_cut = built[1] - 1 - homogeneity.STAGE_PAD
+        n_cut = built[0] - 1 - homogeneity.STAGE_PAD
         finals = [final_coordinates_rewalk(build_schedule(pt, n_cut + 1), pt, n_cut)
                   if classify_point(pt).is_boundary else None for pt in (p, q)]
         stages = [{j: k for j, (k, _) in fin.items()} for fin in finals if fin is not None]
@@ -553,16 +563,16 @@ def test_plan_with_a_coordinate_next_to_one_reads_back():
 
 
 def test_solve_builds_each_schedule_once(monkeypatch):
-    # the target's 1-stage list for the cutoff, then one list per endpoint:
-    # the one the anchor walk reads and the plan holds, with that walk's maps
+    # one list per endpoint, nothing built for the cutoff: the one the anchor
+    # walk reads and the plan holds, with that walk's maps
     built = []
     monkeypatch.setattr(homogeneity, "build_schedule", lambda pt, n: built.append(build_schedule(pt, n)) or built[-1])
     plan = solve(BND_A, BND_B, F(1, 2**20))
     # anchor_count falls short of n_cut only where both anchors end in their
     # tail 0; the source anchor's coordinate n_cut is 1/4 here
     n_cut = plan.move.anchor_count
-    assert [s.count for s in built] == [1] + [n_cut + 1 + homogeneity.STAGE_PAD] * 2
-    assert plan.source_schedule is built[1] and plan.target_schedule is built[2]
+    assert [s.count for s in built] == [n_cut + 1 + homogeneity.STAGE_PAD] * 2
+    assert plan.source_schedule is built[0] and plan.target_schedule is built[1]
     for sched in (plan.source_schedule, plan.target_schedule):
         last = sum(n <= n_cut for n, _ in sched.stages)
         cached = sched.__dict__["_forward_maps"]

@@ -211,18 +211,28 @@ def test_only_settle_sets_a_points_fields():
 
 
 def test_stage_factor_is_read_only_in_limits():
-    # the per-stage Lipschitz factors have one ledger, limits.py: the charge
-    # (Schedule) and the factor plans are sized with (_sizing_factor)
-    factors = {"STAGE_LIPSCHITZ", "_PLAN_SIZING_LIPSCHITZ"}
+    # the per-stage Lipschitz factor has one ledger, limits.py, and so has
+    # the anchor cutoff plans are sized with: limits defines _anchor_cutoff
+    # and solve alone calls it
+    factors = {"STAGE_LIPSCHITZ"}
+    trees = _trees()
     readers = {
         module
-        for module, tree in _trees().items() if module != "limits"
+        for module, tree in trees.items() if module != "limits"
         for node in ast.walk(tree)
         if (isinstance(node, ast.Name) and node.id in factors)
         or (isinstance(node, ast.Attribute) and node.attr in factors)
         or (isinstance(node, ast.alias) and node.name in factors)
     }
     assert not readers
+
+    def calls_cutoff(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_anchor_cutoff"
+
+    owners = {module for module, tree in trees.items() for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "_anchor_cutoff"}
+    callers = {f"{module}: {name}" for module, tree in trees.items() for name in _holders(tree, calls_cutoff)}
+    assert (owners, callers) == ({"limits"}, {"homogeneity: solve"})
 
 
 def test_source_leg_is_charged_from_one_table():

@@ -290,7 +290,7 @@ def test_reverse_cauchy_steps(rng):
             gap = metric_d(
                 reverse_partial_eval(s, y, i + 1), reverse_partial_eval(s, y, i)
             )
-            assert gap <= 8**i * F(3, 2 ** s.stages[i][1])
+            assert gap <= s.lipschitz(i) * F(3, 2 ** s.stages[i][1])
 
 
 def test_h_eval_stage_selection():
@@ -342,7 +342,7 @@ def test_roundtrip_certificate(rng):
         x = rand_point(rng)
         fwd = h_eval(s, x, tau)
         back = h_inverse_eval(s, fwd.value, tau)
-        combined = back.radius + 8**back.stages_used * fwd.radius
+        combined = back.radius + s.lipschitz(back.stages_used) * fwd.radius
         assert metric_d(back.value, x) <= combined
 
 

@@ -5,8 +5,9 @@ Usage, from the repository root:
     python3 tools/curves.py > curves.json
 
 For each plan pair (the four endpoint cases and const-1 -> origin) and each
-tolerance 2^-10, 2^-20, 2^-40 and 2^-64, it solves the plan at tau and
-evaluates H at p and H^-1 at q at the same tau.  Each evaluation's row
+tolerance 2^-10, 2^-20, 2^-40 and 2^-64, it solves the plan at tau, records
+the byte count of the plan's JSON as the CLI writes it, and evaluates H at p
+and H^-1 at q at the same tau.  Each evaluation's row
 holds the stages walked, the bit length of the value's largest denominator
 and of the radius's denominator, and microseconds per evaluation (the fastest
 of repeated calls).  A tolerance solve refuses is recorded as refused.
@@ -26,6 +27,7 @@ from time import perf_counter
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hilbertcube import HorizonExceeded, make_point, plan_eval_info, plan_inverse_eval_info, solve  # noqa: E402
+from hilbertcube.serialize import dump_json, plan_to_obj  # noqa: E402
 
 F = Fraction
 POINTS = {
@@ -81,6 +83,7 @@ def curves() -> list[dict]:
             except HorizonExceeded as exc:
                 rows.append({**row, "refused": str(exc)})
                 continue
+            row["plan_bytes"] = len(dump_json(plan_to_obj(plan)).encode())
             row["forward"] = _evaluation(plan_eval_info, plan, p, tau)
             row["inverse"] = _evaluation(plan_inverse_eval_info, plan, q, tau)
             rows.append(row)
