@@ -51,10 +51,6 @@ class RangeViolation(CubeError):
     """A map value left the square; expected only for Verbatim pieces."""
     exit_code = 4
 
-    def __init__(self, message, value=None):
-        super().__init__(message)
-        self.value = value
-
 
 class NoPreimage(CubeError):
     exit_code = 4

@@ -171,8 +171,7 @@ class CellMap:
     def _held_row(self, d: int, x: int) -> list[tuple[bool, bool, bool, bool]]:
         """The conditions at (x, y)/d for y = -d..d, in ccw's frame: each
         map of the cell reads its hits along the row off them."""
-        conditions = self._unit_conditions if self._unit else self._ccw_conditions
-        return [conditions(d, x, y) for y in range(-d, d + 1)]
+        return [self._ccw_conditions(d, x, y) for y in range(-d, d + 1)]
 
     def _row_hits(self, held: list[tuple[bool, bool, bool, bool]]) -> list[tuple[int, ...]]:
         """hits at y = -d..d along the row whose _held_row is held: cw reads it at -y."""
@@ -224,9 +223,7 @@ class CellMap:
             x, y = self._ccw_value(self._first(d, x, y), d, x, y)
             d <<= s
             if check and (abs(x) > d or abs(y) > d):
-                point = (d, x, -y if r else y)
-                raise RangeViolation(f"{self.label()} left the square at {_fmt_pair(*point)}",
-                                     _fractions(*point))
+                raise RangeViolation(f"{self.label()} left the square at {_fmt_pair(d, x, -y if r else y)}")
         return d, x, -y if r else y
 
     def apply(self, d: int, x: int, y: int) -> tuple[int, int, int]:

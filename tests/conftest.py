@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +32,14 @@ def coord_map(p_i, q_i, t):
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def scripts() -> dict[str, str]:
+    """pyproject.toml's [project.scripts]."""
+    if sys.version_info >= (3, 11):
+        import tomllib
+    else:  # pytest requires tomli before 3.11
+        import tomli as tomllib
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    return tomllib.loads(pyproject.read_text())["project"]["scripts"]

@@ -169,6 +169,10 @@ def test_criterion_04_verbatim_errata(capsys):
             failures.append(f"witness {f.witness} re-evaluates inside the square")
         if f"({u}, {v})" not in f.observed:
             failures.append(f"observed {f.observed!r} does not match image ({u}, {v})")
+    counts = report.counts_by_check()
+    if counts != {"displacement": 408, "inverse-roundtrip": 4224, "oracle-roundtrip": 2080,
+                  "piece-agreement": 128, "range-containment": 2176}:
+        failures.append(f"verbatim (1, 2) counts at grid 1/64 are {counts}")
     _verdict(capsys, 4, failures)
 
 

@@ -401,12 +401,9 @@ def test_console_script(points):
     assert json.loads(proc.stdout)["stages"] == [[1, 4], [2, 8]]
 
 
-def test_console_script_entry_point(points):
+def test_console_script_entry_point(points, scripts):
     # what the installed script does, without installing: pip's wrapper
     # imports the [project.scripts] target and calls sys.exit(main())
-    tomllib = pytest.importorskip("tomllib")
-    with open(ROOT / "pyproject.toml", "rb") as fh:
-        scripts = tomllib.load(fh)["project"]["scripts"]
     assert scripts["hilbertcube"] == "hilbertcube.cli:main"
     module, func = scripts["hilbertcube"].split(":")
     wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"

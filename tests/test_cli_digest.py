@@ -6,10 +6,10 @@ the plans those runs wrote, metrics, schedule, demo-first-attempt,
 diagnose, render, every --help text and single-fault inputs.  Each run's
 argv, exit code, stdout, stderr and the SVG it wrote, if any, are hashed.
 The runs work in a temporary directory on relative paths, so no message
-names a machine path.  Help texts follow the running Python's argparse
-(pinned on 3.11) at COLUMNS=80.  Any change to how the command line reads
-its inputs or writes its outputs must leave every one of these outcomes as
-it is.
+names a machine path.  Help texts are formatted at COLUMNS=200, wider than
+any usage line, so argparse wraps none and every supported Python writes
+the same records.  Any change to how the command line reads its inputs or
+writes its outputs must leave every one of these outcomes as it is.
 """
 
 import contextlib
@@ -42,7 +42,7 @@ SOLVE_TAUS = ("1/1024", "1/1048576", "1/" + str(2**64), "0", "-1/2", "0.5")
 PLAN_TAU = "1/1048576"
 COMMANDS = ("solve", "eval", "inverse-eval", "verify", "demo-first-attempt", "diagnose", "metrics",
             "render", "schedule")
-DIGEST = "80e41902ec5d015603dd9eaffd6610f9224814e2155dfa9878e5919badd273c3"
+DIGEST = "ca6807d6a9e9461a606731d25733209a3632f7ea0533f6311a81d944eca65f8e"
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -64,7 +64,7 @@ def _run(argv: list[str]) -> tuple[int, str]:
 
 def test_cli_outcomes_are_pinned(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("COLUMNS", "200")
     for name, p in POINTS.items():
         Path(f"{name}.json").write_text(json.dumps(point_to_obj(p)))
     Path("malformed.json").write_text('{"prefix": ["1/2", ')

@@ -50,6 +50,7 @@ INT_A = make_point([F(1, 3), F(-1, 2)], F(1, 5))
 INT_B = make_point([F(2, 7)], F(-3, 8))
 BND_A = make_point([1, F(1, 2), -1], F(1, 4))
 BND_B = make_point([F(-1, 3)], -1)
+B_FAR = make_point([F(1, 2)] * 9 + [1], 0)  # first boundary index 10: m_1 = 12, base 8
 
 CASES = [
     (INT_A, INT_B, PlanCase.INTERIOR_INTERIOR),
@@ -83,10 +84,12 @@ def test_identity_plan():
     assert cp.value == x and cp.radius == 0
 
 
-@pytest.mark.parametrize("k", [5, 10, 20])
+@pytest.mark.parametrize("k", [-3, 5, 6, 10, 20])
 def test_verify_all_cases(k):
-    tau = F(1, 2**k)
-    for p, q, _ in CASES:
+    # the anchor cutoff's clamps: at tau = 8 n_cut is 1, and at 1/64 toward
+    # B_FAR, of base 8, i_star is 0 while n_cut is 9
+    tau = F(1, 2) ** k
+    for p, q in [(p, q) for p, q, _ in CASES] + [(BND_A, B_FAR)]:
         assert verify_plan(solve(p, q, tau), p, q, tau)
 
 
@@ -334,8 +337,7 @@ def test_anchor_cutoff_is_the_least_n_that_fits(monkeypatch):
     def cutoff(pt, n):
         raise _Cutoff(n - 1 - homogeneity.STAGE_PAD)
 
-    b_far = make_point([F(1, 2)] * 9 + [1], 0)  # first boundary index 10: m_1 = 12, b = 8
-    targets = ((INT_B, None), (BND_B, 0), (b_far, 8))
+    targets = ((INT_B, None), (BND_B, 0), (B_FAR, 8))
     assert [build_schedule(q, 1).base for q, b in targets if b is not None] == [0, 8]
     monkeypatch.setattr(homogeneity, "build_schedule", cutoff)
     clamped = Counter()

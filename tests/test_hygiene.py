@@ -17,12 +17,12 @@ plan_to_obj and schedule_to_obj with the one object, except the one test of
 the (p, q) pair the benchmark still passes.  The source leg is charged
 from one table, written and bisected in limits: homogeneity reads no tail
 bound and takes no min of two charges.  Read with ast, so
-nothing is imported or run; the last test runs evaluations, to count the
-points they build."""
+nothing is imported or run, except that README's quick start is run as
+printed and the last test runs evaluations, to count the points they
+build."""
 
 import ast
 import re
-import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -118,10 +118,14 @@ def _quick_start() -> ast.Module:
     return ast.parse(section.split("```python\n", 1)[1].split("```", 1)[0])
 
 
-def test_every_public_function_and_class_is_used():
+def test_readme_quick_start_runs():
+    # the quick start runs as README prints it, its asserts included
+    exec(compile(_quick_start(), "README.md", "exec"), {})
+
+
+def test_every_public_function_and_class_is_used(scripts):
     # exporting a name from __init__ does not use it
     trees = _trees()
-    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
     used = {(src, name) for module, tree in trees.items() if module != "__init__"
             for _, src, name in _imports(tree)}
     used |= set(_traced()) | {tuple(entry.removeprefix("hilbertcube.").split(":")) for entry in scripts.values()}

@@ -132,7 +132,7 @@ def image(cm, x, y):
     for _ in range(3 if cm.is_cubed else 1):
         _, (x, y) = apply_once(cm.single(), x, y)
         if abs(x) > 1 or abs(y) > 1:
-            raise RangeViolation(f"{cm.label()} left the square at ({x}, {y})", (x, y))
+            raise RangeViolation(f"{cm.label()} left the square at ({x}, {y})")
     return x, y
 
 
