@@ -89,7 +89,7 @@ def test_verify_all_cases(k):
     # the anchor cutoff's clamps: at tau = 8 n_cut is 1, and at 1/64 toward
     # B_FAR, of base 8, i_star is 0 while n_cut is 9
     tau = F(1, 2) ** k
-    for p, q in [(p, q) for p, q, _ in CASES] + [(BND_A, B_FAR)]:
+    for p, q, _ in [*CASES, (BND_A, B_FAR, PlanCase.BOUNDARY_BOUNDARY)]:
         assert verify_plan(solve(p, q, tau), p, q, tau)
 
 
