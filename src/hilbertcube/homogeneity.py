@@ -68,7 +68,8 @@ class HomeoPlan:
     the boundary); target_schedule escapes the target.  move holds the
     interior-map anchors.  The case follows from which schedules are present.
     The inverse plan and the source leg's error table are built once, on
-    first use; not being fields, they stay out of equality, hashing and repr.
+    first use, and an evaluation keeps its choice for the last tau in
+    `_choice`; not being fields, they stay out of equality, hashing and repr.
     """
 
     move: InteriorMapParams
@@ -175,23 +176,34 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
     return HomeoPlan(move, *(None if s.is_identity else s for s in scheds))
 
 
-def plan_eval_info(plan: HomeoPlan, x: PointRep, tau: Rational) -> EvalInfo:
-    """Certified H(x) within tau, with the approximation's Lipschitz bound.
+@dataclass(frozen=True)
+class _Choice:
+    """What an evaluation of a plan at tau fixes before it reads x: the
+    target and source legs' stage counts i and j, the radius as its source
+    term lip_i * nums[j] / den and target term r_rev and as their sum, and
+    the Lipschitz factor outer * lipschitz(j) of the map applied."""
 
-    H composes three legs: source escape, interior move, target unescape.
-    An absent escape is evaluated as the identity schedule NO_ESCAPE.  The
-    target leg's stage count i is chosen before the source leg runs, since
-    its factor tgt.lipschitz(i) inflates the source leg's radius; the
-    escape budgets keep the radius at most tau/2, leaving headroom for
-    verification at doubled tolerance.
+    tau: Fraction
+    target_stages: int
+    source_stages: int
+    source_term: Fraction
+    target_term: Fraction
+    radius: Fraction
+    lipschitz: Fraction
 
-    After the move, the source leg's error at stage j is at most the table
-    entry min(lipschitz_bound(move) * tail(j), E(j)), E carried coordinate
-    by coordinate (HomeoPlan._source_errors).  The leg walks to the least j
-    whose entry, times the target leg's factor, beats the budget, and is
-    charged that product.
+
+def _choose(plan: HomeoPlan, tau: Fraction) -> _Choice:
+    """The plan's choice at tau.
+
+    The target leg's stage count i is chosen before the source leg's, since
+    its factor tgt.lipschitz(i) inflates the source leg's radius; the escape
+    budgets keep the radius at most tau/2, leaving headroom for verification
+    at doubled tolerance.  After the move, the source leg's error at stage j
+    is at most the table entry min(lipschitz_bound(move) * tail(j), E(j)), E
+    carried coordinate by coordinate (HomeoPlan._source_errors).  The leg
+    walks to the least j whose entry, times the target leg's factor, beats
+    the budget, and is charged that product.
     """
-    tau = _tolerance(tau)
     src, tgt = (NO_ESCAPE if s is None else s for s in (plan.source_schedule, plan.target_schedule))
     budget = _escape_budget(tau, not (src.is_identity or tgt.is_identity))
     i, r_rev = _least_stage(tgt, budget, True)
@@ -201,10 +213,29 @@ def plan_eval_info(plan: HomeoPlan, x: PointRep, tau: Rational) -> EvalInfo:
     j = _least_below(nums, den, budget / lip_i)
     if j > src.count:  # each entry is <= slope * tail(j), so no stage meets the global budget: refuse
         _least_stage(src, budget / outer, False)
-    radius = Fraction(lip_i * nums[j], den) + r_rev
+    term = Fraction(lip_i * nums[j], den)
+    return _Choice(tau, i, j, term, r_rev, term + r_rev, outer * src.lipschitz(j))
+
+
+def plan_eval_info(plan: HomeoPlan, x: PointRep, tau: Rational) -> EvalInfo:
+    """Certified H(x) within tau, with the approximation's Lipschitz bound.
+
+    H composes three legs: source escape, interior move, target unescape.
+    An absent escape is evaluated as the identity schedule NO_ESCAPE.  The
+    stage counts, radius and factor depend on the plan and tau alone
+    (_choose); the plan keeps the choice for the last tau it was evaluated
+    at, so an evaluation at that tau only applies it to x.  A refused tau
+    makes no choice and leaves the kept one in place.
+    """
+    tau = _tolerance(tau)
+    choice = plan.__dict__.get("_choice")
+    if choice is None or choice.tau != tau:
+        choice = plan.__dict__["_choice"] = _choose(plan, tau)
+    src, tgt = plan.source_schedule or NO_ESCAPE, plan.target_schedule or NO_ESCAPE
+    i, j = choice.target_stages, choice.source_stages
     # one pair vector through the source walk, the move and the target walk
     value = _point(_partial(tgt, _move(plan.move, _partial(src, _pairs(x), j, False)), i, True))
-    return EvalInfo(CertifiedPoint(value, radius, i + j), outer * src.lipschitz(j))
+    return EvalInfo(CertifiedPoint(value, choice.radius, i + j), choice.lipschitz)
 
 
 def plan_inverse_eval_info(plan: HomeoPlan, y: PointRep, tau: Rational) -> EvalInfo:

@@ -623,16 +623,49 @@ def test_single_path_matches_case_oracle(k):
     for p, q in ORACLE_PAIRS:
         plan = solve(p, q, tau)
         points = [p, q] + [rand_point(rng) for _ in range(4)]
-        for t in (tau, tau / 2, too_small, F(0)):
-            for x in points:
-                for fn, oracle in ((plan_eval_info, plan_eval_info_cases),
-                                   (plan_inverse_eval_info, plan_inverse_eval_info_cases)):
-                    got = _outcome(fn, plan, x, t)
-                    assert got == _outcome(oracle, plan, x, t), (plan.case, x, t)
-                    if t == too_small and plan.case != PlanCase.INTERIOR_INTERIOR:
-                        assert got[0] is HorizonExceeded
-                    if t == 0:
-                        assert got[0] is OutOfRange
+        # each tau at every point in turn, then per point a tau, a refused
+        # one, half the tau and the tau again as a string: a plan keeps the
+        # choice of its last tau, and a kept choice read at another tau, or
+        # one kept from a refusal, shows here
+        sweeps = [(t, x) for t in (tau, tau / 2, too_small, F(0)) for x in points]
+        sweeps += [(t, x) for x in points for t in (tau, too_small, tau / 2, f"1/{2**k}")]
+        for t, x in sweeps:
+            for fn, oracle in ((plan_eval_info, plan_eval_info_cases),
+                               (plan_inverse_eval_info, plan_inverse_eval_info_cases)):
+                got = _outcome(fn, plan, x, t)
+                assert got == _outcome(oracle, plan, x, t), (plan.case, x, t)
+                if t == too_small and plan.case != PlanCase.INTERIOR_INTERIOR:
+                    assert got[0] is HorizonExceeded
+                if t == 0:
+                    assert got[0] is OutOfRange
+        # what an evaluation keeps is no part of the plan's value
+        copy = parse_plan(dump_json(plan_to_obj(plan)))
+        assert (copy, hash(copy), repr(copy)) == (plan, hash(plan), repr(plan))
+
+
+def test_choice_is_made_once_per_plan_direction(monkeypatch):
+    # the stage counts, radius and factor read no x: evaluating a plan at
+    # many points and one tau searches the target leg and reads the move's
+    # slope while choosing at the first point, and at no later one
+    calls = Counter()
+    for name in ("lipschitz_bound", "_least_stage"):
+        fn = getattr(homogeneity, name)
+        monkeypatch.setattr(homogeneity, name, lambda *a, _fn=fn, _name=name: calls.update([_name]) or _fn(*a))
+    rng = random.Random(35)
+    tau = F(1, 2**20)
+    points = [rand_point(rng) for _ in range(10)]
+    for p, q, case in CASES:
+        plan = solve(p, q, tau)
+        for fn in (plan_eval_info, plan_inverse_eval_info):
+            before = calls.copy()
+            fn(plan, points[0], tau)
+            first = calls - before
+            # one target search (none refuses) and one slope read for the
+            # choice, one more slope read for the source leg's table
+            assert first == {"_least_stage": 1, "lipschitz_bound": 2}, (case, fn.__name__)
+            for x in points[1:]:
+                fn(plan, x, tau)
+            assert calls == before + first, (case, fn.__name__)
 
 
 def _unit_or_edge(rng):

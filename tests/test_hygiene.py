@@ -16,7 +16,8 @@ schedules are written from themselves: the package and its tests call
 plan_to_obj and schedule_to_obj with the one object, except the one test of
 the (p, q) pair the benchmark still passes.  The source leg is charged
 from one table, written and bisected in limits: homogeneity reads no tail
-bound and takes no min of two charges.  Read with ast, so
+bound and takes no min of two charges, and plan_eval_info searches nothing
+itself.  Read with ast, so
 nothing is imported or run, except that README's quick start is run as
 printed and the last test runs evaluations, to count the points they
 build."""
@@ -242,9 +243,10 @@ def test_stage_factor_is_read_only_in_limits():
 def test_source_leg_is_charged_from_one_table():
     # the source leg has one ledger: limits writes min(slope * tail(j), E(j))
     # and bisects it.  homogeneity reads no tail bound and defines no
-    # bisection; plan_eval_info searches the table once, takes no min, and
-    # calls the source schedule's own stage search only to refuse, its
-    # result discarded
+    # bisection; the choice of an evaluation (_choose) searches the table
+    # once, takes no min, and calls the source schedule's own stage search
+    # only to refuse, its result discarded.  plan_eval_info searches nothing
+    # and reads no bound: it applies the choice
     trees = _trees()
     tree = trees["homogeneity"]
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "tail_bound"]
@@ -253,16 +255,20 @@ def test_source_leg_is_charged_from_one_table():
     def functions(module):
         return {node.name: node for node in trees[module].body if isinstance(node, ast.FunctionDef)}
 
+    def calls(fn):
+        return [node for node in ast.walk(fn) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+
     assert "_least_below" in functions("limits").keys() - functions("homogeneity").keys()
-    evaluate = functions("homogeneity")["plan_eval_info"]
-    calls = [node for node in ast.walk(evaluate) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
-    called = [node.func.id for node in calls]
+    choose = functions("homogeneity")["_choose"]
+    called = [node.func.id for node in calls(choose)]
     assert called.count("_least_below") == 1 and "min" not in called
-    discarded = {id(stmt.value) for node in ast.walk(evaluate) if isinstance(node, ast.If)
+    discarded = {id(stmt.value) for node in ast.walk(choose) if isinstance(node, ast.If)
                  for stmt in node.body if isinstance(stmt, ast.Expr)}
-    searches = [node for node in calls if node.func.id == "_least_stage"
+    searches = [node for node in calls(choose) if node.func.id == "_least_stage"
                 and isinstance(node.args[0], ast.Name) and node.args[0].id == "src"]
     assert searches and all(id(node) in discarded for node in searches)
+    evaluate = {node.func.id for node in calls(functions("homogeneity")["plan_eval_info"])}
+    assert not evaluate & {"_least_below", "_least_stage", "lipschitz_bound", "moved_tail_bounds"}
 
 
 def test_render_imports_no_public_twist_function():

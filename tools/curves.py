@@ -8,9 +8,11 @@ For each plan pair (the four endpoint cases and const-1 -> origin) and each
 tolerance 2^-10, 2^-20, 2^-40 and 2^-64, it solves the plan at tau, records
 the byte count of the plan's JSON as the CLI writes it, and evaluates H at p
 and H^-1 at q at the same tau.  Each evaluation's row
-holds the stages walked, the bit length of the value's largest denominator
-and of the radius's denominator, and microseconds per evaluation (the fastest
-of repeated calls).  A tolerance solve refuses is recorded as refused.
+holds the stages walked, and each leg's share of them as the evaluation's
+choice at tau fixes it (the source escape's, then the target unescape's),
+the bit length of the value's largest denominator and of the radius's
+denominator, and microseconds per evaluation (the fastest of repeated
+calls).  A tolerance solve refuses is recorded as refused.
 The library is imported from src/ of this checkout.  The script only
 measures: it checks and pins nothing.
 """
@@ -27,6 +29,7 @@ from time import perf_counter
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hilbertcube import HorizonExceeded, make_point, plan_eval_info, plan_inverse_eval_info, solve  # noqa: E402
+from hilbertcube.homogeneity import _choose  # noqa: E402
 from hilbertcube.serialize import dump_json, plan_to_obj  # noqa: E402
 
 F = Fraction
@@ -60,11 +63,15 @@ def _micros(fn, *args) -> float:
     return round(best * 1e6, 1)
 
 
-def _evaluation(fn, plan, x, tau: Fraction) -> dict:
-    info = fn(plan, x, tau)
+def _evaluation(fn, plan, x, tau: Fraction, legs) -> dict:
+    """fn(plan, x, tau) measured; legs is the plan whose legs it walks,
+    plan itself forward and its inverse plan backward."""
+    info, choice = fn(plan, x, tau), _choose(legs, tau)
     value = info.point.value
     return {
         "stages": info.point.stages_used,
+        "source_stages": choice.source_stages,
+        "target_stages": choice.target_stages,
         "value_bits": max(map(_bits, (*value.prefix, value.tail))),
         "radius_bits": _bits(info.point.radius),
         "us": _micros(fn, plan, x, tau),
@@ -84,8 +91,8 @@ def curves() -> list[dict]:
                 rows.append({**row, "refused": str(exc)})
                 continue
             row["plan_bytes"] = len(dump_json(plan_to_obj(plan)).encode())
-            row["forward"] = _evaluation(plan_eval_info, plan, p, tau)
-            row["inverse"] = _evaluation(plan_inverse_eval_info, plan, q, tau)
+            row["forward"] = _evaluation(plan_eval_info, plan, p, tau, plan)
+            row["inverse"] = _evaluation(plan_inverse_eval_info, plan, q, tau, plan._inverse)
             rows.append(row)
     return rows
 
