@@ -57,7 +57,6 @@ from .limits import (
     forward_partial_eval,
     forward_tail_bound,
     h_eval,
-    h_inverse_eval,
     reverse_partial_eval,
     reverse_tail_bound,
     schedule_budget_ok,

@@ -83,18 +83,6 @@ class PointRep:
             return self.prefix[i - 1]
         return self.tail
 
-    def with_coords(self, values: dict[int, Fraction]) -> "PointRep":
-        """Copy with coordinate i replaced by values[i] for each key i: the
-        prefix padded with the tail as far as needed, one point built."""
-        if not values:
-            return self
-        _check_index(min(values))
-        cells = list(self.prefix)
-        cells.extend([self.tail] * (max(values) - len(cells)))
-        for i, value in values.items():
-            cells[i - 1] = value
-        return PointRep(tuple(cells), self.tail)
-
     def __repr__(self):
         pre = ", ".join(str(c) for c in self.prefix)
         return f"PointRep([{pre}], tail={self.tail})"

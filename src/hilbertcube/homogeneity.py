@@ -179,15 +179,13 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
 @dataclass(frozen=True)
 class _Choice:
     """What an evaluation of a plan at tau fixes before it reads x: the
-    target and source legs' stage counts i and j, the radius as its source
-    term lip_i * nums[j] / den and target term r_rev and as their sum, and
-    the Lipschitz factor outer * lipschitz(j) of the map applied."""
+    target and source legs' stage counts i and j, the radius (the source
+    leg's term lip_i * nums[j] / den plus the target leg's r_rev) and the
+    Lipschitz factor outer * lipschitz(j) of the map applied."""
 
     tau: Fraction
     target_stages: int
     source_stages: int
-    source_term: Fraction
-    target_term: Fraction
     radius: Fraction
     lipschitz: Fraction
 
@@ -213,8 +211,7 @@ def _choose(plan: HomeoPlan, tau: Fraction) -> _Choice:
     j = _least_below(nums, den, budget / lip_i)
     if j > src.count:  # each entry is <= slope * tail(j), so no stage meets the global budget: refuse
         _least_stage(src, budget / outer, False)
-    term = Fraction(lip_i * nums[j], den)
-    return _Choice(tau, i, j, term, r_rev, term + r_rev, outer * src.lipschitz(j))
+    return _Choice(tau, i, j, Fraction(lip_i * nums[j], den) + r_rev, outer * src.lipschitz(j))
 
 
 def plan_eval_info(plan: HomeoPlan, x: PointRep, tau: Rational) -> EvalInfo:

@@ -315,12 +315,6 @@ def h_eval(s: Schedule, x: PointRep, tau: Rational) -> CertifiedPoint:
     return CertifiedPoint(forward_partial_eval(s, x, i), bound, i)
 
 
-def h_inverse_eval(s: Schedule, y: PointRep, tau: Rational) -> CertifiedPoint:
-    """Certified value of the inverse limit map."""
-    i, bound = _least_stage(s, tau, True)
-    return CertifiedPoint(reverse_partial_eval(s, y, i), bound, i)
-
-
 def final_coordinate(s: Schedule, p: PointRep, j: int) -> tuple[int, Fraction]:
     """(stage, value) once coordinate j stops moving.
 

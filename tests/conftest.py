@@ -23,6 +23,12 @@ def rand_point(rng: random.Random, width: int = 6, interior: bool = False):
     return make_point(prefix, rand_rational(rng, interior))
 
 
+def with_coords(p, values: dict):
+    """p with coordinate i replaced by values[i] for each key i >= 1."""
+    width = max([len(p.prefix), *values])
+    return make_point([values.get(i, p.coord(i)) for i in range(1, width + 1)], p.tail)
+
+
 def coord_map(p_i, q_i, t):
     """Coordinate 1 of the interior move with the one knee (p_i, q_i), at t."""
     move = InteriorMapParams(make_point([p_i], 0), make_point([q_i], 0))

@@ -22,7 +22,7 @@ from hilbertcube.cube import _coprime, _pairs, _point
 from hilbertcube.interior import InteriorMapParams, _move
 from hilbertcube.limits import _partial, build_schedule
 
-from conftest import rand_point
+from conftest import rand_point, with_coords
 from walk_oracle import metric_d_sum
 
 rationals = st.fractions(min_value=-1, max_value=1, max_denominator=64)
@@ -64,13 +64,6 @@ def test_coord_index_validation():
         ORIGIN.coord(0)
 
 
-def test_with_coord_widens_prefix():
-    p = ORIGIN.with_coords({3: Fraction(1, 2)})
-    assert p.coord(3) == Fraction(1, 2)
-    assert p.coord(2) == 0
-    assert p.coord(4) == 0
-
-
 def test_epsilon_values_and_validation():
     assert epsilon(1) == Fraction(1, 2)
     assert epsilon(5) == Fraction(1, 32)
@@ -103,16 +96,6 @@ def test_metric_mixed_prefix_lengths():
         + Fraction(1, 4) * Fraction(1, 8)  # tail gap over i > 3
     )
     assert metric_d(p, q) == expected
-
-
-def test_with_coords_builds_one_point():
-    p = make_point([Fraction(1, 2)], Fraction(1, 3))
-    assert p.with_coords({}) is p
-    third = Fraction(1, 3)
-    assert p.with_coords({4: Fraction(-1), 2: third}) == make_point([Fraction(1, 2), third, third, -1], third)
-    assert p.with_coords({1: third}) == make_point([], third)
-    with pytest.raises(BadIndices):
-        p.with_coords({0: Fraction(0), 2: Fraction(0)})
 
 
 def test_metric_integer_sum_matches_fraction_sum():
@@ -191,8 +174,7 @@ def test_cell_metric_matches_full_metric(rng):
     for _ in range(50):
         p = rand_point(rng)
         n, m = sorted(rng.sample(range(1, 9), 2))
-        q = p.with_coords({n: Fraction(rng.randint(-8, 8), 8)})
-        q = q.with_coords({m: Fraction(rng.randint(-8, 8), 8)})
+        q = with_coords(p, {n: Fraction(rng.randint(-8, 8), 8), m: Fraction(rng.randint(-8, 8), 8)})
         assert metric_d(p, q) == cell_metric(
             n, m, (p.coord(n), p.coord(m)), (q.coord(n), q.coord(m))
         )

@@ -3,7 +3,10 @@ every module-level constant or private helper it defines is used by it or
 imported from it by another module of the package.  Every public function
 or class is used in the package, traced by the benchmark, installed as a
 console script, or imported by the acceptance criteria, the soundness
-check or README's quick start; exporting it does not count.  README's
+check or README's quick start; exporting it does not count.  Every
+non-dunder method and property, and every dataclass field, of a class the
+package defines is read as an attribute by code outside its own body, in
+the package or in those same users; other tests do not count.  README's
 Layout lists every module.  Every function the benchmark tracer wraps
 is still defined where the tracer looks for it.  The twist kernel's
 clause helpers shift by the scale 2^(m-n) and never multiply by it, and
@@ -143,6 +146,37 @@ def test_every_public_function_and_class_is_used(scripts):
         and (module, node.name) not in used and node.name not in _used_names(tree) and node.name not in outside
     }
     assert not dead
+
+
+def _members(tree):
+    """(class, name, node) of each non-dunder method and property, and each
+    dataclass field, of every class the module defines."""
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        dataclass = any(ast.unparse(d).split("(")[0].split(".")[-1] == "dataclass" for d in cls.decorator_list)
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef) and not (node.name.startswith("__") and node.name.endswith("__")):
+                yield cls.name, node.name, node
+            elif dataclass and isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                yield cls.name, node.target.id, node
+
+
+def test_every_method_property_and_field_is_read():
+    # a member counts as read where code outside its own body reads an
+    # attribute of its name: a module of the package or one of the users
+    # above; matching by name alone, a name two classes share is read for both
+    trees = _trees()
+    reads = {}
+    for tree in (*trees.values(), *(ast.parse(path.read_text()) for path in USERS), _quick_start()):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append(node)
+    unread = {
+        f"{module}: {cls}.{name}"
+        for module, tree in trees.items()
+        for cls, name, member in _members(tree)
+        if not {id(node) for node in reads.get(name, ())} - {id(node) for node in ast.walk(member)}
+    }
+    assert not unread
 
 
 def test_readme_layout_lists_every_module():

@@ -14,6 +14,7 @@ from hilbertcube import (
     BadIndices,
     CellMap,
     CubeError,
+    HomeoPlan,
     HorizonExceeded,
     InteriorMapParams,
     MapKind,
@@ -25,10 +26,10 @@ from hilbertcube import (
     forward_partial_eval,
     forward_tail_bound,
     h_eval,
-    h_inverse_eval,
     interior_map_eval,
     make_point,
     metric_d,
+    plan_inverse_eval,
     reverse_partial_eval,
     reverse_tail_bound,
     schedule_budget_ok,
@@ -41,7 +42,7 @@ from hilbertcube.limits import (
     first_sacrifice,
 )
 
-from conftest import rand_point
+from conftest import rand_point, with_coords
 from walk_oracle import (
     build_schedule_pool,
     final_coordinate_rewalk,
@@ -227,7 +228,7 @@ def _boundary_points(rng, n):
     while len(points) < n:
         p = rand_point(rng, width=rng.randint(0, 14))
         if rng.random() < 0.5:
-            p = p.with_coords({rng.randint(1, 14): rng.choice((F(1), F(-1))) for _ in range(rng.randint(1, 4))})
+            p = with_coords(p, {rng.randint(1, 14): rng.choice((F(1), F(-1))) for _ in range(rng.randint(1, 4))})
         if classify_point(p).is_boundary:
             points.append(p)
     return points
@@ -317,9 +318,11 @@ def test_h_eval_identity_schedule():
     assert cp.value == p and cp.radius == 0 and cp.stages_used == 0
 
 
-def test_h_inverse_eval_stage_selection():
-    s = build_schedule(ONES, 4)
-    cp = h_inverse_eval(s, ORIGIN, F(1))
+def test_reverse_leg_stage_selection():
+    # the leg alone as a plan, whose inverse charges it as a target leg;
+    # tau 2 gives the only escape the budget 1
+    leg = HomeoPlan(InteriorMapParams(ORIGIN, ORIGIN), build_schedule(ONES, 4), None)
+    cp = plan_inverse_eval(leg, ORIGIN, F(2))
     assert cp.stages_used == 0 and cp.radius == F(3, 11) and cp.value == ORIGIN
 
 
@@ -337,11 +340,12 @@ def test_h_eval_exhausts_materialized_stages():
 
 def test_roundtrip_certificate(rng):
     s = build_schedule(ONES, 6)
+    leg = HomeoPlan(InteriorMapParams(ORIGIN, ORIGIN), s, None)
     tau = F(1, 100)
     for _ in range(10):
         x = rand_point(rng)
         fwd = h_eval(s, x, tau)
-        back = h_inverse_eval(s, fwd.value, tau)
+        back = plan_inverse_eval(leg, fwd.value, tau)
         combined = back.radius + s.lipschitz(back.stages_used) * fwd.radius
         assert metric_d(back.value, x) <= combined
 
@@ -494,7 +498,7 @@ def _walk_cases():
     rng = random.Random(27100)
     cases = []
     for _ in range(8):
-        p = rand_point(rng, width=10).with_coords({
+        p = with_coords(rand_point(rng, width=10), {
             rng.randint(1, 12): F(rng.randint(-26, 26), 27),
             rng.randint(1, 12): F(rng.randint(-99, 99), 100),
             rng.randint(1, 12): rng.choice((F(1), F(-1))),

@@ -13,10 +13,11 @@ it at tau * 2^-16 and on the plan at tau gives values v2, v1 with
 
     d(v1, v2) <= r1 + r2,
 
-forward and inverse, and the same for each escape leg alone (h_eval and
-h_inverse_eval on the schedule 16 stages deeper).  On a dense boundary
-point a leg's forward radius is attained, d(v1, v2) = r1 - r2 to 12
-digits, so a 1% cut of the forward tail bound shows; a plan's forward
+forward and inverse, and the same for each escape leg alone: h_eval on
+the schedule 16 stages deeper, and plan_inverse_eval on the plan that is
+the leg alone, whose inverse charges the leg as a target leg.  On a dense
+boundary point a leg's forward radius is attained, d(v1, v2) = r1 - r2 to
+12 digits, so a 1% cut of the forward tail bound shows; a plan's forward
 radius, with the move's slopes in it, is looser.  The checks read only
 what an evaluation returns, never a tail bound, so they do not share the
 radii's derivation.
@@ -28,10 +29,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbertcube import (
+    ORIGIN,
     HomeoPlan,
+    InteriorMapParams,
     build_schedule,
     h_eval,
-    h_inverse_eval,
     make_point,
     metric_d,
     plan_eval,
@@ -82,17 +84,23 @@ def _deeper(s, pt):
     return None if s is None else build_schedule(pt, s.count + 16)
 
 
+def _leg(s):
+    """The escape s alone as a plan: the identity move and no target leg."""
+    return HomeoPlan(InteriorMapParams(ORIGIN, ORIGIN), s, None)
+
+
 @settings(max_examples=25, deadline=None)
 @given(p=points, q=points, x=points, tau=st.sampled_from((F(1, 2**10), F(1, 2**16))))
 def test_certificates_of_one_value_overlap(p, q, x, tau):
     plan = solve(p, q, tau)
     deep = HomeoPlan(plan.move, _deeper(plan.source_schedule, p), _deeper(plan.target_schedule, q))
-    maps = [(plan, deep, plan_eval, plan_inverse_eval)]
-    # each escape leg alone, whose forward radius is its tail bound
-    maps += [(s, _deeper(s, pt), h_eval, h_inverse_eval)
-             for s, pt in ((plan.source_schedule, p), (plan.target_schedule, q)) if s is not None]
-    for shallow, deeper, forward, inverse in maps:
-        for evaluate in (forward, inverse):
-            for y in (p, q, x):
-                coarse, fine = evaluate(shallow, y, tau), evaluate(deeper, y, tau / 2**16)
-                assert metric_d(coarse.value, fine.value) <= coarse.radius + fine.radius
+    maps = [(plan, deep, plan_eval), (plan, deep, plan_inverse_eval)]
+    # each escape leg alone: forward, its radius is its tail bound; inverse,
+    # the reverse charge an evaluation makes on a target leg
+    for s, pt in ((plan.source_schedule, p), (plan.target_schedule, q)):
+        if s is not None:
+            maps += [(s, _deeper(s, pt), h_eval), (_leg(s), _leg(_deeper(s, pt)), plan_inverse_eval)]
+    for shallow, deeper, evaluate in maps:
+        for y in (p, q, x):
+            coarse, fine = evaluate(shallow, y, tau), evaluate(deeper, y, tau / 2**16)
+            assert metric_d(coarse.value, fine.value) <= coarse.radius + fine.radius

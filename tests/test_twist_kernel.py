@@ -24,6 +24,7 @@ from math import lcm
 
 import pytest
 import twist_oracle as oracle
+from conftest import with_coords
 
 from hilbertcube import (
     CellMap,
@@ -267,7 +268,7 @@ def test_walk_through_shear_matches_walk_through_image(monkeypatch):
 def fraction_cell_apply(cm, p):
     """A cell map on a full point through the Fraction entry point."""
     u, v = twist_eval(cm, p.coord(cm.n), p.coord(cm.m))
-    return p.with_coords({cm.n: u, cm.m: v})
+    return with_coords(p, {cm.n: u, cm.m: v})
 
 
 def fraction_first_attempt(p, n):

@@ -5,6 +5,7 @@ cross-checked with an independent longhand evaluation before being frozen
 here.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -256,7 +257,9 @@ def test_lipschitz_sample_check(rng):
     cubed = lipschitz_sample_check(CellMap(MapKind.TWIST_CW_CUBED, Variant.CORRECTED, 1, 2), pairs)
     assert single <= 2
     assert cubed <= 8
-    with pytest.raises(DegeneratePair):
+    # the message shows both points through PointRep.__repr__
+    message = "zero-distance pair PointRep([], tail=0) = PointRep([], tail=0)"
+    with pytest.raises(DegeneratePair, match=f"^{re.escape(message)}$"):
         lipschitz_sample_check(CW12, [(make_point([], 0), make_point([], 0))])
 
 
