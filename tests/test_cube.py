@@ -64,6 +64,13 @@ def test_coord_index_validation():
         ORIGIN.coord(0)
 
 
+def test_with_coord_widens_prefix():
+    p = with_coords(ORIGIN, {3: Fraction(1, 2)})
+    assert p.coord(3) == Fraction(1, 2)
+    assert p.coord(2) == 0
+    assert p.coord(4) == 0
+
+
 def test_epsilon_values_and_validation():
     assert epsilon(1) == Fraction(1, 2)
     assert epsilon(5) == Fraction(1, 32)
