@@ -26,8 +26,8 @@ from .homogeneity import (
     stage_count_limit,
 )
 from .limits import (
-    _first_attempt_stage,
     build_schedule,
+    first_attempt_partial,
     forward_tail_bound,
     reverse_tail_bound,
     schedule_budget_ok,
@@ -43,7 +43,7 @@ from .serialize import (
     plan_to_obj,
     schedule_to_obj,
 )
-from .twists import CellMap, MapKind, Variant, twist_cell_apply, twist_diagnostics
+from .twists import CellMap, MapKind, Variant, twist_diagnostics
 
 
 def _read(path: str) -> str:
@@ -99,8 +99,8 @@ def _inline(p) -> str:
     return f"({cells}; tail {format_rational(p.tail)})" if cells else f"(tail {format_rational(p.tail)})"
 
 
-# row k is row k-1 plus one unit twist, but row k has k + 1 coordinates, so
-# the table grows like n^2
+# row k walks k unit twists and has k + 1 coordinates, so the table grows
+# like n^2
 _DEMO_STAGES = 64
 
 
@@ -111,11 +111,9 @@ def _cmd_demo(args) -> tuple[int, str]:
         raise BadIndices(f"--n: {args.n} exceeds the limit of {_DEMO_STAGES} stages")
     ones = make_point([], Fraction(1))
     other = make_point([], args.t)
-    rows = [(0, ones, other, metric_d(ones, other))]
-    a, b = ones, other
-    for k in range(1, args.n + 1):
-        stage = _first_attempt_stage(k)
-        a, b = twist_cell_apply(stage, a), twist_cell_apply(stage, b)
+    rows = []
+    for k in range(args.n + 1):
+        a, b = first_attempt_partial(ones, k), first_attempt_partial(other, k)
         rows.append((k, a, b, metric_d(a, b)))
     width = max(len(_inline(r[1])) for r in rows)
     lines = [f"stage  {'image of all-ones':<{width}}  image of all-{args.t}  distance\n"]

@@ -34,6 +34,7 @@ from .interior import (
     slope_exponents,
 )
 from .limits import (
+    ZERO,
     CertifiedPoint,
     Schedule,
     _anchor_cutoff,
@@ -46,7 +47,6 @@ from .limits import (
     moved_tail_bounds,
 )
 
-ZERO = Fraction(0)
 NO_ESCAPE = build_schedule(ORIGIN, 0)  # the identity leg: 0 stages, radius 0, factor 1
 
 DEFAULT_HORIZON = 256
@@ -224,6 +224,11 @@ def plan_eval_info(plan: HomeoPlan, x: PointRep, tau: Rational) -> EvalInfo:
     at, so an evaluation at that tau only applies it to x.  A refused tau
     makes no choice and leaves the kept one in place.
     """
+    return _evaluate(plan, x, tau)
+
+
+def _evaluate(plan: HomeoPlan, x: PointRep, tau: Rational) -> EvalInfo:
+    """plan_eval_info's work; plan_inverse_eval_info runs it on the inverse plan."""
     tau = _tolerance(tau)
     choice = plan.__dict__.get("_choice")
     if choice is None or choice.tau != tau:
@@ -237,7 +242,7 @@ def plan_eval_info(plan: HomeoPlan, x: PointRep, tau: Rational) -> EvalInfo:
 
 def plan_inverse_eval_info(plan: HomeoPlan, y: PointRep, tau: Rational) -> EvalInfo:
     """Certified H^-1(y) within tau: the forward path on the inverse plan."""
-    return plan_eval_info(plan._inverse, y, tau)
+    return _evaluate(plan._inverse, y, tau)
 
 
 def plan_eval(plan: HomeoPlan, x: PointRep, tau: Rational) -> CertifiedPoint:

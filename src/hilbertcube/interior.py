@@ -63,8 +63,8 @@ def _knee_table(params: InteriorMapParams) -> tuple:
 
 @dataclass(frozen=True)
 class InteriorMapParams:
-    """The anchors of one interior move.  Its knee table, slope bounds and
-    inverse are built once, on first use; not being fields, they stay out of
+    """The anchors of one interior move.  Its knee table and slope bounds
+    are built once, on first use; not being fields, they stay out of
     equality, hashing and repr."""
 
     source: PointRep
@@ -101,14 +101,6 @@ class InteriorMapParams:
             exps.append(e)
         return Fraction(best_n, best_d), tuple(exps)
 
-    @cached_property
-    def _inverse(self) -> InteriorMapParams:
-        """The move with anchors swapped: its knees are these, each (p, q)
-        read as (q, p)."""
-        inv = InteriorMapParams(self.target, self.source)
-        inv.__dict__["_knees"] = tuple((qn, qd, pn, pd) for pn, pd, qn, qd in self._knees)
-        return inv
-
 
 def _move(params: InteriorMapParams, v: PairVector) -> PairVector:
     """The move applied to the pair vector v.  Each anchored coordinate has
@@ -127,7 +119,7 @@ def interior_map_eval(params: InteriorMapParams, x: PointRep) -> PointRep:
 
 
 def interior_map_inverse(params: InteriorMapParams) -> InteriorMapParams:
-    return params._inverse
+    return InteriorMapParams(params.target, params.source)
 
 
 def lipschitz_bound(params: InteriorMapParams) -> Fraction:

@@ -333,11 +333,6 @@ def final_coordinate(s: Schedule, p: PointRep, j: int) -> tuple[int, Fraction]:
     return 0, p.coord(j)
 
 
-def _first_attempt_stage(k: int) -> CellMap:
-    """Stage k of the demo construction: the unit twist on cell (k, k+1)."""
-    return CellMap(MapKind.FIRST_ATTEMPT, Variant.CORRECTED, k, k + 1)
-
-
 def first_attempt_partial(p: PointRep, n: int) -> PointRep:
     """Composition of unit twists on cells (k, k+1) for k = 1..n.
 
@@ -345,4 +340,5 @@ def first_attempt_partial(p: PointRep, n: int) -> PointRep:
     coordinate deeper, and the limit of the partials is not injective."""
     if n < 0:
         raise BadIndices(f"stage count must be >= 0, got {n}")
-    return _point(_walk(map(_first_attempt_stage, range(1, n + 1)), _pairs(p)))
+    stages = (CellMap(MapKind.FIRST_ATTEMPT, Variant.CORRECTED, k, k + 1) for k in range(1, n + 1))
+    return _point(_walk(stages, _pairs(p)))

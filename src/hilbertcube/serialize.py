@@ -192,12 +192,6 @@ _SCALARS = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}
             type(None): lambda _: "null"}
 
 
-def _one_scalar(items):
-    """The encoder of the one type in _SCALARS that every item has, or None."""
-    kinds = set(map(type, items))
-    return _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-
-
 def _text(obj, newline: str) -> str:
     """obj's text; newline is a line break plus obj's indent."""
     encode = _SCALARS.get(type(obj))
@@ -207,11 +201,7 @@ def _text(obj, newline: str) -> str:
     if isinstance(obj, list):
         if not obj:
             return "[]"
-        # a list of one scalar type, such as an anchor's prefix, is one join
-        if encode := _one_scalar(obj):
-            items = map(encode, obj)
-        else:
-            items = [_text(x, inner) for x in obj]
+        items = [_text(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(obj, dict):
         if not obj:

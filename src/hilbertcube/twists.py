@@ -294,8 +294,6 @@ class CellMap:
 
 def _lift_ints(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int, int]:
     """(D, X, Y) with xn/xd = X/D, yn/yd = Y/D and D = lcm(xd, yd)."""
-    if xd == yd:
-        return xd, xn, yn
     g = gcd(xd, yd)
     return xd // g * yd, xn * (yd // g), yn * (xd // g)
 

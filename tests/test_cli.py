@@ -183,7 +183,7 @@ def test_eval_past_the_source_stages_exits_3(capsys, points, tmp_path):
 
 
 @pytest.mark.parametrize("module, work, argv, message", [
-    (cli, "_first_attempt_stage", ["demo-first-attempt", "--t", "1/2", "--n", "65"],
+    (cli, "first_attempt_partial", ["demo-first-attempt", "--t", "1/2", "--n", "65"],
      "--n: 65 exceeds the limit of 64 stages"),
     (cli, "render_svg", ["render", "--map", "ccw", "--n", "1", "--m", "2", "--grid", "256"],
      "8 <= G <= 128, got 256"),
@@ -195,7 +195,7 @@ def test_eval_past_the_source_stages_exits_3(capsys, points, tmp_path):
                                   "--grid", "1/16"], "diagnostics need m <= 64, got m=65"),
     (homogeneity, "classify_point", ["solve", "--horizon", "0"], "horizon must be in 1..256, got 0"),
     (homogeneity, "classify_point", ["solve", "--horizon", "257"], "horizon must be in 1..256, got 257"),
-    (cli, "_first_attempt_stage", ["demo-first-attempt", "--t", "1/2", "--n", "-3"],
+    (cli, "first_attempt_partial", ["demo-first-attempt", "--t", "1/2", "--n", "-3"],
      "--n: stage count must be >= 0, got -3"),
     # 2^m has more digits than an int can hold: a map that computed its scale
     # when built would raise OverflowError here instead of exiting 2

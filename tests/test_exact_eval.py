@@ -224,8 +224,9 @@ def test_plan_builds_its_move_tables_once(monkeypatch):
     for _ in range(4):
         plan_inverse_eval_info(plan, x, tau)
     fwd, inv = plan.move, interior_map_inverse(plan.move)
-    # the inverse's knees are the forward ones with each (p, q) read as (q, p)
-    assert tables == [fwd]
+    # one table per move, however many evaluations run; the inverse's knees
+    # are the forward ones with each (p, q) read as (q, p)
+    assert tables == [fwd, inv]
     assert inv._knees == tuple((qn, qd, pn, pd) for pn, pd, qn, qd in fwd._knees) == knee_table(inv)
     # one Lipschitz bound each: every knee's slopes are taken once
     assert len(slopes) == len(fwd._knees) + len(inv._knees)

@@ -733,3 +733,19 @@ def test_inverse_plan_swaps_escapes():
     plan = solve(BND_A, INT_B, F(1, 2**10))
     assert plan.case == PlanCase.BOUNDARY_INTERIOR
     assert plan._inverse.case == PlanCase.INTERIOR_BOUNDARY
+
+
+def test_inverse_evaluation_skips_the_forward_entry_point(monkeypatch):
+    # a tracer that wraps plan_eval_info counts forward evaluations alone: the
+    # inverse runs the shared evaluation on the inverse plan, not that name
+    tau = F(1, 2**20)
+    plans = [solve(p, q, tau) for p, q, _ in CASES]
+    want = [plan_inverse_eval_info(plan, q, tau) for plan, (_, q, _) in zip(plans, CASES)]
+
+    def refuse(*args):
+        raise AssertionError("an inverse evaluation called plan_eval_info")
+
+    monkeypatch.setattr(homogeneity, "plan_eval_info", refuse)
+    # fresh plans, so each inverse plan and its choice are built under the patch
+    fresh = [solve(p, q, tau) for p, q, _ in CASES]
+    assert [plan_inverse_eval_info(plan, q, tau) for plan, (_, q, _) in zip(fresh, CASES)] == want

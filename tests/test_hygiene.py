@@ -19,11 +19,11 @@ schedules are written from themselves: the package and its tests call
 plan_to_obj and schedule_to_obj with the one object, except the one test of
 the (p, q) pair the benchmark still passes.  The source leg is charged
 from one table, written and bisected in limits: homogeneity reads no tail
-bound and takes no min of two charges, and plan_eval_info searches nothing
-itself.  Read with ast, so
-nothing is imported or run, except that README's quick start is run as
-printed and the last test runs evaluations, to count the points they
-build."""
+bound and takes no min of two charges, and _evaluate, the work of
+plan_eval_info and plan_inverse_eval_info, searches nothing itself.
+Read with ast, so nothing is imported or run, except that README's quick
+start is run as printed and the last test runs evaluations, to count the
+points they build."""
 
 import ast
 import re
@@ -279,8 +279,8 @@ def test_source_leg_is_charged_from_one_table():
     # and bisects it.  homogeneity reads no tail bound and defines no
     # bisection; the choice of an evaluation (_choose) searches the table
     # once, takes no min, and calls the source schedule's own stage search
-    # only to refuse, its result discarded.  plan_eval_info searches nothing
-    # and reads no bound: it applies the choice
+    # only to refuse, its result discarded.  _evaluate searches nothing and
+    # reads no bound: it applies the choice
     trees = _trees()
     tree = trees["homogeneity"]
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "tail_bound"]
@@ -301,7 +301,7 @@ def test_source_leg_is_charged_from_one_table():
     searches = [node for node in calls(choose) if node.func.id == "_least_stage"
                 and isinstance(node.args[0], ast.Name) and node.args[0].id == "src"]
     assert searches and all(id(node) in discarded for node in searches)
-    evaluate = {node.func.id for node in calls(functions("homogeneity")["plan_eval_info"])}
+    evaluate = {node.func.id for node in calls(functions("homogeneity")["_evaluate"])}
     assert not evaluate & {"_least_below", "_least_stage", "lipschitz_bound", "moved_tail_bounds"}
 
 
