@@ -36,6 +36,8 @@ def epsilon(j: int) -> Fraction:
 
 
 def _exact(value) -> Fraction:
+    if type(value) is not Fraction and isinstance(value, float):  # a binary approximation, never exact input
+        raise TypeError(f"{value!r} is a float; give an exact rational")
     return value if type(value) is Fraction else Fraction(value)
 
 
@@ -173,7 +175,8 @@ def cell_metric(n: int, m: int, a: tuple[Fraction, Fraction], b: tuple[Fraction,
     """
     if not (isinstance(n, int) and isinstance(m, int)) or not (1 <= n < m):
         raise BadIndices(f"need m > n >= 1, got n={n}, m={m}")
-    return epsilon(n) * abs(a[0] - b[0]) + epsilon(m) * abs(a[1] - b[1])
+    ax, ay, bx, by = map(_exact, (*a, *b))
+    return epsilon(n) * abs(ax - bx) + epsilon(m) * abs(ay - by)
 
 
 @dataclass(frozen=True)

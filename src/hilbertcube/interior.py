@@ -25,10 +25,6 @@ def _require_interior(p: PointRep, name: str) -> None:
             raise AnchorOnBoundary(f"{name} {where} = {c} is not interior")
 
 
-def _knee(p_i: Fraction, q_i: Fraction) -> tuple[int, int, int, int]:
-    return p_i.numerator, p_i.denominator, q_i.numerator, q_i.denominator
-
-
 def _coord_value(knee: tuple, tn: int, td: int) -> tuple[int, int]:
     """Value at t = tn/td, td > 0, of the two-piece map through the knee, as
     a reduced (num, den): (t+1)(q+1)/(p+1) - 1 for t <= p, else
@@ -45,20 +41,6 @@ def _coord_value(knee: tuple, tn: int, td: int) -> tuple[int, int]:
         num, den = (tn * pd - pn * td) * (qd - qn) + qn * td * (pd - pn), td * (pd - pn) * qd
     g = gcd(num, den)
     return num // g, den // g
-
-
-def _slopes(knee: tuple) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Left slope (q+1)/(p+1), right slope (1-q)/(1-p), as (num, den > 0)."""
-    pn, pd, qn, qd = knee
-    return ((qn + qd) * pd, (pn + pd) * qd), ((qd - qn) * pd, (pd - pn) * qd)
-
-
-def _knee_table(params: InteriorMapParams) -> tuple:
-    """Knees of coordinates 1..anchor_count, then the tail's, used past them:
-    each anchor's prefix padded with its tail to anchor_count + 1 entries."""
-    size = params.anchor_count + 1
-    src, tgt = ((*p.prefix, *[p.tail] * (size - len(p.prefix))) for p in (params.source, params.target))
-    return tuple(map(_knee, src, tgt))
 
 
 @dataclass(frozen=True)
@@ -80,24 +62,27 @@ class InteriorMapParams:
 
     @cached_property
     def _knees(self) -> tuple:
-        return _knee_table(self)
+        """Knees of coordinates 1..anchor_count, then the tail's, used past them:
+        each anchor's prefix padded with its tail to anchor_count + 1 entries."""
+        size = self.anchor_count + 1
+        src, tgt = ((*p.prefix, *[p.tail] * (size - len(p.prefix))) for p in (self.source, self.target))
+        return tuple((p.numerator, p.denominator, q.numerator, q.denominator) for p, q in zip(src, tgt))
 
     @cached_property
     def _slope_bounds(self) -> tuple[Fraction, tuple[int, ...]]:
         """One pass over the knees: max(1, every slope of every knee), and per
-        knee the least e >= 0 with both its slopes <= 2^e.  A slope is
-        compared with the largest so far by cross-multiplication only when
-        their exponents tie; otherwise the exponents decide."""
-        best_n, best_d, best_e, exps = 1, 1, 0, []
-        for knee in self._knees:
+        knee the least e >= 0 with both its slopes, (q+1)/(p+1) and
+        (1-q)/(1-p), <= 2^e.  Slopes are compared by cross-multiplication."""
+        best_n, best_d, exps = 1, 1, []
+        for pn, pd, qn, qd in self._knees:
             e = 0
-            for n, d in _slopes(knee):
+            for n, d in (((qn + qd) * pd, (pn + pd) * qd), ((qd - qn) * pd, (pd - pn) * qd)):
                 # only a slope above 2^e moves either bound; a knee has at most one above 1
                 if n > d << e:
                     e = n.bit_length() - d.bit_length()  # n/d lies in (2^(e-1), 2^(e+1))
                     e += n > d << e  # now the least e with n/d <= 2^e
-                    if e > best_e or (e == best_e and n * best_d > best_n * d):
-                        best_n, best_d, best_e = n, d, e
+                    if n * best_d > best_n * d:
+                        best_n, best_d = n, d
             exps.append(e)
         return Fraction(best_n, best_d), tuple(exps)
 

@@ -129,7 +129,6 @@ class CellMap:
         once = _SINGLE_OF.get(self.kind, self.kind)
         unit, cw = once == MapKind.FIRST_ATTEMPT, once == MapKind.TWIST_CW
         set_constant = object.__setattr__  # the way a frozen dataclass sets its fields
-        set_constant(self, "_once", once)
         set_constant(self, "_times", 1 if once is self.kind else 3)
         set_constant(self, "_shift", 0 if unit else self.m - self.n)
         set_constant(self, "_corrected", unit or self.variant == Variant.CORRECTED)
@@ -145,7 +144,7 @@ class CellMap:
 
     def single(self) -> "CellMap":
         """The once-applied map underlying a cubed kind (self if single)."""
-        return CellMap(self._once, self.variant, self.n, self.m) if self.is_cubed else self
+        return CellMap(_SINGLE_OF[self.kind], self.variant, self.n, self.m) if self.is_cubed else self
 
     def label(self) -> str:
         return f"{self.kind.value} n={self.n} m={self.m} {self.variant.value}"
@@ -474,7 +473,7 @@ def twist_diagnostics(variant: Variant, n: int, m: int, grid_step: Rational) -> 
     513^2 points, and every step finer asks for four times as many.  m is at
     most 64: every clause integer carries the factor 2^(m-n).
     """
-    grid_step = Fraction(grid_step)
+    grid_step = _exact(grid_step)
     if not Fraction(1, 256) <= grid_step <= Fraction(1, 16) or grid_step.numerator != 1 \
             or grid_step.denominator & (grid_step.denominator - 1):
         raise BadIndices(f"grid step must be 1/2^k, 4 <= k <= 8, got {grid_step}")

@@ -11,12 +11,19 @@ from hypothesis import strategies as st
 from hilbertcube import (
     ORIGIN,
     BadIndices,
+    CellMap,
+    MapKind,
     OutOfRange,
+    Variant,
     cell_metric,
     classify_point,
     epsilon,
     make_point,
     metric_d,
+    plan_eval,
+    solve,
+    twist_diagnostics,
+    twist_eval,
 )
 from hilbertcube.cube import _coprime, _pairs, _point
 from hilbertcube.interior import InteriorMapParams, _move
@@ -50,6 +57,25 @@ def test_make_point_out_of_range():
         make_point([2], 0)
     with pytest.raises(OutOfRange):
         make_point([], Fraction(-5, 4))
+
+
+def test_library_refuses_floats():
+    # a float is a binary approximation: 0.1 would become 3602879701896397/2^55
+    p, q = make_point([Fraction(1, 2)], 0), make_point([], Fraction(1, 3))
+    plan = solve(p, q, Fraction(1, 2**10))
+    cm = CellMap(MapKind.TWIST_CCW, Variant.CORRECTED, 1, 2)
+    refused = [
+        lambda: make_point([0.1], 0),
+        lambda: make_point([], 0.5),
+        lambda: solve(p, q, 0.001),
+        lambda: plan_eval(plan, p, 0.001),
+        lambda: twist_eval(cm, 0.5, Fraction(1, 4)),
+        lambda: twist_diagnostics(Variant.CORRECTED, 1, 2, 0.0625),
+        lambda: cell_metric(1, 2, (0.5, 0), (0, 0)),
+    ]
+    for call in refused:
+        with pytest.raises(TypeError, match="is a float"):
+            call()
 
 
 def test_normalization_absorbs_trailing_tail_values():

@@ -15,6 +15,7 @@ evaluated.
 
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import interior_oracle as oracle
 import pytest
@@ -36,7 +37,6 @@ from hilbertcube import (
     plan_report,
     solve,
 )
-from hilbertcube import interior
 from hilbertcube.homogeneity import stage_count_limit
 from hilbertcube.interior import slope_exponents
 from hilbertcube.limits import _least_stage, build_schedule, forward_tail_bound, reverse_tail_bound
@@ -203,18 +203,20 @@ def test_point_check_matches_oracle(prefix, tail):
 
 def test_plan_builds_its_move_tables_once(monkeypatch):
     tables, slopes = [], []
-    knee_table, knee_slopes = interior._knee_table, interior._slopes
 
-    def count_table(params):
-        tables.append(params)
-        return knee_table(params)
+    def count_builds(name, builds):
+        build = getattr(InteriorMapParams, name).func
 
-    def count_slopes(knee):
-        slopes.append(knee)
-        return knee_slopes(knee)
+        def counted(params):
+            builds.append(params)
+            return build(params)
 
-    monkeypatch.setattr(interior, "_knee_table", count_table)
-    monkeypatch.setattr(interior, "_slopes", count_slopes)
+        prop = cached_property(counted)
+        prop.__set_name__(InteriorMapParams, name)
+        monkeypatch.setattr(InteriorMapParams, name, prop)
+
+    count_builds("_knees", tables)
+    count_builds("_slope_bounds", slopes)
     p, q, tau = make_point([1, F(1, 2), -1], F(1, 4)), make_point([F(-1, 3)], -1), F(1, 2**20)
     plan = solve(p, q, tau)
     assert plan_report(plan, p, q, tau)["verified"]
@@ -224,9 +226,9 @@ def test_plan_builds_its_move_tables_once(monkeypatch):
     for _ in range(4):
         plan_inverse_eval_info(plan, x, tau)
     fwd, inv = plan.move, interior_map_inverse(plan.move)
-    # one table per move, however many evaluations run; the inverse's knees
-    # are the forward ones with each (p, q) read as (q, p)
+    # one table and one slope pass per move, however many evaluations run
     assert tables == [fwd, inv]
-    assert inv._knees == tuple((qn, qd, pn, pd) for pn, pd, qn, qd in fwd._knees) == knee_table(inv)
-    # one Lipschitz bound each: every knee's slopes are taken once
-    assert len(slopes) == len(fwd._knees) + len(inv._knees)
+    assert slopes == [fwd, inv]
+    # the inverse's knees are the forward ones with each (p, q) read as (q, p)
+    fresh = InteriorMapParams(inv.source, inv.target)._knees
+    assert inv._knees == tuple((qn, qd, pn, pd) for pn, pd, qn, qd in fwd._knees) == fresh

@@ -76,6 +76,14 @@ def test_slopes():
     assert lipschitz_bound(move) == 3
     assert slope_exponents(move) == (2, 0)
     assert slope_exponents(interior_map_inverse(move)) == (2, 0)
+    # two knees whose largest slopes share the exponent 2: 3 at (-1/2, 1/2)
+    # and 7/2 at (-3/4, -1/8); the larger wins in either knee order
+    first, second = (-half, half), (Fraction(-3, 4), Fraction(-1, 8))
+    for knees in ((first, second), (second, first)):
+        (p1, q1), (p2, q2) = knees
+        move = InteriorMapParams(make_point([p1, p2], 0), make_point([q1, q2], 0))
+        assert lipschitz_bound(move) == Fraction(7, 2)
+        assert slope_exponents(move) == (2, 2, 0)
 
 
 def test_params_reject_boundary_anchor_point():
