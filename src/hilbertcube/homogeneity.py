@@ -147,13 +147,13 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
 
     # No walk at this tolerance passes stage n_cut.  Verify's evaluation (at
     # tau/2) and a roundtrip at tau give each leg a budget beta >= tau/8.  A
-    # reverse leg charged 5 per stage has tail 3 * 5^i / (11 * 2^(b+4i)), at
-    # most the tail 3 * 2^-(b+i+3) it would have charged 8, so it stops by the
+    # reverse leg charged Λ_i <= 5^i has tail 3 * Λ_i / (11 * 2^(b+4i)), at
+    # most the tail 3 * 2^-(b+i+3) it would have charged 8^i, so it stops by the
     # least i with 3 * 2^-(b+i+3) < beta: i <= log2(1/tau) + 2.6 - b < n_cut,
     # as 2^(1-n_cut) <= tau/4.  Stages past n_cut meet only the anchors' shared
     # tail knee (n_k > n_cut), of slope 1, so E(n_cut) <= 5 * sum_{k > n_cut}
-    # 2^-m_k = 2^-(b+4n_cut) / 3, and 5^i <= 8^i times the source leg's table
-    # entry, at most E(n_cut), is < tau/8 <= beta.
+    # 2^-m_k = 2^-(b+4n_cut) / 3, and Λ_i <= 5^i <= 8^i times the source leg's
+    # table entry, at most E(n_cut), is < tau/8 <= beta.
     scheds = tuple(build_schedule(pt, n_cut + 1 + STAGE_PAD) for pt in (p, q))
 
     # a touched j <= n_cut finalizes by stage j, within the n_cut + 1 stages,
@@ -180,8 +180,8 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
 class _Choice:
     """What an evaluation of a plan at tau fixes before it reads x: the
     target and source legs' stage counts i and j, the radius (the source
-    leg's term lip_i * nums[j] / den plus the target leg's r_rev) and the
-    Lipschitz factor outer * lipschitz(j) of the map applied."""
+    leg's term Λ_i * nums[j] / den plus the target leg's r_rev) and the
+    Lipschitz factor outer * 5^j of the map applied."""
 
     tau: Fraction
     target_stages: int
@@ -194,24 +194,25 @@ def _choose(plan: HomeoPlan, tau: Fraction) -> _Choice:
     """The plan's choice at tau.
 
     The target leg's stage count i is chosen before the source leg's, since
-    its factor tgt.lipschitz(i) inflates the source leg's radius; the escape
-    budgets keep the radius at most tau/2, leaving headroom for verification
-    at doubled tolerance.  After the move, the source leg's error at stage j
-    is at most the table entry min(lipschitz_bound(move) * tail(j), E(j)), E
-    carried coordinate by coordinate (HomeoPlan._source_errors).  The leg
-    walks to the least j whose entry, times the target leg's factor, beats
-    the budget, and is charged that product.
+    its factor Λ_i = tgt.lipschitz(i, True), the reverse charge of the stages
+    that chain, inflates the source leg's radius; the escape budgets keep the
+    radius at most tau/2, leaving headroom for verification at doubled
+    tolerance.  After the move, the source leg's error at stage j is at most
+    the table entry min(lipschitz_bound(move) * tail(j), E(j)), E carried
+    coordinate by coordinate (HomeoPlan._source_errors).  The leg walks to
+    the least j whose entry, times Λ_i, beats the budget, and is charged that
+    product; its own factor stays 5^j.
     """
     src, tgt = (NO_ESCAPE if s is None else s for s in (plan.source_schedule, plan.target_schedule))
     budget = _escape_budget(tau, not (src.is_identity or tgt.is_identity))
     i, r_rev = _least_stage(tgt, budget, True)
-    lip_i = tgt.lipschitz(i)
+    lip_i = tgt.lipschitz(i, True)
     outer = lip_i * lipschitz_bound(plan.move)  # Lipschitz factor of move + target leg
     nums, den = plan._source_errors
     j = _least_below(nums, den, budget / lip_i)
     if j > src.count:  # each entry is <= slope * tail(j), so no stage meets the global budget: refuse
         _least_stage(src, budget / outer, False)
-    return _Choice(tau, i, j, Fraction(lip_i * nums[j], den) + r_rev, outer * src.lipschitz(j))
+    return _Choice(tau, i, j, Fraction(lip_i * nums[j], den) + r_rev, outer * src.lipschitz(j, False))
 
 
 def plan_eval_info(plan: HomeoPlan, x: PointRep, tau: Rational) -> EvalInfo:

@@ -41,9 +41,10 @@ ZERO = Fraction(0)
 
 # Lipschitz factor charged to one cubed twist stage, ccw or cw.  In weighted
 # coordinates (x * 2^-n, y * 2^-m) each corrected clause is affine with a
-# cell-independent linear part, and the largest L1 norm over the 64 words of
-# three clauses is 5 (tests/test_stage_factor.py)
+# cell-independent linear part, and over the 64 words of three clauses the
+# largest L1 norm is 5 and the largest entry 3 (tests/test_stage_factor.py)
 STAGE_LIPSCHITZ = 5
+STAGE_ENTRY = 3
 
 
 def first_sacrifice(profile: BoundaryProfile) -> int:
@@ -110,22 +111,38 @@ class Schedule:
         count, so even a 0-stage bound uses m_1.  0 for a pseudo-interior source."""
         return 0 if self.is_identity else first_sacrifice(self.source_profile) - 4
 
-    def lipschitz(self, i: int) -> int:
-        """Lipschitz factor charged to stages 1..i, ccw or cw: L^i, L = STAGE_LIPSCHITZ."""
+    def lipschitz(self, i: int, reverse: bool) -> int:
+        """Lipschitz factor charged to stages 1..i: L^i forward, L = STAGE_LIPSCHITZ.
+        Reverse, the cw stages i down to 1: Λ_i = min(max entry of 1ᵀB_1⋯B_i,
+        L * Λ_{i-1}), Λ_0 = 1, B_k the identity with STAGE_ENTRY at the four
+        entries of (n_k, m_k).  The row w = 1ᵀB_1⋯B_k gains B_k as w[n_k] =
+        w[m_k] = STAGE_ENTRY * (w[n_k] + w[m_k]), one stage at a time, and the
+        factors are kept, from stages derived past the count too."""
         _require_stage_index(i)
-        return STAGE_LIPSCHITZ**i
+        if not reverse:
+            return STAGE_LIPSCHITZ**i
+        if self.is_identity:
+            return 1
+        lams, w = self.__dict__.setdefault("_chain", ([1], {0: 1}))  # w[0]: the largest entry so far
+        if len(lams) <= i:
+            for n, m in Schedule(self.source, i).stages[len(lams) - 1:]:
+                w[n] = w[m] = STAGE_ENTRY * (w.get(n, 1) + w.get(m, 1))
+                w[0] = max(w[0], w[n])
+                lams.append(min(w[0], STAGE_LIPSCHITZ * lams[-1]))
+        return lams[i]
 
     def tail_bound(self, i: int, reverse: bool) -> Fraction:
         """Bound on the distance from the stage-i partial to the limit, in
         closed form, valid past the count as the stages go on m_k = b + 4k.
         Forward: the displacements 3 * 2^-m_k past i sum to 2^-(b+4i) / 5.
-        Reverse: each is inflated by lipschitz(k-1), for a sum of
-        3 * lipschitz(i) / ((16 - L) * 2^(b+4i)).  0 for the identity."""
+        Reverse: each is inflated by Λ_{k-1} <= L^(k-1-i) * Λ_i, for a sum of at
+        most 3 * Λ_i / ((16 - L) * 2^(b+4i)), which falls as Λ_{i+1} <= L * Λ_i
+        < 16 * Λ_i.  0 for the identity."""
         _require_stage_index(i)
         if self.is_identity:
             return ZERO
         if reverse:
-            return Fraction(3 * self.lipschitz(i), (16 - STAGE_LIPSCHITZ) << (self.base + 4 * i))
+            return Fraction(3 * self.lipschitz(i, True), (16 - STAGE_LIPSCHITZ) << (self.base + 4 * i))
         return Fraction(1, 5 << (self.base + 4 * i))
 
     def stages_needed(self, tau: Fraction, reverse: bool) -> tuple[int, Fraction]:
@@ -169,9 +186,9 @@ def _anchor_cutoff(q_profile: BoundaryProfile, tau: Fraction, budget: Fraction) 
     i* bounds the stages the target leg unwinds.  Charged 8 = 2^3 per stage,
     its reverse tail is 3 * 2^-(b+i+3) (b = m_1 - 4), first below the budget
     at i* = max(0, floor(log2(3/budget)) - b - 2); 0 for a pseudo-interior
-    target.  The charge STAGE_LIPSCHITZ is at most 8, so the leg unwinds at
-    most i* stages and is charged at most 8^i*, and plan bytes do not depend
-    on the charge."""
+    target.  The leg is charged Λ_i <= STAGE_LIPSCHITZ^i <= 8^i, so it unwinds
+    at most i* stages and is charged at most 8^i*, and plan bytes do not
+    depend on the charge."""
     i_star = 0 if q_profile.is_pseudo_interior else \
         max(0, _floor_log2(3 / budget) - first_sacrifice(q_profile) + 2)
     return max(1, 1 + 3 * i_star - _floor_log2(tau / 4))

@@ -4,16 +4,20 @@ Kept only to check the library's single evaluation path against: the forward
 map spells out each of the four cases, and the inverse mirrors them line by
 line with the schedules' roles swapped.  The source leg's error after the
 move, E(j), is summed here coordinate by coordinate in Fractions straight
-from its definition, and its least stage is found by a linear scan.
+from its definition, and its least stage is found by a linear scan.  A
+reverse leg's factor Λ_i is read off a dense matrix product over the
+coordinates its stages touch.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from hilbertcube import OutOfRange
 from hilbertcube.homogeneity import EvalInfo, PlanCase
 from hilbertcube.interior import interior_map_eval, interior_map_inverse, lipschitz_bound
 from hilbertcube.limits import (
     CertifiedPoint,
+    Schedule,
     _least_stage,
     forward_partial_eval,
     forward_tail_bound,
@@ -27,6 +31,41 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 TWO = Fraction(2)
 CHARGE = Fraction(5)  # Lipschitz factor an evaluation charges one cubed stage (test_stage_factor.py)
+ENTRY = 3  # bound on each entry of a cubed stage's weighted linear parts (test_stage_factor.py)
+
+
+def _matmul(a, b):
+    """The dense product a * b of square integer matrices, zero terms of b skipped."""
+    cols = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*b)]
+    return [[sum(row[k] * x for k, x in col) for col in cols] for row in a]
+
+
+@lru_cache(maxsize=None)
+def _chain_factors(source, i: int, cap) -> tuple:
+    """Λ_0..Λ_i of source's schedule: Λ_k = min(the largest column sum of
+    B_1 * ... * B_k, cap * Λ_{k-1}), Λ_0 = 1, where B_k is the identity on
+    the touched coordinates with ENTRY at the four entries of stage k's cell
+    (n_k, m_k).  An untouched coordinate's column sums to 1."""
+    stages = Schedule(source, i).stages
+    index = {c: r for r, c in enumerate(sorted({c for cell in stages for c in cell}))}
+    unit = [[int(r == c) for c in range(len(index))] for r in range(len(index))]
+    product, out = unit, [1]
+    for n, m in stages:
+        step = [row[:] for row in unit]
+        for r in (index[n], index[m]):
+            step[r][index[n]] = step[r][index[m]] = ENTRY
+        product = _matmul(product, step)
+        out.append(min(max(map(sum, zip(*product))), cap * out[-1]))
+    return tuple(out)
+
+
+def chain_factor(s, i: int, cap=None):
+    """Λ_i of the reverse leg on s's stages i down to 1, derived past s's
+    count from its source, with cap CHARGE unless given; 1 for the identity.
+    The products are kept per source to the next multiple of 64 stages."""
+    if s.is_identity:
+        return 1
+    return _chain_factors(s.source, -(-(i + 1) // 64) * 64, CHARGE if cap is None else cap)[i]
 
 
 def coordinate_slope(move, c: int, rounded: bool) -> Fraction:
@@ -102,14 +141,15 @@ def plan_eval_info_cases(plan, x, tau) -> EvalInfo:
         i = _least_stage(plan.target_schedule, tau / 2, True)[0]
         value = reverse_partial_eval(plan.target_schedule, w, i)
         r = reverse_tail_bound(plan.target_schedule, i)
-        return EvalInfo(CertifiedPoint(value, r, i), CHARGE**i * lip)
+        return EvalInfo(CertifiedPoint(value, r, i), chain_factor(plan.target_schedule, i) * lip)
     i = _least_stage(plan.target_schedule, tau / 4, True)[0]
     r_rev = reverse_tail_bound(plan.target_schedule, i)
-    j, err, w = _source_leg(plan.source_schedule, plan.move, x, tau / 4, CHARGE**i)
+    lam = chain_factor(plan.target_schedule, i)
+    j, err, w = _source_leg(plan.source_schedule, plan.move, x, tau / 4, lam)
     value = reverse_partial_eval(plan.target_schedule, w, i)
     return EvalInfo(
         CertifiedPoint(value, err + r_rev, i + j),
-        CHARGE**i * lip * CHARGE**j,
+        lam * lip * CHARGE**j,
     )
 
 
@@ -128,15 +168,16 @@ def plan_inverse_eval_info_cases(plan, y, tau) -> EvalInfo:
         i = _least_stage(plan.source_schedule, tau / 2, True)[0]
         value = reverse_partial_eval(plan.source_schedule, w, i)
         r = reverse_tail_bound(plan.source_schedule, i)
-        return EvalInfo(CertifiedPoint(value, r, i), CHARGE**i * lip)
+        return EvalInfo(CertifiedPoint(value, r, i), chain_factor(plan.source_schedule, i) * lip)
     if plan.case == PlanCase.INTERIOR_BOUNDARY:
         j, err, value = _source_leg(plan.target_schedule, inv_move, y, tau / 2, ONE)
         return EvalInfo(CertifiedPoint(value, err, j), lip * CHARGE**j)
     i = _least_stage(plan.source_schedule, tau / 4, True)[0]
     r_rev = reverse_tail_bound(plan.source_schedule, i)
-    j, err, w = _source_leg(plan.target_schedule, inv_move, y, tau / 4, CHARGE**i)
+    lam = chain_factor(plan.source_schedule, i)
+    j, err, w = _source_leg(plan.target_schedule, inv_move, y, tau / 4, lam)
     value = reverse_partial_eval(plan.source_schedule, w, i)
     return EvalInfo(
         CertifiedPoint(value, err + r_rev, i + j),
-        CHARGE**i * lip * CHARGE**j,
+        lam * lip * CHARGE**j,
     )

@@ -42,7 +42,7 @@ SOLVE_TAUS = ("1/1024", "1/1048576", "1/" + str(2**64), "0", "-1/2", "0.5")
 PLAN_TAU = "1/1048576"
 COMMANDS = ("solve", "eval", "inverse-eval", "verify", "demo-first-attempt", "diagnose", "metrics",
             "render", "schedule")
-DIGEST = "ca6807d6a9e9461a606731d25733209a3632f7ea0533f6311a81d944eca65f8e"
+DIGEST = "fc936f49dbfe41b57e973562f203baf6671c29ca6edef7cc8a65adaed8628e9a"
 
 
 def _run(argv: list[str]) -> tuple[int, str]:

@@ -20,7 +20,8 @@ from functools import cached_property
 import interior_oracle as oracle
 import pytest
 from conftest import coord_map
-from walk_oracle import CHARGE, forward_tail_sum, reverse_tail_sum
+from plan_oracle import chain_factor
+from walk_oracle import forward_tail_sum, reverse_tail_sum
 
 from hilbertcube import (
     AnchorOnBoundary,
@@ -134,15 +135,23 @@ def _bounds(s, reverse):
 
 def test_closed_form_tail_bounds_match_summed_formulas_up_to_the_stage_limit():
     for s in _schedules():
-        for reverse, oracle_sum in ((False, forward_tail_sum), (True, reverse_tail_sum)):
-            bounds = _bounds(s, reverse)
-            for i in sorted({0, 1, s.count // 2, s.count - 1, s.count} & set(range(s.count + 1))):
-                assert bounds[i] == oracle_sum(s, i)
-            # each step drops by exactly its stage's term, so every i matches
-            # the summed formula; the bounds strictly decrease, so the search
-            # may stop at the first hit
-            for k, (_, m) in enumerate(s.stages, 1):
-                assert bounds[k - 1] - bounds[k] == F(3 * CHARGE ** (k - 1) if reverse else 3, 2**m)
+        lams = [s.lipschitz(i, True) for i in range(s.count + 1)]
+        for i in sorted({0, 1, 7, 63, s.count // 2, s.count - 1, s.count} & set(range(s.count + 1))):
+            assert forward_tail_bound(s, i) == forward_tail_sum(s, i)
+            # the dense Λ oracle costs O(i * T^2) on T touched coordinates,
+            # so from stage 64 on the sum charges the library's Λ_i
+            if i < 64:
+                assert lams[i] == chain_factor(s, i)
+            assert reverse_tail_bound(s, i) == reverse_tail_sum(s, i, lams[i])
+        # each forward step drops by exactly its stage's term, so every i
+        # matches the summed formula.  A reverse step drops by 3 * (16 *
+        # Λ_{k-1} - Λ_k) / (11 * 2^m_k), at least its stage's term 3 * Λ_{k-1}
+        # * 2^-m_k, as Λ_k <= 5 * Λ_{k-1}.  Both strictly decrease, so
+        # the search may stop at the first hit
+        fwd, rev = _bounds(s, False), _bounds(s, True)
+        for k, (_, m) in enumerate(s.stages, 1):
+            assert fwd[k - 1] - fwd[k] == F(3, 2**m)
+            assert rev[k - 1] - rev[k] == F(3 * (16 * lams[k - 1] - lams[k]), 11 * 2**m) >= F(3 * lams[k - 1], 2**m)
 
 
 def test_least_stage_on_long_schedules_matches_sums():

@@ -41,7 +41,7 @@ from hilbertcube.serialize import dump_json, parse_plan, plan_to_obj
 
 import plan_oracle
 from conftest import rand_point
-from plan_oracle import moved_tail_oracle, plan_eval_info_cases, plan_inverse_eval_info_cases
+from plan_oracle import chain_factor, moved_tail_oracle, plan_eval_info_cases, plan_inverse_eval_info_cases
 from walk_oracle import final_coordinates_rewalk, plan_from_anchors
 
 F = Fraction
@@ -363,7 +363,8 @@ def test_anchor_cutoff_is_the_least_n_that_fits(monkeypatch):
 
 def test_stage_factor_has_one_source(monkeypatch):
     # the stage factor and the anchor cutoff each have one source in limits.
-    # Charge 7 per stage instead of STAGE_LIPSCHITZ and every reverse tail
+    # Charge 7 per stage instead of STAGE_LIPSCHITZ, the forward factor and
+    # the cap on each step of the reverse factor Λ, and every reverse tail
     # bound, radius and Lipschitz bound follows it while every plan stays as
     # it is; cut the anchors 3 later than _anchor_cutoff and every plan
     # follows it while the evaluation of a fixed plan stays as it is
@@ -382,19 +383,21 @@ def test_stage_factor_has_one_source(monkeypatch):
         m.setattr(limits, "STAGE_LIPSCHITZ", 7)
         m.setattr(plan_oracle, "CHARGE", F(7))  # the case oracle's factor
         s = build_schedule(BND_B, 12)
-        assert [limits.reverse_tail_bound(s, i) for i in range(13)] == [F(3 * 7**i, 9 << (b_q + 4 * i))
+        assert [limits.reverse_tail_bound(s, i) for i in range(13)] == [F(3 * chain_factor(s, i, 7), 9 << (b_q + 4 * i))
                                                                          for i in range(13)]
         for p, q, case in CASES:
             plan = solve(p, q, tau)
             assert plan == plans[case], case
             for x in points[case]:
                 for t in (tau, tau / 2):
-                    for fn, oracle, move in ((plan_eval_info, plan_eval_info_cases, plan.move),
-                                             (plan_inverse_eval_info, plan_inverse_eval_info_cases,
-                                              interior_map_inverse(plan.move))):
+                    for fn, oracle, pl in ((plan_eval_info, plan_eval_info_cases, plan),
+                                           (plan_inverse_eval_info, plan_inverse_eval_info_cases, plan._inverse)):
                         info = fn(plan, x, t)
                         assert info == oracle(plan, x, t), (case, x, t)
-                        assert info.lipschitz == lipschitz_bound(move) * 7**info.point.stages_used
+                        choice, tgt = pl._choice, pl.target_schedule or NO_ESCAPE
+                        i, j = choice.target_stages, choice.source_stages
+                        assert i + j == info.point.stages_used
+                        assert info.lipschitz == chain_factor(tgt, i, 7) * lipschitz_bound(pl.move) * 7**j
                         assert (info.point.stages_used > 0) == (case != PlanCase.INTERIOR_INTERIOR)
             if case != PlanCase.INTERIOR_INTERIOR:
                 assert evaluations(plan, case) != charged[case], case
@@ -465,8 +468,9 @@ def test_no_walk_passes_the_anchor_cutoff(monkeypatch):
     # every walk of verify's evaluation (at tau/2) and of a roundtrip at tau
     # (H(p), H^-1(H(p)) and H^-1(q)) stops by stage n_cut = count - STAGE_PAD - 1,
     # endpoints near +-1 included, and every stored count is within the limit;
-    # so do the same walks charged 8 per stage, the factor _anchor_cutoff
-    # sizes with, which go no less deep
+    # so do the same walks charged 8^i for i stages, forward and reverse, the
+    # factor _anchor_cutoff sizes with, which go no less deep.  They run on a
+    # copy of the plan, which keeps no choice made at the charge of 5
     walks = []
     partial = homogeneity._partial
 
@@ -508,7 +512,9 @@ def test_no_walk_passes_the_anchor_cutoff(monkeypatch):
             # they meet it somewhere
             with monkeypatch.context() as m:
                 m.setattr(limits, "STAGE_LIPSCHITZ", 8)
-                sized = deepest_walk(plan, p, q, tau)
+                m.setattr(limits.Schedule, "lipschitz", lambda s, i, reverse: 8**i)
+                sized = deepest_walk(homogeneity.HomeoPlan(plan.move, plan.source_schedule, plan.target_schedule),
+                                     p, q, tau)
             assert deepest <= sized <= n_cut, (p, q, tau)
             sized_at_cutoff += stored != [] and sized == n_cut
     assert solved > 60 and sized_at_cutoff  # the bound is met somewhere
@@ -700,7 +706,7 @@ def test_source_leg_error_is_carried_coordinate_by_coordinate(k):
                 assert all(type(e) is F for e in exact)
             budget = _escape_budget(tau, not (src.is_identity or tgt.is_identity))
             i, r_rev = _least_stage(tgt, budget, True)
-            outer = tgt.lipschitz(i) * lipschitz_bound(pl.move)
+            outer = tgt.lipschitz(i, True) * lipschitz_bound(pl.move)
             today = src.stages_needed(budget / outer, False)[0]
             for _ in range(6):
                 x = make_point([_unit_or_edge(rng) for _ in range(rng.randint(0, 8))], _unit_or_edge(rng))
@@ -712,13 +718,13 @@ def test_source_leg_error_is_carried_coordinate_by_coordinate(k):
                 if src.is_identity:
                     assert (j, term) == (0, 0)
                     continue
-                assert term == tgt.lipschitz(i) * min(glob[j], coord[j])
+                assert term == tgt.lipschitz(i, True) * min(glob[j], coord[j])
                 won |= {"global"} if glob[j] < coord[j] else {"E"} if coord[j] < glob[j] else set()
                 deep = interior_map_eval(pl.move, forward_partial_eval(src, x, src.count))
                 moved = metric_d(interior_map_eval(pl.move, forward_partial_eval(src, x, j)), deep)
                 assert moved <= exact[j]
-                assert tgt.lipschitz(i) * moved <= term <= outer * src.tail_bound(j, False)
-                assert term >= tgt.lipschitz(i) * exact[j]
+                assert tgt.lipschitz(i, True) * moved <= term <= outer * src.tail_bound(j, False)
+                assert term >= tgt.lipschitz(i, True) * exact[j]
     assert shorter  # the coordinatewise bound saves stages somewhere
     assert won == {"global", "E"}
 

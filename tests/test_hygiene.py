@@ -250,10 +250,10 @@ def test_only_settle_sets_a_points_fields():
 
 
 def test_stage_factor_is_read_only_in_limits():
-    # the per-stage Lipschitz factor has one ledger, limits.py, and so has
-    # the anchor cutoff plans are sized with: limits defines _anchor_cutoff
-    # and solve alone calls it
-    factors = {"STAGE_LIPSCHITZ"}
+    # the per-stage Lipschitz factor and entry bound have one ledger,
+    # limits.py, and so has the anchor cutoff plans are sized with: limits
+    # defines _anchor_cutoff and solve alone calls it
+    factors = {"STAGE_LIPSCHITZ", "STAGE_ENTRY"}
     trees = _trees()
     readers = {
         module

@@ -33,6 +33,7 @@ from hilbertcube import (
     reverse_partial_eval,
     reverse_tail_bound,
     schedule_budget_ok,
+    solve,
 )
 from hilbertcube.cube import classify_point
 from hilbertcube.homogeneity import stage_count_limit
@@ -42,7 +43,8 @@ from hilbertcube.limits import (
     first_sacrifice,
 )
 
-from conftest import rand_point, with_coords
+from conftest import rand_point, rand_rational, with_coords
+from plan_oracle import chain_factor
 from walk_oracle import (
     build_schedule_pool,
     final_coordinate_rewalk,
@@ -136,12 +138,45 @@ def test_interior_source_has_no_stages_for_any_count():
 
 def test_closed_forms_read_no_stage_list():
     s = Schedule(ONES, 10**9)
+    want = (11, F(3 * chain_factor(s, 11), 11 * 2**44))  # Λ_11 = 21
     start = time.perf_counter()
     assert s.base == 0
     assert s.tail_bound(0, True) == F(3, 11)
-    assert s.stages_needed(F(1, 2**40), True) == (23, F(3 * 5**23, 11 * 2**92))
+    assert s.stages_needed(F(1, 2**40), True) == want
     assert time.perf_counter() - start < 1
     assert "stages" not in vars(s)
+
+
+INT_A, INT_B = make_point([F(1, 3), F(-1, 2)], F(1, 5)), make_point([F(2, 7)], F(-3, 8))
+BND_A, BND_B = make_point([1, F(1, 2), -1], F(1, 4)), make_point([F(-1, 3)], -1)
+
+
+@pytest.mark.parametrize("p, q", [(BND_A, INT_B), (INT_A, BND_B), (BND_A, BND_B), (ONES, ORIGIN)],
+                         ids=["bnd_a-int_b", "int_a-bnd_b", "bnd_a-bnd_b", "ones-origin"])
+def test_reverse_factor_on_case_schedules(p, q):
+    # on each schedule of the case plans at 2^-20, the reverse factor Λ is
+    # the dense product's (plan_oracle.chain_factor, to stage 63), grows by
+    # at most 5 a stage, is at most 5^i, is the same past the count as on a
+    # longer schedule, and bounds the expansion of the reverse partials on
+    # seeded pairs, exactly
+    rng = random.Random(39)
+    plan = solve(p, q, F(1, 2**20))
+    for s in (t for t in (plan.source_schedule, plan.target_schedule) if t is not None):
+        deep = build_schedule(s.source, s.count + 40)
+        lams = [s.lipschitz(i, True) for i in range(s.count + 41)]
+        assert lams[0] == 1 and lams == [deep.lipschitz(i, True) for i in range(s.count + 41)]
+        assert lams[:64] == [chain_factor(s, i) for i in range(64)]
+        for i in range(1, s.count + 41):
+            assert lams[i] <= 5 * lams[i - 1] and lams[i] <= 5**i
+        touched = sorted({c for cell in s.stages[:34] for c in cell})
+        for i in (1, 2, 3, 5, 8, 13, 21, 34):
+            for _ in range(4):
+                x = rand_point(rng, width=8)
+                far = rand_point(rng, width=8)
+                near = with_coords(x, {c: rand_rational(rng) for c in rng.sample(touched[:2 * i], 2)})
+                for y in (far, near):
+                    gap = metric_d(reverse_partial_eval(s, x, i), reverse_partial_eval(s, y, i))
+                    assert gap <= lams[i] * metric_d(x, y)
 
 
 def test_schedule_is_its_source_and_count():
@@ -195,13 +230,14 @@ def test_tail_bounds_identity_schedule():
 
 
 def test_canonical_closed_forms_match():
-    # m_k = b + 4k: the forward tail is 2^-(b+4i) / 5, the reverse 3 * 5^i / (11 * 2^(b+4i))
+    # m_k = b + 4k: the forward tail is 2^-(b+4i) / 5, the reverse 3 * Λ_i / (11 * 2^(b+4i))
     for p, b in ((ONES, 0), (make_point([0, 0, 0, 0, F(1, 2), 0, -1], 0), 4)):
         s = build_schedule(p, 12)
         assert s.base == b == first_sacrifice(classify_point(p)) - 4
         for i in range(13):
             assert forward_tail_bound(s, i) == F(1, 5 * 2 ** (b + 4 * i)) == forward_tail_sum(s, i)
-            assert reverse_tail_bound(s, i) == F(3 * 5**i, 11 * 2 ** (b + 4 * i)) == reverse_tail_sum(s, i)
+            lam = chain_factor(s, i)
+            assert reverse_tail_bound(s, i) == F(3 * lam, 11 * 2 ** (b + 4 * i)) == reverse_tail_sum(s, i)
 
 
 def test_empty_stage_list_reads_base_off_its_source():
@@ -291,7 +327,7 @@ def test_reverse_cauchy_steps(rng):
             gap = metric_d(
                 reverse_partial_eval(s, y, i + 1), reverse_partial_eval(s, y, i)
             )
-            assert gap <= s.lipschitz(i) * F(3, 2 ** s.stages[i][1])
+            assert gap <= s.lipschitz(i, True) * F(3, 2 ** s.stages[i][1])
 
 
 def test_h_eval_stage_selection():
@@ -346,7 +382,7 @@ def test_roundtrip_certificate(rng):
         x = rand_point(rng)
         fwd = h_eval(s, x, tau)
         back = plan_inverse_eval(leg, fwd.value, tau)
-        combined = back.radius + s.lipschitz(back.stages_used) * fwd.radius
+        combined = back.radius + s.lipschitz(back.stages_used, True) * fwd.radius
         assert metric_d(back.value, x) <= combined
 
 
@@ -551,7 +587,7 @@ def test_stage_kernels_are_built_once_and_stay_out_of_equality():
 def test_negative_stage_index_is_a_bad_index(source):
     # a stage index below 0 is bad input (exit 2), not a horizon exhausted
     s = build_schedule(source, 6)
-    calls = [lambda: s.lipschitz(-1), lambda: s.tail_bound(-1, False), lambda: s.tail_bound(-1, True),
+    calls = [lambda: s.lipschitz(-1, False), lambda: s.lipschitz(-1, True), lambda: s.tail_bound(-1, False), lambda: s.tail_bound(-1, True),
              lambda: forward_partial_eval(s, ONES, -1), lambda: reverse_partial_eval(s, ONES, -1),
              lambda: forward_tail_bound(s, -1), lambda: reverse_tail_bound(s, -1)]
     for call in calls:

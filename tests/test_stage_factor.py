@@ -9,7 +9,10 @@ cubed stage applies three clauses, so on each of its pieces it is affine
 with the linear part of one of the 64 three-clause words.  It is
 continuous on the convex square, so it is Lipschitz with the largest L1
 operator norm (largest column sum) among those words: 5, for ccw and for
-cw alike.  The linear parts are read off CellMap.value by exact finite
+cw alike.  No entry of those words exceeds 3 in absolute value, so a stage
+moves each of its two weighted coordinates by at most 3 times the sum of
+their moves: the entry bound STAGE_ENTRY the reverse factor Λ is built
+from.  The linear parts are read off CellMap.value by exact finite
 differences, so this checks the clause table the walks run, not a copy.
 """
 
@@ -18,7 +21,7 @@ from itertools import product
 
 import pytest
 
-from hilbertcube import CellMap, MapKind, Variant, build_schedule, make_point
+from hilbertcube import CellMap, MapKind, Variant, build_schedule, limits, make_point
 
 F = Fraction
 
@@ -94,7 +97,14 @@ def test_largest_three_clause_norm_is_five(kind):
 
 
 def test_charged_stage_factor_is_the_proved_one():
-    proved = max(_l1_norm(w) for kind in (MapKind.TWIST_CCW, MapKind.TWIST_CW) for w in _words(_clause_parts(kind)))
+    # the forward charge is the largest norm; the reverse one, Λ, is built
+    # from STAGE_ENTRY, the largest entry, and capped by the norm per stage
+    words = [w for kind in (MapKind.TWIST_CCW, MapKind.TWIST_CW) for w in _words(_clause_parts(kind))]
+    proved = max(map(_l1_norm, words))
+    assert limits.STAGE_ENTRY == max(abs(x) for w in words for row in w for x in row)
     for s in (build_schedule(make_point([], 1), 4), build_schedule(make_point([F(-1, 3)], -1), 0)):
-        assert s.lipschitz(1) == proved
-        assert s.lipschitz(3) == proved**3
+        assert s.lipschitz(1, False) == proved
+        assert s.lipschitz(3, False) == proved**3
+        # one stage: both weighted coordinates of its cell move by at most
+        # 2 * STAGE_ENTRY = 6, so the norm 5 binds
+        assert s.lipschitz(1, True) == min(2 * limits.STAGE_ENTRY, proved) == proved

@@ -19,6 +19,8 @@ from hilbertcube.homogeneity import HomeoPlan
 from hilbertcube.interior import InteriorMapParams
 from hilbertcube.limits import Schedule
 
+from plan_oracle import chain_factor
+
 ZERO = Fraction(0)
 CHARGE = 5  # Lipschitz factor an evaluation charges one cubed stage (test_stage_factor.py proves it)
 
@@ -144,14 +146,17 @@ def forward_tail_sum(s, i):
     return total + Fraction(1, 5) / 2 ** _m_last(s)
 
 
-def reverse_tail_sum(s, i):
+def reverse_tail_sum(s, i, lam=None):
+    """Stage k > i moves by at most 3 * 2^-m_k, inflated by the factor of
+    stages 1..k-1, at most lam * CHARGE^(k-1-i), lam = Λ_i unless given
+    (plan_oracle.chain_factor)."""
     if s.is_identity:
         return ZERO
-    total = ZERO
+    lam, total = chain_factor(s, i) if lam is None else lam, ZERO
     for k in range(i + 1, s.count + 1):
-        total += CHARGE ** (k - 1) * Fraction(3, 2 ** s.stages[k - 1][1])
+        total += lam * CHARGE ** (k - 1 - i) * Fraction(3, 2 ** s.stages[k - 1][1])
     # stages past the count: m_k = m_count + 4t, a geometric sum of ratio CHARGE / 16
-    return total + Fraction(3 * CHARGE**s.count, (16 - CHARGE) * 2 ** _m_last(s))
+    return total + Fraction(3 * lam * CHARGE ** (s.count - i), (16 - CHARGE) * 2 ** _m_last(s))
 
 
 def least_stage_scan(s, tau, bound_fn):

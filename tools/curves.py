@@ -11,8 +11,12 @@ and H^-1 at q at the same tau.  Each evaluation's row
 holds the stages walked, and each leg's share of them as the evaluation's
 choice at tau fixes it (the source escape's, then the target unescape's),
 the bit length of the value's largest denominator and of the radius's
-denominator, and microseconds per evaluation (the fastest of repeated
-calls).  A tolerance solve refuses is recorded as refused.
+denominator, microseconds per evaluation (the fastest of repeated calls)
+and the attained share (d(v, v') + r') / r of its certificate (v, r), with
+(v', r') the same evaluation at tau * 2^-24.  The true value is within r' of
+v', so a share of at most 1 proves the certificate at that point; a share
+far below 1 shows a radius larger than the point needs.  The share is null
+for a radius of 0.  A tolerance solve refuses is recorded as refused.
 The library is imported from src/ of this checkout.  The script only
 measures: it checks and pins nothing.
 """
@@ -28,7 +32,14 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hilbertcube import HorizonExceeded, make_point, plan_eval_info, plan_inverse_eval_info, solve  # noqa: E402
+from hilbertcube import (  # noqa: E402
+    HorizonExceeded,
+    make_point,
+    metric_d,
+    plan_eval_info,
+    plan_inverse_eval_info,
+    solve,
+)
 from hilbertcube.homogeneity import _choose  # noqa: E402
 from hilbertcube.serialize import dump_json, plan_to_obj  # noqa: E402
 
@@ -63,12 +74,21 @@ def _micros(fn, *args) -> float:
     return round(best * 1e6, 1)
 
 
+def _share(fn, plan, x, tau: Fraction, cp) -> float | None:
+    """(d(v, v') + r') / r for cp = (v, r), to 3 significant digits."""
+    if not cp.radius:
+        return None
+    fine = fn(plan, x, tau / 2**24).point
+    return float(f"{float((metric_d(cp.value, fine.value) + fine.radius) / cp.radius):.3g}")
+
+
 def _evaluation(fn, plan, x, tau: Fraction, legs) -> dict:
     """fn(plan, x, tau) measured; legs is the plan whose legs it walks,
     plan itself forward and its inverse plan backward."""
     info, choice = fn(plan, x, tau), _choose(legs, tau)
     value = info.point.value
     return {
+        "share": _share(fn, plan, x, tau, info.point),
         "stages": info.point.stages_used,
         "source_stages": choice.source_stages,
         "target_stages": choice.target_stages,
