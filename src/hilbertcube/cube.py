@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from .errors import BadIndices, OutOfRange
@@ -98,8 +98,8 @@ PairVector = dict[int, tuple[int, int]]
 
 
 def _pairs(p: PointRep) -> PairVector:
-    v = {i: (c.numerator, c.denominator) for i, c in enumerate(p.prefix, 1)}
-    v[0] = p.tail.numerator, p.tail.denominator
+    v = {i: (c._numerator, c._denominator) for i, c in enumerate(p.prefix, 1)}
+    v[0] = p.tail._numerator, p.tail._denominator
     return v
 
 
@@ -119,8 +119,9 @@ def _point(v: PairVector) -> PointRep:
     _unit(tail, 0)
     prefix = [tail] * max(v)
     for i, c in v.items():
-        if c != t:  # never key 0, the tail itself
-            prefix[i - 1] = _coprime(*c)
+        if c != t:  # never key 0, the tail itself; _coprime's work, inline
+            f = prefix[i - 1] = object.__new__(Fraction)
+            f._numerator, f._denominator = c
     return _settle(object.__new__(PointRep), tuple(prefix), tail)
 
 
@@ -152,18 +153,22 @@ def metric_d(p: PointRep, q: PointRep) -> Fraction:
     """One integer sum over D, the common denominator of both points: with n
     the longer prefix, d(p, q) * D * 2^n = sum_{i <= n} |P_i - Q_i| * 2^(n-i)
     + |P_tail - Q_tail|, the tail's weight because sum_{i>n} 2^-i = 2^-n.
-    The sum over i <= n is taken pairwise, so it costs O(M(n) log n), not
-    O(n^2), bit operations."""
+    D is 2^top times the lcm of the odd parts o of the denominators 2^e * o:
+    walks scale by powers of two, so odd parts repeat far more than
+    denominators do.  The sum over i <= n is taken pairwise, so it costs
+    O(M(n) log n), not O(n^2), bit operations."""
     n = max(len(p.prefix), len(q.prefix))
     pc = (*p.prefix, *[p.tail] * (n - len(p.prefix)), p.tail)
     qc = (*q.prefix, *[q.tail] * (n - len(q.prefix)), q.tail)
-    dens = {c.denominator for c in (*pc, *qc)}
-    den = lcm(*dens)
-    scale = {d: den // d for d in dens}  # one quotient per distinct denominator
-    diffs = [abs(a.numerator * scale[a.denominator] - b.numerator * scale[b.denominator])
+    shift = {d: (d & -d).bit_length() - 1 for d in {c._denominator for c in (*pc, *qc)}}
+    top, odd = max(shift.values()), lcm(*{d >> e for d, e in shift.items()})
+    scale = {d: odd // (d >> e) << (top - e) for d, e in shift.items()}
+    diffs = [abs(a._numerator * scale[a._denominator] - b._numerator * scale[b._denominator])
              for a, b in zip(pc, qc)]
-    total = diffs[n] + _binary_sum(diffs[:n])
-    return Fraction(total, den << n)
+    total, k = diffs[n] + _binary_sum(diffs[:n]), top + n
+    # total / (odd << k), reduced: the 2s they share by one shift, the rest by gcd(total, odd)
+    s, g = min(k, ((total & -total) or 1 << k).bit_length() - 1), gcd(total, odd)
+    return _coprime((total >> s) // g, (odd // g) << (k - s))
 
 
 def cell_metric(n: int, m: int, a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> Fraction:

@@ -40,6 +40,7 @@ from .limits import (
     _anchor_cutoff,
     _least_below,
     _least_stage,
+    _named,
     _partial,
     _tolerance,
     build_schedule,
@@ -164,7 +165,7 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
     if max(depths) > horizon:
         j = min(s.stages[horizon][0] for s, d in zip(scheds, depths) if d > horizon)
         raise HorizonExceeded(f"coordinate {j} finalizes at stage {horizon + 1}, beyond horizon {horizon};"
-                              f" tolerance {tau} needs horizon {max(depths)}")
+                              f" tolerance {_named(tau)} needs horizon {max(depths)}")
 
     # one forward walk per schedule, to its depth, yields pt's anchors
     def anchors(s: Schedule, pt: PointRep, depth: int) -> PointRep:

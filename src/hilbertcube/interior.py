@@ -4,7 +4,7 @@ For pseudo-interior anchors p, q the coordinate map is the unique two-piece
 increasing linear map [-1,1] -> [-1,1] fixing -1 and 1 and sending p_i to q_i.
 Applied in every coordinate it moves p to q exactly while fixing the whole
 pseudo-boundary, and its inverse is the same construction with anchors
-swapped.  Each knee (p_i, q_i) is held as integers (pn, pd, qn, qd).
+swapped.  Each knee (p_i, q_i) is held as the integers of its two lines.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
 from math import gcd
 
 from .cube import PairVector, PointRep, _pairs, _point
@@ -20,27 +21,9 @@ from .errors import AnchorOnBoundary, OutOfRange
 
 def _require_interior(p: PointRep, name: str) -> None:
     for k, c in enumerate((*p.prefix, p.tail), 1):
-        if abs(c.numerator) >= c.denominator:
+        if abs(c._numerator) >= c._denominator:
             where = "tail" if k > len(p.prefix) else f"coordinate {k}"
             raise AnchorOnBoundary(f"{name} {where} = {c} is not interior")
-
-
-def _coord_value(knee: tuple, tn: int, td: int) -> tuple[int, int]:
-    """Value at t = tn/td, td > 0, of the two-piece map through the knee, as
-    a reduced (num, den): (t+1)(q+1)/(p+1) - 1 for t <= p, else
-    (t-p)(1-q)/(1-p) + q, each over one denominator, reduced by one gcd.
-    The range check on t is the move's own guard: _move takes pair vectors,
-    and one that came from no PointRep was checked by nothing else."""
-    pn, pd, qn, qd = knee
-    if not -td <= tn <= td:
-        raise OutOfRange(f"t = {Fraction(tn, td)} outside [-1, 1]")
-    if tn * pd <= pn * td:
-        den = td * (pn + pd) * qd
-        num = (tn + td) * (qn + qd) * pd - den
-    else:
-        num, den = (tn * pd - pn * td) * (qd - qn) + qn * td * (pd - pn), td * (pd - pn) * qd
-    g = gcd(num, den)
-    return num // g, den // g
 
 
 @dataclass(frozen=True)
@@ -63,20 +46,27 @@ class InteriorMapParams:
     @cached_property
     def _knees(self) -> tuple:
         """Knees of coordinates 1..anchor_count, then the tail's, used past them:
-        each anchor's prefix padded with its tail to anchor_count + 1 entries."""
+        each anchor's prefix padded with its tail to anchor_count + 1 entries.
+        Knee (pn/pd, qn/qd) is held as the integers (pn, pd, a, b, c, h, f) of
+        its two lines: a = (qn+qd)pd, b = (pn+pd)qd, c = qd-qn, h = qn(pd-pn)
+        and f = (pd-pn)qd.  At t = tn/td the value is ((tn+td)a - td*b) / (td*b)
+        for tn*pd <= pn*td, else ((tn*pd - pn*td)c + td*h) / (td*f); the slopes
+        are a/b and c*pd/f, and swapping the anchors swaps a and b."""
         size = self.anchor_count + 1
         src, tgt = ((*p.prefix, *[p.tail] * (size - len(p.prefix))) for p in (self.source, self.target))
-        return tuple((p.numerator, p.denominator, q.numerator, q.denominator) for p, q in zip(src, tgt))
+        anchors = ((p._numerator, p._denominator, q._numerator, q._denominator) for p, q in zip(src, tgt))
+        return tuple((pn, pd, (qn + qd) * pd, (pn + pd) * qd, qd - qn, qn * (pd - pn), (pd - pn) * qd)
+                     for pn, pd, qn, qd in anchors)
 
     @cached_property
     def _slope_bounds(self) -> tuple[Fraction, tuple[int, ...]]:
         """One pass over the knees: max(1, every slope of every knee), and per
-        knee the least e >= 0 with both its slopes, (q+1)/(p+1) and
-        (1-q)/(1-p), <= 2^e.  Slopes are compared by cross-multiplication."""
+        knee the least e >= 0 with both its slopes, a/b and c*pd/f, <= 2^e.
+        Slopes are compared by cross-multiplication."""
         best_n, best_d, exps = 1, 1, []
-        for pn, pd, qn, qd in self._knees:
+        for _, pd, a, b, c, _, f in self._knees:
             e = 0
-            for n, d in (((qn + qd) * pd, (pn + pd) * qd), ((qd - qn) * pd, (pd - pn) * qd)):
+            for n, d in ((a, b), (c * pd, f)):
                 # only a slope above 2^e moves either bound; a knee has at most one above 1
                 if n > d << e:
                     e = n.bit_length() - d.bit_length()  # n/d lies in (2^(e-1), 2^(e+1))
@@ -88,14 +78,26 @@ class InteriorMapParams:
 
 
 def _move(params: InteriorMapParams, v: PairVector) -> PairVector:
-    """The move applied to the pair vector v.  Each anchored coordinate has
-    its own knee; past them every coordinate shares the tail's, so only
-    those v holds apart from its tail need a value of their own."""
+    """The move applied to the pair vector v, one integer pass per coordinate
+    on its knee's lines (_knees), reduced by one gcd.  Past the anchored
+    coordinates every one shares the tail's knee, so only those v holds apart
+    from its tail need a value of their own.  The range check on t is the
+    move's own guard: a pair vector from no PointRep was checked by nothing else."""
     knees = params._knees
     last, tail = len(knees) - 1, v[0]
-    moved = {i: _coord_value(knees[i - 1], *v.get(i, tail)) for i in range(1, last + 1)}
-    moved.update((i, _coord_value(knees[last], *c)) for i, c in v.items() if i > last and c != tail)
-    moved[0] = _coord_value(knees[last], *tail)
+    keys = [*range(1, last + 1), *(i for i, c in v.items() if i > last and c != tail), 0]
+    moved = {}
+    for i, (pn, pd, a, b, c, h, f) in zip(keys, chain(knees[:last], repeat(knees[last]))):
+        tn, td = v.get(i, tail)
+        if not -td <= tn <= td:
+            raise OutOfRange(f"t = {Fraction(tn, td)} outside [-1, 1]")
+        if tn * pd <= pn * td:
+            den = td * b
+            num = (tn + td) * a - den
+        else:
+            num, den = (tn * pd - pn * td) * c + td * h, td * f
+        g = gcd(num, den)
+        moved[i] = num // g, den // g
     return moved
 
 

@@ -309,8 +309,17 @@ def _tolerance(tau: Rational) -> Fraction:
     """tau as an exact Fraction; a tau <= 0 is refused."""
     tau = _exact(tau)
     if tau <= 0:
-        raise OutOfRange(f"tolerance must be positive, got {tau}")
+        raise OutOfRange(f"tolerance must be positive, got {_named(tau)}")
     return tau
+
+
+def _named(tau: Fraction) -> str:
+    """tau as a refusal prints it: its text, or "<n-bit>/<d-bit>" with the bit
+    lengths of its numerator and denominator past the digits str() converts."""
+    try:
+        return str(tau)
+    except ValueError:
+        return f"{'-' * (tau < 0)}<{tau.numerator.bit_length()}-bit>/<{tau.denominator.bit_length()}-bit>"
 
 
 def _least_stage(s: Schedule, tau: Rational, reverse: bool) -> tuple[int, Fraction]:
@@ -320,7 +329,7 @@ def _least_stage(s: Schedule, tau: Rational, reverse: bool) -> tuple[int, Fracti
     tau = _tolerance(tau)
     i, bound = s.stages_needed(tau, reverse)
     if i > s.count:
-        raise HorizonExceeded(f"tolerance {tau} needs more than the {s.count} materialized"
+        raise HorizonExceeded(f"tolerance {_named(tau)} needs more than the {s.count} materialized"
                               f" stages; it needs {i} stages")
     return i, bound
 

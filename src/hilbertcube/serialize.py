@@ -16,8 +16,9 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 
-from .cube import PointRep, _exact, make_point
+from .cube import PointRep, _coprime, _exact, make_point
 from .errors import ParseError
 from .homogeneity import HomeoPlan, PlanCase, stage_count_limit
 from .interior import InteriorMapParams
@@ -39,9 +40,10 @@ def parse_rational(text: str, where: str = "value") -> Fraction:
     if den.lstrip("0") == "":
         raise ParseError(f"{where}: zero denominator in {text!r}")
     try:
-        return Fraction(int(num), int(den))
+        n, d = int(num), int(den)
     except ValueError:  # more digits than Python converts to an int
         raise ParseError(f"{where}: rational of {len(s)} characters has too many digits") from None
+    return _coprime(n // (g := gcd(n, d)), d // g)
 
 
 def format_rational(x) -> str:

@@ -21,6 +21,8 @@ from hilbertcube import (
     make_point,
     metric_d,
     plan_eval,
+    plan_eval_info,
+    plan_inverse_eval_info,
     solve,
     twist_diagnostics,
     twist_eval,
@@ -165,6 +167,47 @@ def test_metric_matches_fraction_sum_at_every_width():
         p = make_point([rational() for _ in range(n)], rational())
         q = make_point([rational() for _ in range(rng.randint(0, n))], rng.choice((Fraction(1), rational())))
         assert metric_d(p, q) == metric_d_sum(p, q), n
+
+
+def test_metric_matches_fraction_sum_over_dyadic_and_odd_denominators():
+    # the common denominator is 2^top times the lcm of the odd parts: many
+    # powers of two over a few odd parts, many odd parts over one power,
+    # and pairs whose difference carries more 2s than the denominator
+    rng = random.Random(602)
+
+    def point(odds, tops, width):
+        def rational():
+            den = rng.choice(odds) << rng.choice(tops)
+            return Fraction(rng.randint(-den, den), den)
+        return make_point([rational() for _ in range(width)], rational())
+
+    shapes = [((1, 3, 5, 25, 27, 7), range(0, 200), 40), (tuple(range(1, 400, 2)), (0, 3), 60),
+              ((1,), range(0, 70), 50), ((3**40, 10007), (0, 500), 20)]
+    for odds, tops, width in shapes:
+        for _ in range(25):
+            p, q = point(odds, tops, rng.randint(0, width)), point(odds, tops, rng.randint(0, width))
+            assert metric_d(p, q) == metric_d_sum(p, q)
+    for p, q in (([0], [1]), ([1, 1], [-1, -1]), ([Fraction(1, 2)] * 3, [Fraction(-1, 2)] * 3)):
+        a, b = make_point(p, 1), make_point(q, 1)
+        assert metric_d(a, b) == metric_d_sum(a, b) == metric_d(b, a)
+    assert metric_d(ORIGIN, ORIGIN) == 0 and type(metric_d(ORIGIN, ORIGIN)) is Fraction
+
+
+def test_metric_matches_fraction_sum_on_evaluation_values(rng):
+    # values of real forward and inverse evaluations: dyadic scalings of
+    # the inputs' odd parts, far longer prefixes than the inputs'
+    tau = Fraction(1, 2**20)
+    ends = [make_point([Fraction(1, 3), Fraction(-1, 2)], Fraction(1, 5)),
+            make_point([1, Fraction(1, 2), -1], Fraction(1, 4))]
+    targets = [make_point([Fraction(2, 7)], Fraction(-3, 8)), make_point([Fraction(-1, 3)], -1)]
+    for p in ends:
+        for q in targets:
+            plan = solve(p, q, tau)
+            for x in (p, rand_point(rng), rand_point(rng)):
+                fwd = plan_eval_info(plan, x, tau).point.value
+                back = plan_inverse_eval_info(plan, fwd, tau).point.value
+                for a, b in ((fwd, x), (back, x), (fwd, back), (fwd, q)):
+                    assert metric_d(a, b) == metric_d_sum(a, b)
 
 
 @given(points, points)

@@ -5,12 +5,12 @@ every tail bound from scratch.  The integer interior move, its slopes and
 its Lipschitz bound, the closed-form tail bounds and the PointRep check
 must give exactly the same Fractions, and raise the same error type: on
 seeded moves with denominators up to 2^600, at t = -1, 1, the knee itself
-and out of range, and on schedules as long as a plan file may hold.  The
-messages must match too, except a one-knee move's, which names its anchor
-or its point where the oracle names a coordinate map's arguments.  A
-counter also pins that a plan builds its move's knee table once, for the
-forward move alone, and each Lipschitz bound once, however often it is
-evaluated.
+and out of range, on the whole 1/64 grid at every knee of a move and of a
+plan's 100-bit anchors, and on schedules as long as a plan file may hold.
+The messages must match too, except a one-knee move's, which names its
+anchor or its point where the oracle names a coordinate map's arguments.
+A counter also pins that a plan builds each move's knee table and each
+Lipschitz bound once, however often it is evaluated.
 """
 
 import random
@@ -39,7 +39,7 @@ from hilbertcube import (
     solve,
 )
 from hilbertcube.homogeneity import stage_count_limit
-from hilbertcube.interior import slope_exponents
+from hilbertcube.interior import _move, slope_exponents
 from hilbertcube.limits import _least_stage, build_schedule, forward_tail_bound, reverse_tail_bound
 
 F = Fraction
@@ -107,6 +107,68 @@ def test_move_and_lipschitz_match_oracle():
         for x in points:
             assert interior_map_eval(move, x) == oracle.interior_map_eval(move, x)
             assert interior_map_eval(inv, x) == oracle.interior_map_eval(inv, x)
+
+
+GRID = [F(k, 64) for k in range(-64, 65)]  # both ends, 0 and both sides of every knee
+BND_A, BND_B = make_point([1, F(1, 2), -1], F(1, 4)), make_point([F(-1, 3)], -1)
+
+
+def _grid_move():
+    """One move whose anchors hold the knees (p, q) for p, q in a set of
+    values near both ends, at 0 and inside, and a tail knee of its own."""
+    values = [F(-63, 64), F(-5, 7), F(-1, 3), F(0), F(1, 2), F(3, 4), F(63, 64)]
+    knees = [(p, q) for p in values for q in values]
+    source, target = make_point([p for p, _ in knees], F(1, 3)), make_point([q for _, q in knees], F(-2, 5))
+    return InteriorMapParams(source, target)
+
+
+def _pair(t):
+    return t.numerator, t.denominator
+
+
+def _check_move_at_every_knee_and_grid_point(move):
+    # every anchored coordinate and two past them hold t, the tail -t: each
+    # coordinate's knee, the tail's past the anchors, against the oracle
+    n = move.anchor_count
+    knees = [(move.source.coord(i), move.target.coord(i)) for i in range(1, n + 2)]  # n + 1: the tail's
+    for t in GRID + [p for p, _ in knees]:
+        v = {i: _pair(t) for i in range(1, n + 3)}
+        v[0] = _pair(-t)
+        moved = _move(move, v)
+        assert set(moved) <= set(v)
+        for i in range(1, n + 3):
+            p, q = knees[min(i, n + 1) - 1]
+            assert moved.get(i, moved[0]) == _pair(oracle.interior_coord_map(p, q, t)), (i, t)
+        assert moved[0] == _pair(oracle.interior_coord_map(*knees[n], -t))
+
+
+def _check_slopes(move):
+    # per knee the least e >= 0 with both slopes <= 2^e, and the largest slope, at least 1
+    n, exps, worst = move.anchor_count, [], F(1)
+    for i in range(1, n + 2):
+        slope = max(oracle.coord_slopes(move.source.coord(i), move.target.coord(i)))
+        e = 0
+        while 2**e < slope:
+            e += 1
+        exps.append(e)
+        worst = max(worst, slope)
+    assert move._slope_bounds == (worst, tuple(exps))
+
+
+def test_move_matches_oracle_on_the_grid_at_every_knee():
+    move = _grid_move()
+    for m in (move, interior_map_inverse(move)):
+        _check_move_at_every_knee_and_grid_point(m)
+        _check_slopes(m)
+
+
+def test_move_matches_oracle_on_plan_anchors_of_over_100_bits():
+    move = solve(BND_A, BND_B, F(1, 2**40)).move
+    bits = max(c.denominator.bit_length() for p in (move.source, move.target) for c in p.prefix)
+    assert bits > 100
+    for m in (move, interior_map_inverse(move)):
+        _check_move_at_every_knee_and_grid_point(m)
+        _check_slopes(m)
 
 
 def test_boundary_anchor_messages():
@@ -238,6 +300,11 @@ def test_plan_builds_its_move_tables_once(monkeypatch):
     # one table and one slope pass per move, however many evaluations run
     assert tables == [fwd, inv]
     assert slopes == [fwd, inv]
-    # the inverse's knees are the forward ones with each (p, q) read as (q, p)
+    # the inverse's table is the one a fresh build gives, and each of its
+    # rows is the forward row's knee read as (q, p): its two left-line
+    # coefficients swapped, a_inv = b and b_inv = a
     fresh = InteriorMapParams(inv.source, inv.target)._knees
-    assert inv._knees == tuple((qn, qd, pn, pd) for pn, pd, qn, qd in fwd._knees) == fresh
+    assert inv._knees == fresh
+    assert len(inv._knees) == len(fwd._knees)
+    for (_, _, a, b, *_), (_, _, a_inv, b_inv, *_) in zip(fwd._knees, inv._knees):
+        assert (a_inv, b_inv) == (b, a)

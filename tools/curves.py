@@ -17,6 +17,12 @@ and the attained share (d(v, v') + r') / r of its certificate (v, r), with
 v', so a share of at most 1 proves the certificate at that point; a share
 far below 1 shows a radius larger than the point needs.  The share is null
 for a radius of 0.  A tolerance solve refuses is recorded as refused.
+The size ladder gives milliseconds (the fastest of repeated calls) of
+metric_d and of interior_map_eval (a move whose anchors and point all have
+the given number of entries) at 20k, 80k and 320k entries, on seeded
+points whose entries have denominators 2^e * o, e up to 64 and o an odd
+number below 64: walks scale a value's denominators by powers of two, so
+odd parts repeat while denominators spread.
 The library is imported from src/ of this checkout.  The script only
 measures: it checks and pins nothing.
 """
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import json
 import platform
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -34,6 +41,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hilbertcube import (  # noqa: E402
     HorizonExceeded,
+    InteriorMapParams,
+    interior_map_eval,
     make_point,
     metric_d,
     plan_eval_info,
@@ -55,6 +64,8 @@ POINTS = {
 PAIRS = (("int_a", "int_b"), ("bnd_a", "int_b"), ("int_a", "bnd_b"), ("bnd_a", "bnd_b"), ("ones", "origin"))
 TAU_EXPONENTS = (10, 20, 40, 64)
 TIMED_S, TIMED_CALLS = 0.1, 5
+LADDER_ENTRIES = (20_000, 80_000, 320_000)
+LADDER_SEED = 15
 
 
 def _bits(x: Fraction) -> int:
@@ -117,8 +128,29 @@ def curves() -> list[dict]:
     return rows
 
 
+def _seeded_point(rng: random.Random, entries: int, interior: bool):
+    def entry() -> Fraction:
+        d = rng.randrange(1, 64, 2) << rng.randint(0, 64)
+        hi = d - 1 if interior else d
+        return F(rng.randint(-hi, hi), d)
+
+    return make_point([entry() for _ in range(entries)], entry())
+
+
+def ladder() -> list[dict]:
+    """Milliseconds of metric_d and interior_map_eval per entry count."""
+    rng, rows = random.Random(LADDER_SEED), []
+    for n in LADDER_ENTRIES:
+        p, q, x = (_seeded_point(rng, n, interior) for interior in (True, True, False))
+        move = InteriorMapParams(p, q)
+        rows.append({"entries": n, "metric_d_ms": round(_micros(metric_d, p, x) / 1e3, 2),
+                     "interior_map_eval_ms": round(_micros(interior_map_eval, move, x) / 1e3, 2)})
+    return rows
+
+
 def main() -> int:
-    out = {"python": platform.python_version(), "machine": platform.machine(), "rows": curves()}
+    out = {"python": platform.python_version(), "machine": platform.machine(), "rows": curves(),
+           "ladder": ladder()}
     json.dump(out, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0
