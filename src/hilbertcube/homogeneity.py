@@ -159,11 +159,12 @@ def solve(p: PointRep, q: PointRep, tau: Rational, horizon: int = DEFAULT_HORIZO
 
     # a touched j <= n_cut finalizes by stage j, within the n_cut + 1 stages,
     # so coordinates 1..n_cut are final after depth(n_cut) stages; refuse from
-    # the stage lists alone, before any twist is evaluated, naming the first
-    # coordinate past the horizon, n_{horizon+1}, and the horizon tau needs
+    # the depths' closed form, before any twist is evaluated or any stage
+    # list of n_cut stages built, naming the first coordinate past the
+    # horizon, n_{horizon+1}, and the horizon tau needs
     depths = [s.depth(n_cut) for s in scheds]
     if max(depths) > horizon:
-        j = min(s.stages[horizon][0] for s, d in zip(scheds, depths) if d > horizon)
+        j = min(Schedule(s.source, horizon + 1).stages[horizon][0] for s, d in zip(scheds, depths) if d > horizon)
         raise HorizonExceeded(f"coordinate {j} finalizes at stage {horizon + 1}, beyond horizon {horizon};"
                               f" tolerance {_named(tau)} needs horizon {max(depths)}")
 

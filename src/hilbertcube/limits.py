@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter, neg
+from operator import neg
 
 from .cube import (
     BoundaryProfile,
@@ -102,8 +102,16 @@ class Schedule:
 
     def depth(self, j: int) -> int:
         """Number of stages with n_k <= j: after that many stages
-        coordinates 1..j are final."""
-        return bisect_right(self.stages, j, key=itemgetter(0))
+        coordinates 1..j are final.  The n's are the boundary indices merged
+        with the m's, so it counts the boundary indices up to j and the
+        multiples of 4 from m_1 to j that are not boundary indices, capped
+        by the count: no stage list is built."""
+        if not self.count:
+            return 0
+        prof, m1 = self.source_profile, self.base + 4
+        fours = lambda lo: max(0, j // 4 - (lo - 1) // 4)  # multiples of 4 in lo..j
+        tail = max(0, j - prof.tail_start + 1) - fours(max(prof.tail_start, m1)) if prof.tail_is_boundary else 0
+        return min(self.count, fours(m1) + tail + sum(i <= j and (i % 4 != 0 or i < m1) for i in prof.explicit_indices))
 
     @cached_property
     def base(self) -> int:

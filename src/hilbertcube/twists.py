@@ -33,7 +33,7 @@ from itertools import product
 from math import gcd, lcm
 from typing import Iterable
 
-from .cube import PairVector, PointRep, Rational, _exact, _pairs, _point, epsilon, metric_d
+from .cube import PairVector, PointRep, Rational, _coprime, _exact, _pairs, _point, epsilon, metric_d
 from .errors import (
     BadIndices,
     DegeneratePair,
@@ -137,6 +137,8 @@ class CellMap:
         set_constant(self, "_reflected", cw)  # evaluated as ccw at R(x, y)
         set_constant(self, "_order", _CCW_OF_CW if cw else (0, 1, 2, 3))  # ccw's index of each clause
         set_constant(self, "_hits_of", _HITS[self._order])
+        # preimage's solutions in its order: I, II, III at sigma = +1, at -1, then IV
+        set_constant(self, "_inversion_order", (2, 1, 0, 5, 4, 3, 6) if cw else range(7))
 
     @property
     def is_cubed(self) -> bool:
@@ -260,31 +262,41 @@ class CellMap:
         linear in y), so inversion is exact and needs no closed-form inverse
         map.  cw's are ccw's at R(u, v), in cw's order, each candidate
         checked against ccw's clause table there and reflected once found.
+        Every solution's y is y0 * a, so the square is screened on (x, y0)
+        before anything is built.  Strictly inside |x| < 1-b only IV holds,
+        so a solution there maps back iff it is IV's own; only one in the
+        strip 1-b <= |x| <= 1 is classified and evaluated.  The unit twist
+        has no inside (1-b = 0), so every solution of it is.
         Raises NoPreimage / MultiplePreimages where the map fails to be a
         bijection onto the square at this value (verbatim defect).
         """
-        s, order = self._shift, self._order
-        w = -v if self._reflected else v  # cw solves ccw's clauses at R(u, v) = (u, w)
+        s, r = self._shift, self._reflected
+        w = -v if r else v  # cw solves ccw's clauses at R(u, v) = (u, w)
         au, d = u << s, e << s  # over d = a*e, where a = 2^(m-n)
         image = (u << 2 * s, w << 2 * s)  # a clause sends d to a*d
+        inner = d - e  # |x| < 1-b reads |x| < d - e over d
+        # each solution as (x, y0), y = y0 << s, where C = +-inner: I, II and
+        # III for sigma = +1, then for sigma = -1 (at A = 1 the branches give
+        # the same solutions), then IV, which has no sigma
+        t, z, iv = inner + w - au, w - inner - au, (au + w, w)
+        solved = ((au + w, inner - au),  # I: y + sigma = a(sigma - u), then v = a(x - u)
+                  (au, t),  # II: x = u
+                  (inner + w, t if self._corrected else -t),  # III: v pins x, the shear gives y
+                  (au + w, -inner - au), (au, z), (w - inner, z if self._corrected else -z),
+                  iv)  # IV: u = x - b*y, v = y
         found: list[tuple[int, int]] = []
-        # C = sigma(a-1)e; at A = 1 both branches give the same solutions.
-        # IV, printed last, has no sigma: it is solved once, after both
-        for c, clauses in ((d - e, order[:3]), (e - d, order)):
-            t = c + w - au
-            by_clause = ((au + w, (c - au) << s),  # I: y + sigma = a(sigma - u), then v = a(x - u)
-                         (au, t << s),  # II: x = u
-                         (c + w, (t if self._corrected else -t) << s),  # III: v pins x, the shear gives y
-                         (au + w, w << s))  # IV: u = x - b*y, v = y
-            for k in clauses:
-                x, y = by_clause[k]  # in the square some clause holds, so _first answers
-                if abs(x) <= d and abs(y) <= d and (x, y) not in found \
-                        and self._ccw_value(self._first(d, x, y), d, x, y) == image:
-                    found.append((x, y))
-        if self._reflected:
-            found = [(x, -y) for x, y in found]
+        for k in self._inversion_order:
+            x, y0 = pair = solved[k]  # in the square some clause holds, so _first answers
+            if -d <= x <= d and -e <= y0 <= e and pair not in found:
+                if -inner < x < inner:
+                    if pair == iv:
+                        found.append(iv)
+                elif self._ccw_value(self._first(d, x, y := y0 << s), d, x, y) == image:
+                    found.append(pair)
         if len(found) == 1:
-            return found[0]
+            x, y0 = found[0]
+            return x, (-y0 if r else y0) << s
+        found = [(x, (-y0 if r else y0) << s) for x, y0 in found]
         if not found:
             raise NoPreimage(f"{self.label()} has no preimage of {_fmt_pair(e, u, v)}")
         raise MultiplePreimages(f"{self.label()} has {len(found)} preimages of {_fmt_pair(e, u, v)}:"
@@ -313,11 +325,19 @@ def _lift(x: Rational, y: Rational, lift=_lift_ints) -> tuple[int, int, int]:
 
 
 def _fractions(d: int, x: int, y: int) -> tuple[Fraction, Fraction]:
-    return Fraction(x, d), Fraction(y, d)
+    """(x/d, y/d) for d > 0, each reduced by one gcd."""
+    g, h = gcd(x, d), gcd(y, d)
+    return _coprime(x // g, d // g), _coprime(y // h, d // h)
+
+
+def _ratio(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, by one gcd and no Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _fmt_pair(d: int, x: int, y: int) -> str:
-    return f"({Fraction(x, d)}, {Fraction(y, d)})"
+    return f"({_ratio(x, d)}, {_ratio(y, d)})"
 
 
 def _walk(maps: Iterable[CellMap], v: PairVector) -> PairVector:
@@ -467,15 +487,15 @@ def twist_diagnostics(variant: Variant, n: int, m: int, grid_step: Rational) -> 
     integers, clause inversion included.  ccw's conditions are read once per
     point, a row at a time, and both single maps take their hits off them,
     cw at (x, -y).  Every product with a is a shift, made once per row where
-    it depends on x alone.  Fractions are built only for a finding's text.
+    it depends on x alone.  A finding's text is written from integers, and
+    Fractions are built only for its witness.
 
     The step is 1/2^k with 4 <= k <= 8: the finest grid, 1/256, already has
     513^2 points, and every step finer asks for four times as many.  m is at
     most 64: every clause integer carries the factor 2^(m-n).
     """
     grid_step = _exact(grid_step)
-    if not Fraction(1, 256) <= grid_step <= Fraction(1, 16) or grid_step.numerator != 1 \
-            or grid_step.denominator & (grid_step.denominator - 1):
+    if grid_step.numerator != 1 or grid_step.denominator not in (16, 32, 64, 128, 256):
         raise BadIndices(f"grid step must be 1/2^k, 4 <= k <= 8, got {grid_step}")
     kinds = (MapKind.TWIST_CCW, MapKind.TWIST_CW, MapKind.TWIST_CCW_CUBED, MapKind.TWIST_CW_CUBED)
     ccw, cw, ccw3, cw3 = (CellMap(kind, variant, n, m) for kind in kinds)
@@ -484,15 +504,16 @@ def twist_diagnostics(variant: Variant, n: int, m: int, grid_step: Rational) -> 
     d, s = grid_step.denominator, m - n
     e, edge = d << s, (d << s) - d  # images sit over e = a*d; |x| <= 1-b reads |ax| <= edge
     cubed_e = d << 3 * s  # a cubed image sits over a^3*d
-    eps_m = epsilon(m)
+    bound = {times: f"cell displacement <= {times * epsilon(m)}" for times in (1, 3)}
+    labels = {cm: cm.label() for cm in (ccw, cw, ccw3, cw3)}
     findings: list[Finding] = []
 
     def note(check, cm, x, y, expected, observed):
-        findings.append(Finding(check, cm.label(), _fractions(d, x, y), expected, observed))
+        findings.append(Finding(check, labels[cm], _fractions(d, x, y), expected, observed))
 
     def moved_too_far(cm, times, x, y, far, over):
         # far is 2^m * over times the cell metric from (x, y)/d to the image
-        note("displacement", cm, x, y, f"cell displacement <= {times * eps_m}", str(Fraction(far, over << m)))
+        note("displacement", cm, x, y, bound[times], _ratio(far, over << m))
 
     for x in range(-d, d + 1):
         ax, home_x, cubed_x = x << s, x << 2 * s, x << 3 * s  # x over e, a*e and a^2*e
@@ -517,7 +538,7 @@ def twist_diagnostics(variant: Variant, n: int, m: int, grid_step: Rational) -> 
                 if far > e:
                     moved_too_far(cm, 1, x, y, far, e)
                 if y == 0 and centre and img != (ax, 0):
-                    note("center-fixity", cm, x, 0, f"({Fraction(x, d)}, 0) fixed", _fmt_pair(e, p, q))
+                    note("center-fixity", cm, x, 0, f"({_ratio(x, d)}, 0) fixed", _fmt_pair(e, p, q))
             if x % 4 == 0 and y % 4 == 0:  # cubed maps: every fourth row and column
                 for cm in (ccw3, cw3):
                     try:
@@ -525,7 +546,7 @@ def twist_diagnostics(variant: Variant, n: int, m: int, grid_step: Rational) -> 
                     except Unclassifiable as exc:
                         # an earlier application already left the square, so
                         # the orbit has no defined continuation to measure
-                        note("displacement", cm, x, y, f"cell displacement <= {3 * eps_m}", str(exc))
+                        note("displacement", cm, x, y, bound[3], str(exc))
                         continue
                     far = (abs(cubed_x - p) << s) + abs((y << 3 * s) - q)
                     if far > 3 * cubed_e:

@@ -266,6 +266,19 @@ def test_refusal_evaluates_no_twist(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("tau", [F(1, 2**64), F(1, 2**100000)], ids=["2^-64", "2^-100000"])
+def test_refusal_builds_no_stage_list_past_the_horizon(monkeypatch, tau):
+    # the depths that decide a refusal are read in closed form, and the
+    # coordinate it names, n_{horizon+1}, off a list of horizon + 1 stages:
+    # no list of the plan's n_cut + 13 stages is built only to be refused
+    built = []
+    stages = limits.Schedule.stages.func
+    monkeypatch.setattr(limits.Schedule, "stages", property(lambda s: built.append(s.count) or stages(s)))
+    with pytest.raises(HorizonExceeded, match="finalizes at stage 257, beyond horizon 256"):
+        solve(BND_A, BND_B, tau)
+    assert built and max(built) == 257
+
+
 def test_tiny_tolerance_refused_in_bounded_time(monkeypatch):
     # the target's stage search and the anchor cutoff read closed forms and
     # bit lengths, and a schedule stores no per-stage budget, so a

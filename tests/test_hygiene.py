@@ -13,7 +13,8 @@ clause helpers shift by the scale 2^(m-n) and never multiply by it, and
 only CellMap's methods see cw's reflected frame.  The command-line
 handlers neither parse input nor write stdout: main does both.  No module
 calls json.dumps: dump_json writes JSON, and none builds Fraction(*pair)
-from a pair already reduced.  Only cube._settle sets a PointRep's fields,
+from a pair already reduced.  The twist diagnostics write their findings
+without calling Fraction.  Only cube._settle sets a PointRep's fields,
 and only cube._point makes one without __post_init__.  Plans and
 schedules are written from themselves: the package and its tests call
 plan_to_obj and schedule_to_obj with the one object, except the one test of
@@ -212,6 +213,17 @@ def test_src_builds_no_fraction_from_a_pair_it_unpacks():
              if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "Fraction"
              and any(isinstance(arg, ast.Starred) for arg in node.args)]
     assert not calls
+
+
+def test_diagnostics_write_findings_without_a_fraction():
+    # a finding's text is written from integers, each coordinate by one gcd,
+    # and its witness built by cube._coprime: the grid pass, its note and
+    # the pair formatter call no Fraction(...) of their own
+    names = {"twist_diagnostics", "note", "_fmt_pair", "_ratio"}
+    defs = [node for node in ast.walk(_trees()["twists"]) if isinstance(node, ast.FunctionDef) and node.name in names]
+    calls = [f"{fn.name}: {ast.unparse(node)}" for fn in defs for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "Fraction"]
+    assert {fn.name for fn in defs} == names and not calls
 
 
 def _holders(tree, match) -> set[str]:

@@ -3,6 +3,7 @@
 import random
 import re
 import time
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice
 from types import SimpleNamespace
@@ -200,6 +201,29 @@ def test_schedule_with_increasing_n_finalizes_where_its_stages_say():
     for j in range(1, 8):
         assert _outcome(final_coordinate, s, p, j) == _outcome(final_coordinate_rewalk, s, p, j)
     assert final_coordinate(s, p, 3)[0] == 2
+
+
+def _boundary_point(rng):
+    """A point meeting the boundary at seeded indices among the first 40,
+    multiples of 4 among them, its tail +-1 half of the time."""
+    width = rng.randint(0, 40)
+    prefix = [rng.choice((1, -1)) if rng.random() < 0.3 else F(rng.randint(-6, 6), 7) for _ in range(width)]
+    tail = rng.choice((1, -1)) if rng.random() < 0.5 else F(1, 3)
+    return make_point(prefix, tail)
+
+
+def test_depth_in_closed_form_matches_the_stage_list():
+    # depth counts the boundary indices up to j and the m's up to j that
+    # are not one, capped by the count; the bisect on the stage list it
+    # replaced is the reference, for every j up to 10^4
+    rng = random.Random(41)
+    points = [BND_A, BND_B, INT_A, ONES, ORIGIN, make_point([0, 0, 0, -1, 0, 0, 0, 1], 1)]
+    points += [_boundary_point(rng) for _ in range(8)]
+    for p in points:
+        for count in (0, 5, 2600):
+            s = Schedule(p, count)
+            ns, js = [n for n, _ in s.stages], range(10**4 + 1)
+            assert [s.depth(j) for j in js] == [bisect_right(ns, j) for j in js], (p, count)
 
 
 def test_forward_tail_bound_values():

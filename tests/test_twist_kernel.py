@@ -6,7 +6,9 @@ must agree exactly: on the full 1/32 grid of the criterion-3 cells, and on
 seeded random points with large denominators, out-of-square ones included;
 cubed images also at the 300-1,400-bit denominators a deep walk feeds them,
 and inverse-oracle outcomes also at the scales 2^31 and 2^176 of cells
-(9,40) and (60,236), on the clause seams.
+(9,40) and (60,236), on the clause seams.  Clause inversion, which screens
+its candidates before it classifies any, must give the outcome and message
+of the unscreened inversion in twist_oracle.py.
 The 1/32 grid meets every clause tie the 1/64 grid of criterion 3 meets, at
 a quarter of the cost of the Fraction tables.  The grid diagnostics, which
 check every point in the kernel's integers, must report exactly what the
@@ -454,3 +456,50 @@ def test_cw_hits_read_ccw_conditions_at_the_reflected_point(n, m, variant):
             assert cw.hits(d, x, y) == [k for k, c in enumerate(CCW_INDEX[MapKind.TWIST_CW]) if reflected[c]]
             for cm in (ccw, cw):
                 assert list(rows[cm][y + d]) == cm.hits(d, x, y), (cm.label(), x, y)
+
+
+
+def _edge_queries(cm):
+    """(e, u, v) over e = 4a whose candidates land on |x| = 1-b: II's x = u
+    at u = +-(1-b), III's x = C at v = 0, and I's and IV's x = au + w at
+    w = +-(d-e) - au, kept where |w| <= e."""
+    a = 1 << cm._shift
+    e, own = 4 * a, -1 if cm._reflected else 1  # v = own * w
+    inner, step = a * e - e, max(1, e // 16)
+    queries = [(e, sign * (e - 4), v) for sign in (1, -1) for v in range(-e, e + 1, step)]
+    queries += [(e, u, 0) for u in range(-e, e + 1, step)]
+    return queries + [(e, u, own * w) for u in range(-e, e + 1) for sign in (1, -1)
+                      if abs(w := sign * inner - a * u) <= e]
+
+
+@pytest.mark.parametrize("cm", maps(SINGLE) + [CellMap(MapKind.FIRST_ATTEMPT, Variant.CORRECTED, n, n + 1)
+                                                 for n in (1, 5)],
+                         ids=lambda cm: cm.label().replace(" ", "-"))
+def test_screened_preimage_matches_the_reference(cm, monkeypatch):
+    # CellMap.preimage drops a candidate outside the square before building
+    # it, and answers one strictly inside |x| < 1-b by comparing it with
+    # IV's: outcome and message must be the reference's on the image of
+    # every 1/32 grid point, on candidates exactly on the edge and off the
+    # square.  The unit twist has no inside, so there the screen never
+    # fires: it classifies every candidate the reference does
+    d, s = 32, cm._shift
+    edge = _edge_queries(cm)
+    assert edge and all(any(abs(x) == (e << s) - e for x, _ in oracle.preimage_candidates(cm, e, u, v))
+                        for e, u, v in edge)
+    rng = random.Random(cm.label() + " screen")
+    off = [(e, *(rng.choice((1, -1)) * rng.randint(e + 1, 3 * e), rng.randint(-3 * e, 3 * e))[::sign])
+           for e in (16, 27, 1 << 20) for sign in (1, -1) for _ in range(10)]
+    queries = [cm.apply(d, x, y) for x in range(-d, d + 1) for y in range(-d, d + 1)] + edge + off
+    classified = []
+    first = CellMap._first
+    monkeypatch.setattr(CellMap, "_first", lambda self, *point: classified.append(point) or first(self, *point))
+    outcomes, skipped = [], []
+    for e, u, v in queries:
+        outcomes.append(outcome(cm.preimage, e, u, v))
+        kept = len(classified)
+        assert outcomes[-1] == outcome(oracle.preimage_reference, cm, e, u, v), (e, u, v)
+        skipped.append(len(classified) - 2 * kept)  # the reference's _first calls less the screen's
+        classified.clear()
+    assert min(skipped) == 0 and (max(skipped) > 0) == (cm.kind != MapKind.FIRST_ATTEMPT)
+    failures = [out[0] for out in outcomes if isinstance(out[0], type)]
+    assert NoPreimage in failures and len(failures) < len(outcomes)

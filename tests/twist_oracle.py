@@ -6,9 +6,12 @@ cw as its own table rather than as a reflection of ccw.  test_twist_kernel.py
 checks the library against them.  Nothing here is fast; it is meant to be
 easy to compare with the printed clauses.
 
-Below them is the grid diagnostics pass the library ran before it checked
-grid points in the kernel's integers; test_twist_kernel.py checks the
-integer pass against it, finding by finding.
+After them comes the integer clause inversion CellMap.preimage ran before
+it screened its candidates; test_twist_kernel.py checks the screen against
+it, outcome and message.  Below that is the grid diagnostics pass the
+library ran before it checked grid points in the kernel's integers;
+test_twist_kernel.py checks the integer pass against it, finding by
+finding.
 """
 
 from fractions import Fraction
@@ -196,6 +199,46 @@ def piece_inverse_oracle(cm, u, v):
             f"{cm.label()} has {len(found)} preimages of ({u}, {v}): {found}"
         )
     return found[0]
+
+
+# --- clause inversion in integers, every candidate classified ---------------
+
+def preimage_candidates(cm, e, u, v):
+    """The candidates CellMap.preimage solves for at (u/e, v/e), in its
+    order: (x, y) over d = a*e in ccw's frame (y reflected for cw), each
+    clause's solution for one sign branch of sigma, IV's after both."""
+    s, order = cm._shift, cm._order
+    w = -v if cm._reflected else v
+    au, d = u << s, e << s
+    for c, clauses in ((d - e, order[:3]), (e - d, order)):
+        t = c + w - au
+        by_clause = ((au + w, (c - au) << s), (au, t << s), (c + w, (t if cm._corrected else -t) << s),
+                     (au + w, w << s))
+        for k in clauses:
+            yield by_clause[k]
+
+
+def preimage_reference(cm, e, u, v):
+    """CellMap.preimage as it was before it screened its candidates: every
+    candidate in the square classified by _first and evaluated, whether or
+    not it lies strictly inside |x| < 1-b."""
+    s = cm._shift
+    w = -v if cm._reflected else v
+    d, image = e << s, (u << 2 * s, w << 2 * s)
+    found = []
+    for x, y in preimage_candidates(cm, e, u, v):
+        if abs(x) <= d and abs(y) <= d and (x, y) not in found \
+                and cm._ccw_value(cm._first(d, x, y), d, x, y) == image:
+            found.append((x, y))
+    if cm._reflected:
+        found = [(x, -y) for x, y in found]
+    if len(found) == 1:
+        return found[0]
+    query = f"({Fraction(u, e)}, {Fraction(v, e)})"
+    if not found:
+        raise NoPreimage(f"{cm.label()} has no preimage of {query}")
+    raise MultiplePreimages(f"{cm.label()} has {len(found)} preimages of {query}:"
+                            f" {[(Fraction(x, d), Fraction(y, d)) for x, y in found]}")
 
 
 # --- grid diagnostics, point by point in Fractions ---------------------------

@@ -23,6 +23,10 @@ the given number of entries) at 20k, 80k and 320k entries, on seeded
 points whose entries have denominators 2^e * o, e up to 64 and o an odd
 number below 64: walks scale a value's denominators by powers of two, so
 odd parts repeat while denominators spread.
+The diagnose rows give milliseconds (the fastest of repeated calls) and the
+findings count of twist_diagnostics on the cells of the benchmark's
+diagnose-grid workload, its seeded cell fixed at (5, 6), each in both
+variants and at grids 1/32 and 1/64.
 The library is imported from src/ of this checkout.  The script only
 measures: it checks and pins nothing.
 """
@@ -42,12 +46,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from hilbertcube import (  # noqa: E402
     HorizonExceeded,
     InteriorMapParams,
+    Variant,
     interior_map_eval,
     make_point,
     metric_d,
     plan_eval_info,
     plan_inverse_eval_info,
     solve,
+    twist_diagnostics,
 )
 from hilbertcube.homogeneity import _choose  # noqa: E402
 from hilbertcube.serialize import dump_json, plan_to_obj  # noqa: E402
@@ -66,6 +72,8 @@ TAU_EXPONENTS = (10, 20, 40, 64)
 TIMED_S, TIMED_CALLS = 0.1, 5
 LADDER_ENTRIES = (20_000, 80_000, 320_000)
 LADDER_SEED = 15
+DIAGNOSE_CELLS = ((1, 2), (1, 4), (2, 3), (3, 12), (5, 6))
+DIAGNOSE_GRIDS = (F(1, 32), F(1, 64))
 
 
 def _bits(x: Fraction) -> int:
@@ -148,9 +156,21 @@ def ladder() -> list[dict]:
     return rows
 
 
+def diagnose() -> list[dict]:
+    """Milliseconds and findings of twist_diagnostics per variant, cell and grid."""
+    rows = []
+    for variant in Variant:
+        for n, m in DIAGNOSE_CELLS:
+            for grid in DIAGNOSE_GRIDS:
+                findings = len(twist_diagnostics(variant, n, m, grid).findings)
+                rows.append({"variant": variant.value, "cell": f"{n},{m}", "grid": str(grid), "findings": findings,
+                             "ms": round(_micros(twist_diagnostics, variant, n, m, grid) / 1e3, 2)})
+    return rows
+
+
 def main() -> int:
     out = {"python": platform.python_version(), "machine": platform.machine(), "rows": curves(),
-           "ladder": ladder()}
+           "ladder": ladder(), "diagnose": diagnose()}
     json.dump(out, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0
